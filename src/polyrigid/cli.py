@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .errors import FrameworkFileError, ParameterError, PolyrigidError
+from .errors import ParameterError, PolyrigidError
 from . import fileformat as ff
 from .framework import (
     edge_lengths,
@@ -26,6 +26,7 @@ from .framework import (
     induced_colouring,
     monochromatic_subgraphs,
     rank_exact,
+    rigid_rank,
     rigidity_matrix,
 )
 from .graph import connected_components, is_2_connected, complete_graph
@@ -33,9 +34,7 @@ from .global_rigidity import (
     BUDGET_EXCEEDED,
     GLOBALLY_RIGID,
     certify_generic_global,
-    
     decide_global_rigidity,
-    
 )
 from .norm import preset
 from .oracle import SearchParams, numeric_witness_search
@@ -66,7 +65,7 @@ def cmd_analyze(args):
     if wp:
         phi = induced_colouring(fw)
         rank = rank_exact(rigidity_matrix(fw))
-        needed = fw.dim * len(fw.graph.vertices) - fw.dim
+        needed = rigid_rank(fw)
         results["induced_colouring"] = _faces_to_json(phi)
         results["rank"] = rank
         results["rank_required"] = needed
@@ -102,7 +101,20 @@ def _verdict_to_json(fw, verdict):
     return doc
 
 
+def _env_threads():
+    """The --threads default: POLYRIGID_THREADS, else 1; None when the
+    variable is not an integer (reported by the global command)."""
+    try:
+        return int(os.environ.get("POLYRIGID_THREADS", "1"))
+    except ValueError:
+        return None
+
+
 def cmd_global(args):
+    if args.threads is None:
+        raise ParameterError(
+            f"POLYRIGID_THREADS must be an integer, got {os.environ['POLYRIGID_THREADS']!r}"
+        )
     fw = ff.load_framework(args.file)
     t0 = time.perf_counter()
     fast_paths = []
@@ -120,7 +132,7 @@ def cmd_global(args):
                 "sharing this colouring; silent about the converse",
             }
         )
-    if fw.dim == 2 and (fw.norm.is_linf or fw.norm == preset("l1", 2)) and wp:
+    if fw.dim == 2 and (fw.norm.is_linf or fw.norm.is_l1) and wp:
         rigid = is_infinitesimally_rigid(fw)
         mdd = is_Mdd_connected(fw.graph, 2)
         fast_paths.append(
@@ -198,24 +210,17 @@ def cmd_generate(args):
             constructions.GadgetSpec(seed_fw, args.d)
         )
         fw = gadget.framework
-    elif kind == "flexible":
+    elif kind in ("flexible", "random"):
         if args.n is None:
-            raise ParameterError("flexible needs --n (for the complete graph K_n)")
+            raise ParameterError(f"{kind} needs --n (for the complete graph K_n)")
+        graph = complete_graph([f"v{i}" for i in range(1, args.n + 1)])
         norm = preset(args.norm, args.d)
-        fw = constructions.build_flexible_open(
-            complete_graph([f"v{i}" for i in range(1, args.n + 1)]), norm
-        )
-    elif kind == "random":
-        if args.n is None:
-            raise ParameterError("random needs --n (for the complete graph K_n)")
-        norm = preset(args.norm, args.d)
-        fw = constructions.randomize_realisation(
-            complete_graph([f"v{i}" for i in range(1, args.n + 1)]),
-            args.d,
-            norm,
-            seed=args.seed,
-            denominator_bound=args.denominator_bound,
-        )
+        if kind == "flexible":
+            fw = constructions.build_flexible_open(graph, norm)
+        else:
+            fw = constructions.randomize_realisation(
+                graph, args.d, norm, seed=args.seed, denominator_bound=args.denominator_bound
+            )
     else:
         raise ParameterError(f"unknown generator {kind!r}")
     return ff.serialize_framework(fw)
@@ -255,8 +260,6 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"polyrigid {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_threads = int(os.environ.get("POLYRIGID_THREADS", "1"))
-
     p = sub.add_parser("analyze", help="well-positionedness, colouring, rank, rigidity")
     p.add_argument("file")
     p.add_argument("--out", default=None)
@@ -265,7 +268,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None,
                    help="max colourings to examine before giving up")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int, default=_env_threads())
     p.add_argument("--assume-generic", action="store_true",
                    help="report only the generic fast-path verdicts")
     p.add_argument("--strict", action="store_true",
@@ -317,9 +320,6 @@ def main(argv=None):
             report = cmd_witness(args)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command!r}")
-    except (FrameworkFileError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PolyrigidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

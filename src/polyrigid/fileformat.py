@@ -92,13 +92,7 @@ def parse_framework_dict(data):
 def serialize_norm(norm: PolytopeNorm):
     if norm.is_linf:
         return "linf"
-    dim = norm.dim
-    l1_faces = set()
-    from itertools import product as _product
-
-    for signs in _product((1, -1), repeat=dim):
-        l1_faces.add(tuple(Fraction(s) for s in signs))
-    if set(norm.faces) == l1_faces:
+    if norm.is_l1:
         return "l1"
     return {"faces": [[format_rational(x) for x in f] for f in norm.faces]}
 
@@ -124,26 +118,23 @@ def dumps(data):
     return json.dumps(data, indent=2) + "\n"
 
 
-def load_framework(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise FrameworkFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FrameworkFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return parse_framework_dict(data)
+
+
+def load_framework(path):
+    return parse_framework_dict(_read_json(path))
 
 
 def load_graph_or_framework(path):
     """Framework if the file has positions, bare graph otherwise."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FrameworkFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FrameworkFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    data = _read_json(path)
     if "positions" in data:
         return parse_framework_dict(data)
     return parse_graph_dict(data)

@@ -14,11 +14,13 @@ carries the face vector on v's coordinate block and its negation on w's.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
-from .errors import NotWellPositionedError, ParameterError
+from .errors import BudgetExceededError, NotWellPositionedError, ParameterError
 from .graph import Graph, connected_components
-from .linalg import mat_rank
-from .norm import PolytopeNorm, as_vector
+from .linalg import dot, left_kernel_basis, mat_rank, solve_affine
+from .norm import PolytopeNorm, as_vector, linf_axis
 
 
 class Framework:
@@ -87,47 +89,80 @@ def induced_colourings(fw: Framework):
     return out
 
 
+def _unique_colouring(fw: Framework):
+    """The induced colouring when every edge has one nonzero candidate, else None."""
+    zero = zero_vector(fw.dim)
+    candidates = induced_colourings(fw)
+    if all(len(c) == 1 and c[0] != zero for c in candidates):
+        return tuple(c[0] for c in candidates)
+    return None
+
+
 def is_well_positioned(fw: Framework):
     """Every edge vector is nonzero and has a unique active face."""
-    zero = zero_vector(fw.dim)
-    for candidates in induced_colourings(fw):
-        if len(candidates) != 1 or candidates[0] == zero:
-            return False
-    return True
+    return _unique_colouring(fw) is not None
 
 
 def induced_colouring(fw: Framework):
     """The unique directed colouring of a well-positioned framework."""
-    candidates = induced_colourings(fw)
-    zero = zero_vector(fw.dim)
-    phi = []
-    for cand in candidates:
-        if len(cand) != 1 or cand[0] == zero:
-            raise NotWellPositionedError("framework is not well-positioned")
-        phi.append(cand[0])
-    return tuple(phi)
+    phi = _unique_colouring(fw)
+    if phi is None:
+        raise NotWellPositionedError("framework is not well-positioned")
+    return phi
+
+
+def colouring_row(graph: Graph, dim, edge, face):
+    """Row of the edge vw in a colouring matrix: face on v's block, -face
+    on w's block; columns run through vertices in canonical order, d
+    coordinates per vertex."""
+    vi, wi = graph.index(edge[0]), graph.index(edge[1])
+    row = [Fraction(0)] * (dim * len(graph.vertices))
+    for i, x in enumerate(face):
+        row[dim * vi + i] = x
+        row[dim * wi + i] = -x
+    return row
 
 
 def colouring_matrix(graph: Graph, phi, dim):
-    """The |E| x d|V| matrix of a directed colouring.
-
-    Row of edge vw: phi(e) on v's block, -phi(e) on w's block; columns run
-    through vertices in canonical order, d coordinates per vertex.
-    """
+    """The |E| x d|V| matrix of a directed colouring, one colouring_row per edge."""
     if len(phi) != len(graph.edges):
         raise ParameterError("colouring does not match the edge list")
-    n = len(graph.vertices)
-    rows = []
-    for e, face in zip(graph.edges, phi):
-        if len(face) != dim:
-            raise ParameterError("face vector has wrong dimension")
-        vi, wi = graph.index(e[0]), graph.index(e[1])
-        row = [Fraction(0)] * (dim * n)
-        for i, x in enumerate(face):
-            row[dim * vi + i] = x
-            row[dim * wi + i] = -x
-        rows.append(row)
-    return rows
+    if any(len(face) != dim for face in phi):
+        raise ParameterError("face vector has wrong dimension")
+    return [colouring_row(graph, dim, e, face) for e, face in zip(graph.edges, phi)]
+
+
+# -- the pinned system ---------------------------------------------------
+#
+# Equivalent realisations are sought with vertex 0 held at its position.
+# Its block of a colouring row is row[:d] and moves to the right-hand side;
+# vertex i > 0 owns the pinned columns d(i-1) ... d(i-1)+d-1.
+
+
+def pinned_row(fw: Framework, edge, face, length):
+    """Augmented row of  face.(q(v) - q(w)) = length  with vertex 0 pinned:
+    the coefficients on the pinned columns, then the right-hand side."""
+    d = fw.dim
+    row = colouring_row(fw.graph, d, edge, face)
+    return row[d:] + [length - dot(row[:d], fw.position(fw.graph.vertices[0]))]
+
+
+def pinned_solution(fw: Framework, phi, lengths):
+    """(particular, kernel) of the pinned system M'(G, phi) q = lengths in
+    pinned coordinates, or None when it is inconsistent."""
+    rows = [pinned_row(fw, e, f, length) for e, f, length in zip(fw.graph.edges, phi, lengths)]
+    return solve_affine([r[:-1] for r in rows], [r[-1] for r in rows])
+
+
+def unpin(fw: Framework, vec, origin=None):
+    """The realisation with vertex i > 0 at the pinned coordinates
+    vec[d(i-1) : di] and vertex 0 at ``origin`` (default: its position)."""
+    d = fw.dim
+    v0, *others = fw.graph.vertices
+    q = {v0: fw.position(v0) if origin is None else origin}
+    for i, u in enumerate(others):
+        q[u] = tuple(vec[d * i:d * i + d])
+    return q
 
 
 def rank_exact(matrix):
@@ -141,41 +176,37 @@ def rigidity_matrix(fw: Framework):
     return colouring_matrix(fw.graph, induced_colouring(fw), fw.dim)
 
 
+def rigid_rank(fw: Framework):
+    """d|V| - d: full rank of a colouring matrix once the translation
+    kernel is accounted for."""
+    return fw.dim * len(fw.graph.vertices) - fw.dim
+
+
 def is_infinitesimally_rigid(fw: Framework):
     """Rank of the induced colouring matrix reaches d|V| - d.
 
-    Requires a well-positioned framework; the count d|V| - d is full rank
-    once the translation kernel is accounted for.
+    Requires a well-positioned framework.
     """
-    n = len(fw.graph.vertices)
-    d = fw.dim
-    return rank_exact(rigidity_matrix(fw)) == d * n - d
+    return rank_exact(rigidity_matrix(fw)) == rigid_rank(fw)
 
 
 def is_redundantly_rigid(fw: Framework):
     """Still infinitesimally rigid after deleting any single edge.
 
-    Deleting edge e removes one row of the matrix; the framework is
-    redundantly rigid when every such row removal keeps rank d|V| - d.
+    Deleting edge e removes one row of the matrix.  The matrix must have
+    rank d|V| - d, and removing row e keeps that rank exactly when row e
+    is a combination of the others, i.e. when some left-kernel vector is
+    nonzero on e.  The left kernel has dimension |E| - rank, so with
+    |E| = d|V| - d no edge can go.
     """
     rows = rigidity_matrix(fw)
-    n = len(fw.graph.vertices)
-    d = fw.dim
-    target = d * n - d
-    if len(rows) == 0:
+    target = rigid_rank(fw)
+    if not rows:
         return target == 0
-    for skip in range(len(rows)):
-        reduced = rows[:skip] + rows[skip + 1:]
-        if rank_exact(reduced) != target:
-            return False
-    return True
-
-
-def _axis_of(face):
-    nonzero = [(i, x) for i, x in enumerate(face) if x != 0]
-    if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
-        return nonzero[0][0]
-    return None
+    if rank_exact(rows) != target or len(rows) == target:
+        return False
+    left = left_kernel_basis(rows)
+    return all(any(z[e] != 0 for z in left) for e in range(len(rows)))
 
 
 def monochromatic_subgraphs(graph: Graph, phi):
@@ -190,13 +221,13 @@ def monochromatic_subgraphs(graph: Graph, phi):
     dim = len(phi[0])
     buckets = [[] for _ in range(dim)]
     for e, face in zip(graph.edges, phi):
-        axis = _axis_of(face)
+        axis = linf_axis(face)
         if axis is None:
             raise ParameterError(
                 f"face {face} is not a signed standard basis vector (zero entries "
                 "and general polytope faces have no colour class)"
             )
-        buckets[axis].append(e)
+        buckets[axis[0]].append(e)
     return [graph.subgraph_on_edges(b) for b in buckets]
 
 
@@ -225,22 +256,11 @@ def is_rigid_all_induced_colourings(fw: Framework, budget=100_000):
     False result proves nothing, since the criterion is sufficient only.
     Budget-guarded: the candidate product can be exponential.
     """
-    from itertools import product
-    from .errors import BudgetExceededError
-
     candidates = induced_colourings(fw)
-    total = 1
-    for c in candidates:
-        total *= len(c)
-        if total > budget:
-            raise BudgetExceededError(
-                f"candidate colouring product exceeds budget {budget}"
-            )
-    n = len(fw.graph.vertices)
-    d = fw.dim
-    target = d * n - d
+    if prod(len(c) for c in candidates) > budget:
+        raise BudgetExceededError(f"candidate colouring product exceeds budget {budget}")
     return all(
-        rank_exact(colouring_matrix(fw.graph, phi, d)) == target
+        rank_exact(colouring_matrix(fw.graph, phi, fw.dim)) == rigid_rank(fw)
         for phi in product(*candidates)
     )
 

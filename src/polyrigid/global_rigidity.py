@@ -21,7 +21,6 @@ characterisation through connectivity in the (2,2)-sparsity matroid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
@@ -33,17 +32,22 @@ from . import simplex
 from .framework import (
     Framework,
     colouring_matrix,
+    colouring_row,
     edge_lengths,
     induced_colouring,
     is_infinitesimally_rigid,
     is_redundantly_rigid,
     is_well_positioned,
     monochromatic_subgraphs,
+    pinned_row,
+    pinned_solution,
     rank_exact,
+    rigid_rank,
+    unpin,
     zero_vector,
 )
 from .graph import Graph, is_2_connected
-from .linalg import IncrementalSystem, dot, integerize_row, solve_affine
+from .linalg import IncrementalSystem, affine_point, dot, integerize_row
 from .sparsity import is_Mdd_connected
 
 GLOBALLY_RIGID = "GloballyRigid"
@@ -93,54 +97,6 @@ def column_space_contains(rows, vec):
     return rank_exact(augmented) == base
 
 
-def _pinned_row(graph, dim, v0, edge, face, length):
-    """Integerized row of the pinned system  face.(q(v) - q(w)) = length
-    with q(v0) fixed at its position (handled by the caller via length
-    adjustment); returns coefficient entries plus rhs, jointly scaled."""
-    n = len(graph.vertices)
-    v, w = edge
-    row = [Fraction(0)] * (dim * (n - 1)) + [length]
-    for u, sign in ((v, 1), (w, -1)):
-        if u == v0:
-            continue
-        col = graph.index(u)
-        if col > graph.index(v0):
-            col -= 1
-        for i, x in enumerate(face):
-            row[dim * col + i] += sign * x
-    return row
-
-
-def _pinned_rhs_adjust(face, edge, v0, p0, length):
-    """Move the pinned vertex's contribution to the right-hand side."""
-    v, w = edge
-    if v == v0:
-        return length - dot(face, p0)
-    if w == v0:
-        return length + dot(face, p0)
-    return length
-
-
-def _pinned_index(graph, v0, u, dim, i):
-    col = graph.index(u)
-    if col > graph.index(v0):
-        col -= 1
-    return dim * col + i
-
-
-def _assemble_realisation(fw: Framework, vec):
-    """Rebuild the vertex->position map from pinned stacked coordinates."""
-    graph, d = fw.graph, fw.dim
-    v0 = graph.vertices[0]
-    q = {v0: fw.position(v0)}
-    for u in graph.vertices:
-        if u == v0:
-            continue
-        base = _pinned_index(graph, v0, u, d, 0)
-        q[u] = tuple(vec[base + i] for i in range(d))
-    return q
-
-
 def _feasible_equivalent(fw: Framework, lengths, particular, kernel):
     """Feasibility of the per-edge face inequalities over an affine set.
 
@@ -151,10 +107,8 @@ def _feasible_equivalent(fw: Framework, lengths, particular, kernel):
     solution first, filters constraints that do not involve the kernel,
     and only then runs the exact simplex.  Returns a realisation or None.
     """
-    graph, norm, d = fw.graph, fw.norm, fw.dim
-    v0 = graph.vertices[0]
-    p0 = fw.position(v0)
-    q0 = _assemble_realisation(fw, particular)
+    graph, norm = fw.graph, fw.norm
+    q0 = unpin(fw, particular)
     if all(
         norm.value(tuple(a - b for a, b in zip(q0[v], q0[w]))) == lengths[ei]
         for ei, (v, w) in enumerate(graph.edges)
@@ -163,25 +117,18 @@ def _feasible_equivalent(fw: Framework, lengths, particular, kernel):
     if not kernel:
         return None
 
-    nk = len(kernel)
+    # q = q0 + sum_j t_j moves[j], where moves[j] is kernel[j] as a
+    # displacement field (vertex 0 stays put); per edge and face the
+    # inequality reads  f.(q(v) - q(w)) <= length
+    origin = zero_vector(fw.dim)
+    moves = [unpin(fw, k, origin) for k in kernel]
     ineq = {}
     for ei, (v, w) in enumerate(graph.edges):
+        base = [a - b for a, b in zip(q0[v], q0[w])]
+        steps = [[a - b for a, b in zip(m[v], m[w])] for m in moves]
         for face in norm.faces:
-            const = Fraction(0)
-            coeffs = [Fraction(0)] * nk
-            for i, x in enumerate(face):
-                if x == 0:
-                    continue
-                for u, sign in ((v, 1), (w, -1)):
-                    if u == v0:
-                        const += sign * x * p0[i]
-                    else:
-                        idx = _pinned_index(graph, v0, u, d, i)
-                        const += sign * x * particular[idx]
-                        for j in range(nk):
-                            coeffs[j] += sign * x * kernel[j][idx]
-            bound = lengths[ei] - const
-            key = tuple(coeffs)
+            bound = lengths[ei] - dot(face, base)
+            key = tuple(dot(face, step) for step in steps)
             if all(c == 0 for c in key):
                 if bound < 0:
                     return None
@@ -194,11 +141,7 @@ def _feasible_equivalent(fw: Framework, lengths, particular, kernel):
     t = simplex.feasible_point(rows, rhs)
     if t is None:
         return None
-    point = [
-        particular[idx] + sum(t[j] * kernel[j][idx] for j in range(nk))
-        for idx in range(len(particular))
-    ]
-    return _assemble_realisation(fw, point)
+    return unpin(fw, affine_point(particular, kernel, t))
 
 
 def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
@@ -212,8 +155,7 @@ def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
     q's active faces.  Returns a realisation map or None when infeasible;
     raises InconsistentSystemError when X_phi itself is empty.
     """
-    graph, d = fw.graph, fw.dim
-    zero = zero_vector(d)
+    zero = zero_vector(fw.dim)
     if not skip_checks:
         if any(f == zero for f in phi):
             raise ParameterError("witness search needs a zero-free colouring")
@@ -223,16 +165,7 @@ def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
             raise ParameterError("witness search is only meaningful for rigid frameworks")
     if lengths is None:
         lengths = edge_lengths(fw)
-    v0 = graph.vertices[0]
-    p0 = fw.position(v0)
-
-    rows = []
-    rhs = []
-    for ei, e in enumerate(graph.edges):
-        face = phi[ei]
-        rows.append(_pinned_row(graph, d, v0, e, face, Fraction(0))[:-1])
-        rhs.append(_pinned_rhs_adjust(face, e, v0, p0, lengths[ei]))
-    solved = solve_affine(rows, rhs)
+    solved = pinned_solution(fw, phi, lengths)
     if solved is None:
         raise InconsistentSystemError("affine system of the colouring has no solution")
     particular, kernel = solved
@@ -243,14 +176,44 @@ class _BudgetHit(Exception):
     pass
 
 
+def _consistent_leaves(system, options, on_cut):
+    """Depth-first walk of the colouring tree, with an explicit stack.
+
+    ``options[i]`` lists the (face, integer row) choices for edge i.  Each
+    row is pushed onto the incremental system; an inconsistent push cuts
+    the whole subtree below that prefix and is reported to ``on_cut``.
+    Every consistent full colouring is yielded as a tuple of faces while
+    its rows are still pushed, so the caller can solve the system there.
+    An empty edge list yields nothing.
+    """
+    m = len(options)
+    assign = [None] * m
+    stack = [iter(options[0])] if m else []
+    while stack:
+        i = len(stack) - 1
+        for face, row in stack[-1]:
+            consistent, _ = system.push(row)
+            if not consistent:
+                system.pop()
+                on_cut()
+                continue
+            assign[i] = face
+            if i + 1 < m:
+                stack.append(iter(options[i + 1]))
+                break
+            yield tuple(assign)
+            system.pop()
+        else:
+            stack.pop()
+            if stack:
+                system.pop()
+
+
 class _SearchState:
     """Depth-first enumeration of zero-free colourings with pruning."""
 
     def __init__(self, fw, lengths, iso_set, budget):
-        graph, norm, d = fw.graph, fw.norm, fw.dim
         self.fw = fw
-        self.graph = graph
-        self.norm = norm
         self.lengths = lengths
         self.iso_set = iso_set
         self.budget = budget
@@ -261,61 +224,47 @@ class _SearchState:
             "isometric_skipped": 0,
             "lp_runs": 0,
         }
-        v0 = graph.vertices[0]
-        p0 = fw.position(v0)
-        n = len(graph.vertices)
-        self.width = d * (n - 1) + 1
-        self.candidates = []
-        for ei, e in enumerate(graph.edges):
-            options = []
-            for face in norm.faces:
-                row = _pinned_row(graph, d, v0, e, face, Fraction(0))
-                row[-1] = _pinned_rhs_adjust(face, e, v0, p0, lengths[ei])
-                options.append((face, integerize_row(row)))
-            self.candidates.append(options)
+        self.width = fw.dim * (len(fw.graph.vertices) - 1) + 1
+        self.candidates = [
+            [(face, integerize_row(pinned_row(fw, e, face, length))) for face in fw.norm.faces]
+            for e, length in zip(fw.graph.edges, lengths)
+        ]
 
-    def _tick(self):
-        self.counts["colourings_examined"] += 1
+    def _check_budget(self):
         if self.budget is not None and self.counts["colourings_examined"] > self.budget:
             raise _BudgetHit()
 
+    def _cut(self):
+        self.counts["pruned_subtrees"] += 1
+        self.counts["colourings_examined"] += 1
+        self._check_budget()
+
     def run(self, first_edge_faces=None):
         """Search the whole tree (or the given slice of first-edge faces);
-        returns a witness realisation or None."""
-        m = len(self.graph.edges)
-        system = IncrementalSystem(self.width)
-        assign = [None] * m
+        returns (colouring, witness realisation) or None.
 
-        def recurse(i):
-            if i == m:
-                self.counts["leaves"] += 1
-                self._tick()
-                phi = tuple(assign)
-                if phi in self.iso_set:
-                    self.counts["isometric_skipped"] += 1
-                    return None
-                self.counts["lp_runs"] += 1
+        A leaf is settled (skipped as isometric, or solved) before the
+        budget is enforced, so a cut certificate always satisfies
+        lp_runs = leaves - isometric_skipped.
+        """
+        options = list(self.candidates)
+        if first_edge_faces is not None:
+            options[0] = [options[0][j] for j in first_edge_faces]
+        counts = self.counts
+        system = IncrementalSystem(self.width)
+        for phi in _consistent_leaves(system, options, self._cut):
+            counts["leaves"] += 1
+            counts["colourings_examined"] += 1
+            if phi in self.iso_set:
+                counts["isometric_skipped"] += 1
+            else:
+                counts["lp_runs"] += 1
                 particular, kernel = system.solve()
                 q = _feasible_equivalent(self.fw, self.lengths, particular, kernel)
-                return (phi, q) if q is not None else None
-            options = self.candidates[i]
-            if i == 0 and first_edge_faces is not None:
-                options = [options[j] for j in first_edge_faces]
-            for face, row in options:
-                consistent, _ = system.push(row)
-                if consistent:
-                    assign[i] = face
-                    found = recurse(i + 1)
-                else:
-                    self.counts["pruned_subtrees"] += 1
-                    self._tick()
-                    found = None
-                system.pop()
-                if found is not None:
-                    return found
-            return None
-
-        return recurse(0)
+                if q is not None:
+                    return phi, q
+            self._check_budget()
+        return None
 
 
 def _search_slice(args):
@@ -342,11 +291,10 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     if not is_well_positioned(fw):
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
     phi_p = induced_colouring(fw)
-    d, n = fw.dim, len(fw.graph.vertices)
-    rank = rank_exact(colouring_matrix(fw.graph, phi_p, d))
+    rank = rank_exact(colouring_matrix(fw.graph, phi_p, fw.dim))
     cert["rank"] = rank
-    cert["rank_required"] = d * n - d
-    if rank < d * n - d:
+    cert["rank_required"] = rigid_rank(fw)
+    if rank < rigid_rank(fw):
         return GlobalVerdict(NOT_RIGID, certificate=cert)
     if not fw.graph.edges:
         cert["note"] = "single vertex: trivially globally rigid"
@@ -361,24 +309,15 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     if threads > 1 and len(fw.graph.edges) > 1 and nfaces >= threads:
         found, budget_hit = _run_parallel(fw, lengths, iso_set, budget, threads, cert)
     else:
-        state = _SearchState(fw, lengths, iso_set, budget)
-        budget_hit = False
-        try:
-            found = state.run()
-        except _BudgetHit:
-            found = None
-            budget_hit = True
-        cert.update(state.counts)
+        found, counts, budget_hit = _search_slice((fw, lengths, iso_set, budget, None))
+        cert.update(counts)
 
     if found is not None:
         phi, q = found
-        from .oracle import congruence_check
+        from .oracle import is_witness
 
-        fw_q = fw.with_positions(q)
-        if edge_lengths(fw_q) != lengths:
-            raise AssertionError("witness failed exact length verification")
-        if congruence_check(fw, q):
-            raise AssertionError("witness unexpectedly congruent to the input")
+        if not is_witness(fw, q, lengths):
+            raise AssertionError("witness failed exact verification")
         cert["witness_colouring"] = phi
         return GlobalVerdict(NOT_GLOBALLY_RIGID, witness=q, certificate=cert)
     if budget_hit:
@@ -431,6 +370,7 @@ def is_strong_colouring_exhaustive(graph: Graph, phi, norm, budget=2_000_000):
     zero face die immediately, since a zero row pairs with a nonzero row
     of phi; a phi with zero entries is rejected as never strong.
 
+    Every cut prefix and every settled leaf counts against the budget.
     This is exponential and budget-guarded; the 2-connectivity test above
     is the practical route.
     """
@@ -440,67 +380,34 @@ def is_strong_colouring_exhaustive(graph: Graph, phi, norm, budget=2_000_000):
         return False
     group = norm.isometry_group()
     iso_set = {apply_colouring(T, tuple(phi)) for T in group}
-    m = len(graph.edges)
     n = len(graph.vertices)
-    width = 2 * d * n
-    keylen = d * n
-
     phi_rows = colouring_matrix(graph, phi, d)
     cand_faces = list(norm.faces) + [zero]
 
     # paired integer rows, one per (edge, candidate face): candidate row
     # as the key part, the corresponding row of phi as the check part
-    paired = []
-    for ei, e in enumerate(graph.edges):
-        options = []
-        for face in cand_faces:
-            key_part = _unpinned_row(graph, d, e, face)
-            check_part = phi_rows[ei]
-            options.append((face, integerize_row(list(key_part) + list(check_part))))
-        paired.append(options)
+    paired = [
+        [
+            (face, integerize_row(colouring_row(graph, d, e, face) + phi_rows[ei]))
+            for face in cand_faces
+        ]
+        for ei, e in enumerate(graph.edges)
+    ]
 
     examined = 0
-    system = IncrementalSystem(width, keylen=keylen)
-    assign = [None] * m
 
-    def recurse(i):
+    def tick():
         nonlocal examined
-        if i == m:
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError("strongness enumeration budget exhausted")
-            psi = tuple(assign)
-            if psi in iso_set:
-                return None
-            return psi  # containment held all the way down: not isometric
-        for face, row in paired[i]:
-            consistent, _ = system.push(row)
-            if consistent:
-                assign[i] = face
-                found = recurse(i + 1)
-            else:
-                examined += 1
-                if examined > budget:
-                    system.pop()
-                    raise BudgetExceededError("strongness enumeration budget exhausted")
-                found = None
-            system.pop()
-            if found is not None:
-                return found
-        return None
+        examined += 1
+        if examined > budget:
+            raise BudgetExceededError("strongness enumeration budget exhausted")
 
-    return recurse(0) is None
-
-
-def _unpinned_row(graph, dim, edge, face):
-    n = len(graph.vertices)
-    v, w = edge
-    row = [Fraction(0)] * (dim * n)
-    vi, wi = graph.index(v), graph.index(w)
-    for i, x in enumerate(face):
-        row[dim * vi + i] += x
-        row[dim * wi + i] -= x
-    return row
+    system = IncrementalSystem(2 * d * n, keylen=d * n)
+    for psi in _consistent_leaves(system, paired, tick):
+        if psi not in iso_set:
+            return False  # containment held all the way down: not isometric
+        tick()
+    return True
 
 
 def certify_generic_global(fw: Framework):

@@ -51,20 +51,18 @@ class Graph:
     def neighbours(self, v):
         return self._adj[v]
 
+    def _canonical(self, v, w):
+        return (v, w) if self._index[v] < self._index[w] else (w, v)
+
     def has_edge(self, v, w):
-        if self._index[v] > self._index[w]:
-            v, w = w, v
-        return (v, w) in self._edge_set
+        return self._canonical(v, w) in self._edge_set
 
     def edge_index(self, v, w):
-        if self._index[v] > self._index[w]:
-            v, w = w, v
-        return self.edges.index((v, w))
+        return self.edges.index(self._canonical(v, w))
 
     def without_edge(self, v, w):
-        if self._index[v] > self._index[w]:
-            v, w = w, v
-        return Graph(self.vertices, [e for e in self.edges if e != (v, w)])
+        edge = self._canonical(v, w)
+        return Graph(self.vertices, [e for e in self.edges if e != edge])
 
     def without_vertex(self, u):
         return Graph(
@@ -143,80 +141,56 @@ def is_connected(g: Graph):
     return len(connected_components(g)) == 1 if g.vertices else False
 
 
-def is_2_connected(g: Graph):
-    """True iff the graph has >= 3 vertices, is connected, and has no
-    articulation vertex (iterative Hopcroft-Tarjan lowpoint computation)."""
-    n = len(g.vertices)
-    if n < 3 or not is_connected(g):
-        return False
-    disc = {}
-    low = {}
-    parent = {g.vertices[0]: None}
-    counter = 0
+def _lowpoints(g: Graph):
+    """Iterative Hopcroft-Tarjan lowpoint DFS from the first vertex.
+
+    Yields (u, disc[u], low[w]) each time the subtree below a tree edge uw
+    (w the child) is finished; the caller may stop at any point.
+    """
     root = g.vertices[0]
-    root_children = 0
+    disc = {root: 0}
+    low = {root: 0}
+    parent = {root: None}
     stack = [(root, iter(g.neighbours(root)))]
-    disc[root] = low[root] = counter
-    counter += 1
     while stack:
         v, it = stack[-1]
-        advanced = False
         for w in it:
             if w not in disc:
                 parent[w] = v
-                if v == root:
-                    root_children += 1
-                disc[w] = low[w] = counter
-                counter += 1
+                disc[w] = low[w] = len(disc)
                 stack.append((w, iter(g.neighbours(w))))
-                advanced = True
                 break
             elif w != parent[v]:
                 low[v] = min(low[v], disc[w])
-        if not advanced:
+        else:
             stack.pop()
             if stack:
                 u = stack[-1][0]
                 low[u] = min(low[u], low[v])
-                if u != root and low[v] >= disc[u]:
-                    return False
+                yield u, disc[u], low[v]
+
+
+def is_2_connected(g: Graph):
+    """True iff the graph has >= 3 vertices, is connected, and has no
+    articulation vertex: no non-root u has a child w with low[w] >= disc[u],
+    and the root has one child."""
+    if len(g.vertices) < 3 or not is_connected(g):
+        return False
+    root = g.vertices[0]
+    root_children = 0
+    for u, disc_u, low_w in _lowpoints(g):
+        if u == root:
+            root_children += 1
+        elif low_w >= disc_u:
+            return False
     return root_children <= 1
 
 
 def is_2_edge_connected(g: Graph):
     """True iff connected on >= 2 vertices with no bridge.
 
-    A tree edge vw (w the child) is a bridge exactly when low[w] > disc[v].
+    A tree edge uw (w the child) is a bridge exactly when low[w] > disc[u].
     """
-    n = len(g.vertices)
-    if n < 2 or not is_connected(g):
+    if len(g.vertices) < 2 or not is_connected(g):
         return False
-    disc = {}
-    low = {}
-    root = g.vertices[0]
-    parent = {root: None}
-    counter = 0
-    stack = [(root, iter(g.neighbours(root)))]
-    disc[root] = low[root] = counter
-    counter += 1
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in disc:
-                parent[w] = v
-                disc[w] = low[w] = counter
-                counter += 1
-                stack.append((w, iter(g.neighbours(w))))
-                advanced = True
-                break
-            elif w != parent[v]:
-                low[v] = min(low[v], disc[w])
-        if not advanced:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] > disc[u]:
-                    return False
-    return True
+    return all(low_w <= disc_u for _, disc_u, low_w in _lowpoints(g))

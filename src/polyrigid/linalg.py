@@ -2,8 +2,9 @@
 
 Everything here works on plain lists of ``fractions.Fraction`` (or ints).
 Ranks are computed with fraction-free Bareiss elimination after clearing
-denominators row by row; solving and kernel extraction use ordinary
-Gauss-Jordan elimination on Fractions.  No floating point anywhere.
+denominators row by row; solving and kernel extraction run the one
+incremental integer elimination, ``IncrementalSystem``, and back-substitute
+its echelon rows.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -60,59 +61,11 @@ def mat_rank(rows):
     return rank
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fraction; returns (matrix, pivot_cols)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
 def kernel_basis(rows, ncols=None):
     """Basis of the right null space {x : A x = 0} of a rational matrix."""
-    if not rows:
-        if ncols is None:
-            return []
-        basis = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    ncols = len(rows[0])
-    rref, pivots = _rref(rows)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
+    if rows:
+        return solve_affine(rows, [0] * len(rows))[1]
+    return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols or 0)]
 
 
 def left_kernel_basis(rows):
@@ -129,30 +82,17 @@ def solve_affine(rows, rhs):
     Returns (particular, kernel) where ``particular`` is one solution and
     ``kernel`` is a basis of the homogeneous solutions, or None if the
     system is inconsistent.  An empty ``rows`` is the all-of-space system.
+    The particular solution has every free variable at zero, and kernel
+    vector j has free variable j at one and the others at zero.
     """
     if not rows:
         return [], []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = _rref(aug)
-    if ncols in pivots:
-        return None
-    particular = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = rref[r][ncols]
-    # the left part of the reduced augmented matrix is a RREF of A, so the
-    # kernel can be read off without a second elimination
-    pivot_set = set(pivots)
-    kernel = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        kernel.append(v)
-    return particular, kernel
+    system = IncrementalSystem(len(rows[0]) + 1)
+    for r, b in zip(rows, rhs):
+        consistent, _ = system.push(integerize_row(list(r) + [b]))
+        if not consistent:
+            return None
+    return system.solve()
 
 
 def dot(u, v):
@@ -161,6 +101,11 @@ def dot(u, v):
 
 def mat_vec(rows, x):
     return [dot(r, x) for r in rows]
+
+
+def affine_point(particular, kernel, t):
+    """particular + sum_j t[j] * kernel[j]."""
+    return [x + sum(tj * k[i] for tj, k in zip(t, kernel)) for i, x in enumerate(particular)]
 
 
 class IncrementalSystem:

@@ -28,6 +28,14 @@ def _neg(vec):
     return tuple(-x for x in vec)
 
 
+def linf_axis(face):
+    """For a signed standard basis vector, its (coordinate, sign); else None."""
+    nonzero = [(i, v) for i, v in enumerate(face) if v != 0]
+    if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
+        return nonzero[0][0], 1 if nonzero[0][1] > 0 else -1
+    return None
+
+
 @dataclass(frozen=True)
 class LinearIsometry:
     """A linear map preserving the norm; its transpose permutes the faces."""
@@ -119,18 +127,18 @@ class PolytopeNorm:
 
     # -- structure -----------------------------------------------------
 
-    def linf_axis(self, face):
-        """For a signed standard basis vector, its (coordinate, sign); else None."""
-        nonzero = [(i, v) for i, v in enumerate(face) if v != 0]
-        if len(nonzero) == 1 and abs(nonzero[0][1]) == 1:
-            return nonzero[0][0], 1 if nonzero[0][1] > 0 else -1
-        return None
-
     @property
     def is_linf(self):
         """Whether the face set is exactly the signed standard basis."""
         return len(self.faces) == 2 * self.dim and all(
-            self.linf_axis(f) is not None for f in self.faces
+            linf_axis(f) is not None for f in self.faces
+        )
+
+    @property
+    def is_l1(self):
+        """Whether the face set is exactly the sign vectors {1, -1}^d."""
+        return len(self.faces) == 2 ** self.dim and all(
+            abs(x) == 1 for f in self.faces for x in f
         )
 
     def isometry_group(self):

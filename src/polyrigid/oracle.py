@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .framework import Framework, edge_lengths
-from .linalg import dot, solve_affine
+from .framework import Framework, edge_lengths, pinned_solution, unpin
+from .linalg import affine_point
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,12 @@ def congruence_check(fw: Framework, q) -> bool:
     return False
 
 
+def is_witness(fw: Framework, q, lengths) -> bool:
+    """Whether q realises exactly these edge lengths without being congruent
+    to the framework's realisation: an exact disproof of global rigidity."""
+    return edge_lengths(fw.with_positions(q)) == lengths and not congruence_check(fw, q)
+
+
 def _float_norm_and_face(faces_f, delta):
     best = None
     best_face = None
@@ -87,69 +93,25 @@ def _exactify_via_colouring(fw, q_float, lengths):
     is then solved exactly and the kernel component fitted to the float
     point (coefficients snapped to small rationals).
     """
-    graph, norm, d = fw.graph, fw.norm, fw.dim
+    graph, norm = fw.graph, fw.norm
     faces_f = [tuple(float(x) for x in f) for f in norm.faces]
-    v0 = graph.vertices[0]
-    p0 = fw.position(v0)
-    n = len(graph.vertices)
-
-    rows = []
-    rhs = []
-    for ei, e in enumerate(graph.edges):
-        v, w = e
+    phi = []
+    for v, w in graph.edges:
         delta = [a - b for a, b in zip(q_float[v], q_float[w])]
         _, face_f = _float_norm_and_face(faces_f, delta)
-        face = norm.faces[faces_f.index(face_f)]
-        row = [Fraction(0)] * (d * (n - 1))
-        for u, sign in ((v, 1), (w, -1)):
-            if u == v0:
-                continue
-            col = graph.index(u)
-            if col > graph.index(v0):
-                col -= 1
-            for i, x in enumerate(face):
-                row[d * col + i] += sign * x
-        adj = lengths[ei]
-        if v == v0:
-            adj = adj - dot(face, p0)
-        elif w == v0:
-            adj = adj + dot(face, p0)
-        rows.append(row)
-        rhs.append(adj)
-    solved = solve_affine(rows, rhs)
+        phi.append(norm.faces[faces_f.index(face_f)])
+    solved = pinned_solution(fw, phi, lengths)
     if solved is None:
         return None
     particular, kernel = solved
 
-    target = []
-    for v in graph.vertices:
-        if v == v0:
-            continue
-        target.extend(q_float[v])
+    target = [x for v in graph.vertices[1:] for x in q_float[v]]
     resid = [t - float(x) for t, x in zip(target, particular)]
-    if kernel:
-        kf = [[float(x) for x in k] for k in kernel]
-        coeffs = _lstsq(kf, resid)
-        if coeffs is None:
-            return None
-        t = [Fraction(c).limit_denominator(10**4) for c in coeffs]
-    else:
-        t = []
-
-    q = {v0: p0}
-    idx = 0
-    for v in graph.vertices:
-        if v == v0:
-            continue
-        coords = []
-        for i in range(fw.dim):
-            val = particular[idx]
-            for j, k in enumerate(kernel):
-                val += t[j] * k[idx]
-            coords.append(val)
-            idx += 1
-        q[v] = tuple(coords)
-    return q
+    coeffs = _lstsq([[float(x) for x in k] for k in kernel], resid)
+    if coeffs is None:
+        return None
+    t = [Fraction(c).limit_denominator(10**4) for c in coeffs]
+    return unpin(fw, affine_point(particular, kernel, t))
 
 
 def _lstsq(columns_as_rows, resid):
@@ -193,18 +155,28 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
     p_float = {v: [float(x) for x in fw.position(v)] for v in graph.vertices}
     others = [v for v in graph.vertices if v != v0]
 
-    span = max(lengths_f) if lengths_f else 1.0
-    span = max(span, 1e-9)
+    span = max(max(lengths_f), 1e-9)  # the graph has an edge
     scale2 = sum(x * x for x in lengths_f) or 1.0
     rng = random.Random(params.seed)
 
-    def mismatch(q):
+    def mismatch_and_gradient(q):
+        """Relative squared length mismatch at q, and its subgradient."""
+        grad = {v: [0.0] * d for v in others}
         total = 0.0
         for ei, (v, w) in enumerate(graph.edges):
             delta = [a - b for a, b in zip(q[v], q[w])]
-            val, _ = _float_norm_and_face(faces_f, delta)
-            total += (val - lengths_f[ei]) ** 2
-        return total / scale2
+            val, face = _float_norm_and_face(faces_f, delta)
+            res = val - lengths_f[ei]
+            total += res * res
+            if v in grad:
+                gv = grad[v]
+                for i in range(d):
+                    gv[i] += 2.0 * res * face[i]
+            if w in grad:
+                gw = grad[w]
+                for i in range(d):
+                    gw[i] -= 2.0 * res * face[i]
+        return total / scale2, grad
 
     for _ in range(params.restarts):
         q = {v0: p_float[v0][:]}
@@ -214,22 +186,8 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
                 for i in range(d)
             ]
         for it in range(params.steps):
-            grad = {v: [0.0] * d for v in others}
-            total = 0.0
-            for ei, (v, w) in enumerate(graph.edges):
-                delta = [a - b for a, b in zip(q[v], q[w])]
-                val, face = _float_norm_and_face(faces_f, delta)
-                res = val - lengths_f[ei]
-                total += res * res
-                if v in grad:
-                    gv = grad[v]
-                    for i in range(d):
-                        gv[i] += 2.0 * res * face[i]
-                if w in grad:
-                    gw = grad[w]
-                    for i in range(d):
-                        gw[i] -= 2.0 * res * face[i]
-            if total / scale2 < params.tolerance:
+            mismatch, grad = mismatch_and_gradient(q)
+            if mismatch < params.tolerance:
                 break
             step = 0.5 / (1.0 + it) ** 0.5
             for v in others:
@@ -237,18 +195,15 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
                 gv = grad[v]
                 for i in range(d):
                     qv[i] -= step * gv[i]
-        if mismatch(q) >= params.tolerance:
+        else:
+            mismatch, _ = mismatch_and_gradient(q)
+        if mismatch >= params.tolerance:
             continue
 
         for candidate in (
             _snap_positions(q, graph.vertices, v0, p0, params.snap_denominator),
             _exactify_via_colouring(fw, q, lengths),
         ):
-            if candidate is None:
-                continue
-            trial = fw.with_positions(candidate)
-            if edge_lengths(trial) != lengths:
-                continue
-            if not congruence_check(fw, candidate):
+            if candidate is not None and is_witness(fw, candidate, lengths):
                 return candidate
     return None

@@ -1,6 +1,7 @@
 import pytest
 
 from polyrigid import (
+    Framework,
     build_octahedron,
     complete_graph,
     is_infinitesimally_rigid,
@@ -47,6 +48,15 @@ def rigid_random_realisations(graph, norm, count, start_seed=1, denominator_boun
             out.append((seed, fw))
         seed += 1
     return out
+
+
+def l1_image(fw):
+    """The A^-1 image of a planar linf framework: the same edge lengths in l1."""
+    return Framework(
+        fw.graph,
+        preset("l1", 2),
+        {v: ((x + y) / 2, (x - y) / 2) for v, (x, y) in fw.positions.items()},
+    )
 
 
 @pytest.fixture(scope="session")

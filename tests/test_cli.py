@@ -286,6 +286,21 @@ def test_threads_env_default(monkeypatch):
     assert args.threads == 1
 
 
+def test_bad_threads_env_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    fw_path = tmp_path / "oct.json"
+    monkeypatch.setenv("POLYRIGID_THREADS", "abc")
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
+    assert run_cli("analyze", str(fw_path), "--out", str(tmp_path / "a.json")) == 0
+    capsys.readouterr()
+    assert run_cli("global", str(fw_path), "--assume-generic") == 2
+    err = capsys.readouterr().err
+    assert err == "error: POLYRIGID_THREADS must be an integer, got 'abc'\n"
+    assert run_cli(
+        "global", str(fw_path), "--assume-generic", "--threads", "1",
+        "--out", str(tmp_path / "g.json"),
+    ) == 0
+
+
 def test_cli_global_threads_flag(tmp_path):
     fw_path = tmp_path / "k4.json"
     run_cli(

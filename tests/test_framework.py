@@ -223,6 +223,42 @@ def test_redundant_rigidity_examples(octahedron, linf2):
     assert not is_redundantly_rigid(single)
 
 
+def redundantly_rigid_by_definition(fw):
+    """Rank d|V| - d survives deleting each edge's row, one rank per edge."""
+    rows = rigidity_matrix(fw)
+    target = fw.dim * len(fw.graph.vertices) - fw.dim
+    return all(
+        fraction_rank(rows[:e] + rows[e + 1:]) == target for e in range(len(rows))
+    )
+
+
+def test_redundant_rigidity_matches_per_edge_definition(octahedron):
+    from conftest import l1_image, rigid_random_realisations
+
+    redundant = [octahedron, l1_image(octahedron)]
+    phi = induced_colouring(octahedron)
+    for v, shift in (("v2", (Fraction(1, 997), 0)), ("v-1", (0, Fraction(-1, 50))),
+                     ("v3", (Fraction(1, 40), Fraction(1, 60)))):
+        pos = dict(octahedron.positions)
+        pos[v] = (pos[v][0] + shift[0], pos[v][1] + shift[1])
+        moved = octahedron.with_positions(pos)
+        assert induced_colouring(moved) == phi
+        redundant += [moved, l1_image(moved)]
+    for fw in redundant:
+        assert redundantly_rigid_by_definition(fw)
+        assert is_redundantly_rigid(fw)
+
+    for kind in ("linf", "l1"):
+        norm = preset(kind, 2)
+        for n in range(4, 9):
+            g = complete_graph([f"v{i}" for i in range(n)])
+            cases = [fw for _, fw in rigid_random_realisations(g, norm, 2, denominator_bound=50)]
+            cases.append(randomize_realisation(g, 2, norm, seed=n, denominator_bound=50))
+            for fw in cases:
+                assert not redundantly_rigid_by_definition(fw)
+                assert not is_redundantly_rigid(fw)
+
+
 def test_redundantly_rigid_classes_are_2_edge_connected(octahedron):
     # deleting one edge must keep every colour class connected, so the
     # classes of a redundantly rigid framework are bridgeless

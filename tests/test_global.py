@@ -359,3 +359,60 @@ def test_stability_under_small_perturbation(octahedron):
     nudged = octahedron.with_positions(pos)
     assert induced_colouring(nudged) == induced_colouring(octahedron)
     assert decide_global_rigidity(nudged).outcome == GLOBALLY_RIGID
+
+
+SEARCH_COUNTS = ("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs")
+
+
+def search_counts(verdict):
+    return {k: verdict.certificate[k] for k in SEARCH_COUNTS}
+
+
+def test_budget_cut_settles_the_leaf_first(octahedron):
+    # the 151st colouring is a leaf: it is solved before the budget bites
+    verdict = decide_global_rigidity(octahedron, budget=150)
+    assert verdict.outcome == BUDGET_EXCEEDED
+    c = verdict.certificate
+    assert c["colourings_examined"] == 151 == c["leaves"] + c["pruned_subtrees"]
+    assert c["lp_runs"] == c["leaves"] - c["isometric_skipped"]
+
+
+def test_deep_graph_gives_budget_exceeded_not_recursion_error():
+    import inspect
+    import sys
+
+    fw = build_k2d(2, n=60)  # 118 edges: one tree level per edge
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        verdict = decide_global_rigidity(fw, budget=200)
+    finally:
+        sys.setrecursionlimit(old)
+    assert verdict.outcome == BUDGET_EXCEEDED
+    assert verdict.certificate["colourings_examined"] == 201
+
+
+def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
+    _, k5 = rigid_k5_linf2[0]
+    verdict = decide_global_rigidity(k5)
+    assert verdict.outcome == GLOBALLY_RIGID
+    assert search_counts(verdict) == {
+        "colourings_examined": 55768, "leaves": 128, "pruned_subtrees": 55640,
+        "isometric_skipped": 8, "lp_runs": 120,
+    }
+    _, k4 = rigid_k4_linf2[0]
+    verdict = decide_global_rigidity(k4)
+    verify_witness(k4, verdict)
+    assert search_counts(verdict) == {
+        "colourings_examined": 329, "leaves": 101, "pruned_subtrees": 228,
+        "isometric_skipped": 1, "lp_runs": 100,
+    }
+    from conftest import l1_image
+
+    k4_l1 = l1_image(k4)
+    verdict = decide_global_rigidity(k4_l1)
+    verify_witness(k4_l1, verdict)
+    assert search_counts(verdict) == {
+        "colourings_examined": 193, "leaves": 61, "pruned_subtrees": 132,
+        "isometric_skipped": 1, "lp_runs": 60,
+    }

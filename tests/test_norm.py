@@ -36,6 +36,14 @@ def test_norm_values(linf2, l1_2):
     assert l1_2.value((0, 0)) == 0
 
 
+def test_preset_recognition(linf2, l1_2):
+    assert linf2.is_linf and not linf2.is_l1
+    assert l1_2.is_l1 and not l1_2.is_linf
+    assert preset("l1", 3).is_l1 and not preset("linf", 3).is_l1
+    skew = PolytopeNorm(2, [(1, 0), (-1, 0), (1, 1), (-1, -1)])
+    assert not skew.is_l1 and not skew.is_linf
+
+
 def test_active_faces(linf2, l1_2):
     assert linf2.active_faces((1, Fraction(9, 10))) == ((1, 0),)
     assert set(linf2.active_faces((1, 1))) == {(1, 0), (0, 1)}
