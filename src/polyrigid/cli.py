@@ -103,18 +103,31 @@ def _verdict_to_json(fw, verdict):
 
 def _env_threads():
     """The --threads default: POLYRIGID_THREADS, else 1; None when the
-    variable is not an integer (reported by the global command)."""
+    variable is not a positive integer (reported by the global command)."""
     try:
-        return int(os.environ.get("POLYRIGID_THREADS", "1"))
+        threads = int(os.environ.get("POLYRIGID_THREADS", "1"))
     except ValueError:
         return None
+    return threads if threads >= 1 else None
+
+
+def _check_limits(args):
+    """Usage errors in the global command's worker count and budget."""
+    if args.threads is None:
+        raw = os.environ["POLYRIGID_THREADS"]
+        try:
+            int(raw)
+        except ValueError:
+            raise ParameterError(f"POLYRIGID_THREADS must be an integer, got {raw!r}") from None
+        raise ParameterError(f"POLYRIGID_THREADS must be at least 1, got {raw!r}")
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+    if args.budget is not None and args.budget < 0:
+        raise ParameterError(f"--budget must be at least 0, got {args.budget}")
 
 
 def cmd_global(args):
-    if args.threads is None:
-        raise ParameterError(
-            f"POLYRIGID_THREADS must be an integer, got {os.environ['POLYRIGID_THREADS']!r}"
-        )
+    _check_limits(args)
     fw = ff.load_framework(args.file)
     t0 = time.perf_counter()
     fast_paths = []
@@ -267,7 +280,7 @@ def build_parser():
     p = sub.add_parser("global", help="decide global rigidity")
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None,
-                   help="max colourings to examine before giving up")
+                   help="max colourings to examine before giving up (0 cuts at the first)")
     p.add_argument("--threads", type=int, default=_env_threads())
     p.add_argument("--assume-generic", action="store_true",
                    help="report only the generic fast-path verdicts")

@@ -7,8 +7,10 @@ no face exceeds the prescribed length.  The engine therefore enumerates
 zero-free colourings depth-first, pruning a branch the moment the partial
 affine system (with one vertex pinned) becomes inconsistent, skipping the
 colourings obtained from the induced one by a linear isometry (those only
-reproduce congruent copies), and running an exact LP feasibility check on
-the survivors.  A feasible point is an explicit equivalent, non-congruent
+reproduce congruent copies), and settling the survivors in integers: a
+fraction-free leaf solution and integer face inequalities.  Only the exact
+LP, run when the leaf's kernel leaves room, and the final witness check
+use Fractions.  A feasible point is an explicit equivalent, non-congruent
 realisation; if the whole tree is exhausted without one, the framework is
 globally rigid - exactly, with no genericity caveat.
 
@@ -21,6 +23,7 @@ characterisation through connectivity in the (2,2)-sparsity matroid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
@@ -40,7 +43,6 @@ from .framework import (
     is_well_positioned,
     monochromatic_subgraphs,
     pinned_row,
-    pinned_solution,
     rank_exact,
     rigid_rank,
     unpin,
@@ -77,7 +79,8 @@ def apply_colouring(T, phi):
     (for the hypercube- and cross-polytope-ball norms the group is
     orthogonal, so the distinction is invisible there).
     """
-    return tuple(T.transpose_apply(f) for f in phi)
+    image = {f: T.transpose_apply(f) for f in set(phi)}
+    return tuple(image[f] for f in phi)
 
 
 def is_isometric_colouring(phi, psi, group):
@@ -97,48 +100,63 @@ def column_space_contains(rows, vec):
     return rank_exact(augmented) == base
 
 
-def _feasible_equivalent(fw: Framework, lengths, particular, kernel):
-    """Feasibility of the per-edge face inequalities over an affine set.
+def _candidate_rows(fw: Framework, lengths):
+    """Per edge, the (face, integerized pinned row) choice of every face.
+    Integerizing scales by a positive factor, so at a pinned point x,
+    row[:-1] . x <= row[-1]  says the face does not exceed the length."""
+    return [
+        [(face, integerize_row(pinned_row(fw, e, face, length))) for face in fw.norm.faces]
+        for e, length in zip(fw.graph.edges, lengths)
+    ]
 
-    The set is particular + span(kernel) in pinned coordinates; every
-    point of it already satisfies the equalities phi(e).(q(v)-q(w)) =
-    length(e), so feasibility of f.(q(v)-q(w)) <= length(e) for all faces
-    f makes every edge length exactly right.  Tries the particular
-    solution first, filters constraints that do not involve the kernel,
-    and only then runs the exact simplex.  Returns a realisation or None.
+
+def _with_support(candidates):
+    """Every candidate row beside its nonzero coefficient columns (at most 2d)."""
+    return [(row, [i for i, x in enumerate(row[:-1]) if x]) for opts in candidates for _, row in opts]
+
+
+def _fits(row, support, X, D):
+    """row[:-1] . (X / D) <= row[-1], in integers (D > 0)."""
+    return sum(row[i] * X[i] for i in support) <= row[-1] * D
+
+
+def _settle_leaf(fw: Framework, lengths, rows, system):
+    """An equivalent realisation on a consistent leaf's affine set, or None.
+
+    ``system`` holds the leaf's pinned rows; ``rows`` are all (edge, face)
+    rows with their supports.  On the affine set phi(e).(q(v)-q(w)) =
+    length(e), so q is equivalent iff no face exceeds any length.  The
+    particular solution X / D is tested in integers; then a violated row
+    that annihilates the kernel is constant on the set and rules it out;
+    only then does the exact LP over the kernel coordinates run.
     """
-    graph, norm = fw.graph, fw.norm
-    q0 = unpin(fw, particular)
-    if all(
-        norm.value(tuple(a - b for a, b in zip(q0[v], q0[w]))) == lengths[ei]
-        for ei, (v, w) in enumerate(graph.edges)
+    X, D = system.back_substitute()
+    if all(_fits(row, support, X, D) for row, support in rows):
+        return unpin(fw, [Fraction(x, D) for x in X])
+    kernel = [system.back_substitute(c)[0] for c in system.free_columns()]
+    if not kernel or any(
+        not _fits(row, support, X, D) and not any(sum(row[i] * K[i] for i in support) for K in kernel)
+        for row, support in rows
     ):
-        return q0
-    if not kernel:
         return None
 
-    # q = q0 + sum_j t_j moves[j], where moves[j] is kernel[j] as a
+    # q = q0 + sum_j t_j moves[j], where moves[j] is kernel vector j as a
     # displacement field (vertex 0 stays put); per edge and face the
     # inequality reads  f.(q(v) - q(w)) <= length
+    particular, kernel = system.solve()
+    q0 = unpin(fw, particular)
     origin = zero_vector(fw.dim)
     moves = [unpin(fw, k, origin) for k in kernel]
     ineq = {}
-    for ei, (v, w) in enumerate(graph.edges):
+    for ei, (v, w) in enumerate(fw.graph.edges):
         base = [a - b for a, b in zip(q0[v], q0[w])]
         steps = [[a - b for a, b in zip(m[v], m[w])] for m in moves]
-        for face in norm.faces:
+        for face in fw.norm.faces:
             bound = lengths[ei] - dot(face, base)
             key = tuple(dot(face, step) for step in steps)
-            if all(c == 0 for c in key):
-                if bound < 0:
-                    return None
-                continue
-            if key not in ineq or bound < ineq[key]:
+            if any(key) and (key not in ineq or bound < ineq[key]):
                 ineq[key] = bound
-
-    rows = [list(k) for k in ineq]
-    rhs = [ineq[k] for k in ineq]
-    t = simplex.feasible_point(rows, rhs)
+    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))
     if t is None:
         return None
     return unpin(fw, affine_point(particular, kernel, t))
@@ -152,8 +170,9 @@ def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
     On top of it sit the inequalities  f.(q(v) - q(w)) <= length(e)  for
     every edge and every face f: together with the equalities they force
     every edge of q to have exactly the prescribed length, with phi among
-    q's active faces.  Returns a realisation map or None when infeasible;
-    raises InconsistentSystemError when X_phi itself is empty.
+    q's active faces; they are settled as the search settles a leaf.
+    Returns a realisation map or None when infeasible; raises
+    InconsistentSystemError when X_phi itself is empty.
     """
     zero = zero_vector(fw.dim)
     if not skip_checks:
@@ -165,11 +184,11 @@ def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
             raise ParameterError("witness search is only meaningful for rigid frameworks")
     if lengths is None:
         lengths = edge_lengths(fw)
-    solved = pinned_solution(fw, phi, lengths)
-    if solved is None:
-        raise InconsistentSystemError("affine system of the colouring has no solution")
-    particular, kernel = solved
-    return _feasible_equivalent(fw, lengths, particular, kernel)
+    system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
+    for e, face, length in zip(fw.graph.edges, phi, lengths):
+        if not system.push(integerize_row(pinned_row(fw, e, face, length)))[0]:
+            raise InconsistentSystemError("affine system of the colouring has no solution")
+    return _settle_leaf(fw, lengths, _with_support(_candidate_rows(fw, lengths)), system)
 
 
 class _BudgetHit(Exception):
@@ -225,10 +244,8 @@ class _SearchState:
             "lp_runs": 0,
         }
         self.width = fw.dim * (len(fw.graph.vertices) - 1) + 1
-        self.candidates = [
-            [(face, integerize_row(pinned_row(fw, e, face, length))) for face in fw.norm.faces]
-            for e, length in zip(fw.graph.edges, lengths)
-        ]
+        self.candidates = _candidate_rows(fw, lengths)
+        self.rows = _with_support(self.candidates)
 
     def _check_budget(self):
         if self.budget is not None and self.counts["colourings_examined"] > self.budget:
@@ -259,8 +276,7 @@ class _SearchState:
                 counts["isometric_skipped"] += 1
             else:
                 counts["lp_runs"] += 1
-                particular, kernel = system.solve()
-                q = _feasible_equivalent(self.fw, self.lengths, particular, kernel)
+                q = _settle_leaf(self.fw, self.lengths, self.rows, system)
                 if q is not None:
                     return phi, q
             self._check_budget()
@@ -285,12 +301,15 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     NotGloballyRigid with a verified witness realisation or GloballyRigid
     after exhausting the tree.  ``budget`` bounds the number of colourings
     examined (leaves plus pruned branches); exceeding it yields a
-    BudgetExceeded verdict carrying the progress counters.
+    BudgetExceeded verdict carrying the progress counters.  With
+    ``threads`` > 1, min(threads, |F|) worker processes split the first
+    edge's faces, and the certificate records ``workers``.
     """
     cert = {"criterion": "exact colouring enumeration"}
-    if not is_well_positioned(fw):
+    try:
+        phi_p = induced_colouring(fw)
+    except NotWellPositionedError:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
-    phi_p = induced_colouring(fw)
     rank = rank_exact(colouring_matrix(fw.graph, phi_p, fw.dim))
     cert["rank"] = rank
     cert["rank_required"] = rigid_rank(fw)
@@ -305,9 +324,9 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     iso_set = {apply_colouring(T, phi_p) for T in group}
     cert["isometry_group_order"] = len(group)
 
-    nfaces = len(fw.norm.faces)
-    if threads > 1 and len(fw.graph.edges) > 1 and nfaces >= threads:
-        found, budget_hit = _run_parallel(fw, lengths, iso_set, budget, threads, cert)
+    workers = min(threads, len(fw.norm.faces))
+    if workers > 1 and len(fw.graph.edges) > 1:
+        found, budget_hit = _run_parallel(fw, lengths, iso_set, budget, workers, cert)
     else:
         found, counts, budget_hit = _search_slice((fw, lengths, iso_set, budget, None))
         cert.update(counts)
@@ -325,13 +344,11 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     return GlobalVerdict(GLOBALLY_RIGID, certificate=cert)
 
 
-def _run_parallel(fw, lengths, iso_set, budget, threads, cert):
-    """Partition the first edge's face choices across worker processes."""
+def _run_parallel(fw, lengths, iso_set, budget, workers, cert):
+    """Partition the first edge's face choices across ``workers`` processes."""
     from concurrent.futures import ProcessPoolExecutor
 
-    nfaces = len(fw.norm.faces)
-    slices = [list(range(j, nfaces, threads)) for j in range(threads)]
-    slices = [s for s in slices if s]
+    slices = [list(range(j, len(fw.norm.faces), workers)) for j in range(workers)]
     per_budget = None if budget is None else max(1, budget // len(slices))
     jobs = [(fw, lengths, iso_set, per_budget, s) for s in slices]
     found = None

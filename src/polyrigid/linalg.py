@@ -4,32 +4,26 @@ Everything here works on plain lists of ``fractions.Fraction`` (or ints).
 Ranks are computed with fraction-free Bareiss elimination after clearing
 denominators row by row; solving and kernel extraction run the one
 incremental integer elimination, ``IncrementalSystem``, and back-substitute
-its echelon rows.  No floating point anywhere.
+its echelon rows fraction-free.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
 def integerize_row(row):
     """Scale a rational row to coprime integers (sign preserved).
 
     Row scaling by a positive rational leaves rank, consistency and
-    solution sets of homogeneous comparisons unchanged.
+    solution sets of homogeneous comparisons unchanged.  Zeros are skipped.
     """
-    lcm = 1
-    for x in row:
-        d = Fraction(x).denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(x * lcm) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    scale = lcm(*(x.denominator for x in row if x))
+    ints = [x.numerator * (scale // x.denominator) if x else 0 for x in row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def mat_rank(rows):
@@ -147,42 +141,47 @@ class IncrementalSystem:
             # normalize only once entries grow; small-int arithmetic is the
             # common case and gcd passes dominate otherwise
             if max(map(abs, row)) > 0xFFFFFFFFFFFF:
-                g = 0
-                for v in row:
-                    g = gcd(g, abs(v))
+                g = gcd(*row)
                 if g > 1:
                     row = [v // g for v in row]
             start = lead + 1
 
-    def solve(self):
-        """Particular solution and kernel basis of the accumulated system.
+    def free_columns(self):
+        """The coefficient columns without a pivot."""
+        return [c for c in range(self.keylen) if c not in self.pivots]
 
-        Back-substitutes the integer echelon pivots directly (free
-        variables at zero), avoiding a fresh elimination.  Only valid when
-        every pushed row reported consistent.
+    def back_substitute(self, free=None):
+        """One solution X / D (D > 0) of the accumulated system, in integers.
+
+        With ``free`` None it is the particular solution, else the kernel
+        vector of that free column (x_free = 1, zero right-hand side);
+        other free variables stay at zero.  D grows only by what each new
+        entry's reduced denominator needs, so it ends as the least common
+        denominator.  Only valid when every pushed row reported consistent.
         """
         n = self.keylen
-        leads = sorted(self.pivots)
-        lead_set = self.pivots.keys()
-        free = [c for c in range(n) if c not in lead_set]
+        X, D = [0] * n, 1
+        if free is not None:
+            X[free] = 1  # stays equal to D
+        with_rhs = free is None and self.width > n
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            s = (row[n] * D if with_rhs else 0) - sum(map(mul, row[lead + 1:n], X[lead + 1:n]))
+            den = row[lead] * D
+            g = gcd(s, den) if den > 0 else -gcd(s, den)
+            num, den = s // g, den // g
+            grow = den // gcd(den, D)
+            if grow != 1:
+                X = [x * grow for x in X]
+                D *= grow
+            X[lead] = num * (D // den)
+        return X, D
 
-        def back_substitute(rhs_of):
-            x = [Fraction(0)] * n
-            for l in reversed(leads):
-                row = self.pivots[l]
-                s = rhs_of(row)
-                for c in range(l + 1, n):
-                    if row[c] and x[c]:
-                        s -= row[c] * x[c]
-                x[l] = Fraction(s, row[l])
-            return x
-
-        particular = back_substitute(lambda row: row[n] if len(row) > n else 0)
-        kernel = []
-        for fc in free:
-            vec = back_substitute(lambda row: -row[fc])
-            vec[fc] = Fraction(1)
-            kernel.append(vec)
+    def solve(self):
+        """Particular solution and kernel basis as Fractions: the view
+        X / D of ``back_substitute``."""
+        views = [self.back_substitute(c) for c in [None] + self.free_columns()]
+        particular, *kernel = [[Fraction(x, D) for x in X] for X, D in views]
         return particular, kernel
 
     def push(self, row):

@@ -3,7 +3,10 @@
 Everything here is deliberately written from the definitions, separately
 from the library's algorithms: sparsity by explicit subset counting, the
 maximum sparse subset by exhaustive branch-and-bound over edge subsets,
-matrix rank by plain Fraction elimination.  Slow and simple on purpose.
+matrix rank and linear systems by plain Fraction elimination, and the
+global-rigidity search's leaf settlement along the plain Fraction route
+(unpin, per-edge norm, then the exact LP; only the simplex is the
+library's, so that witnesses can be compared).  Slow and simple on purpose.
 """
 
 from fractions import Fraction
@@ -105,3 +108,108 @@ def all_graphs(vertices):
     pairs = list(combinations(vertices, 2))
     for bits in range(1 << len(pairs)):
         yield [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+
+
+def fraction_solve(rows, rhs):
+    """Solve A x = b by Gauss-Jordan elimination over Fraction.
+
+    Returns (particular, kernel, free) or None when inconsistent: the
+    particular solution has every free variable at zero, kernel vector j
+    has free column free[j] at one and the other free variables at zero.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    leads = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        leads.append(col)
+        r += 1
+    if any(row[-1] != 0 for row in m[r:]):
+        return None
+    free = [c for c in range(ncols) if c not in leads]
+    particular = [Fraction(0)] * ncols
+    for i, col in enumerate(leads):
+        particular[col] = m[i][-1]
+    kernel = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, col in enumerate(leads):
+            vec[col] = -m[i][fc]
+        kernel.append(vec)
+    return particular, kernel, free
+
+
+def reference_leaf_settlement(fw, lengths, phi):
+    """Settle one consistent leaf colouring along the plain Fraction route.
+
+    Vertex 0 is pinned at its position.  The pinned system of phi is
+    solved by ``fraction_solve``; the particular solution is a witness
+    when every edge's norm equals its length; otherwise, with a nonempty
+    kernel, the face inequalities over the kernel coordinates go to the
+    exact simplex (rows deduplicated by coefficient vector, keeping the
+    least bound, in edge-then-face order; rows without coefficients are
+    checked directly).  Returns a realisation or None.
+    """
+    from polyrigid.simplex import feasible_point
+
+    d, norm = fw.dim, fw.norm
+    v0, *others = fw.graph.vertices
+    p0 = fw.position(v0)
+    col = {u: d * i for i, u in enumerate(others)}
+    rows, rhs = [], []
+    for (v, w), face, length in zip(fw.graph.edges, phi, lengths):
+        row = [Fraction(0)] * (d * len(others))
+        b = Fraction(length)
+        for u, sign in ((v, 1), (w, -1)):
+            for k in range(d):
+                if u == v0:
+                    b -= sign * face[k] * p0[k]
+                else:
+                    row[col[u] + k] += sign * face[k]
+        rows.append(row)
+        rhs.append(b)
+    particular, kernel, _ = fraction_solve(rows, rhs)
+
+    def realisation(x, origin):
+        q = {v0: origin}
+        for u in others:
+            q[u] = tuple(x[col[u]:col[u] + d])
+        return q
+
+    def diff(q, v, w):
+        return [a - b for a, b in zip(q[v], q[w])]
+
+    q0 = realisation(particular, p0)
+    if all(norm.value(diff(q0, v, w)) == length for (v, w), length in zip(fw.graph.edges, lengths)):
+        return q0
+    if not kernel:
+        return None
+    zero = tuple(Fraction(0) for _ in range(d))
+    moves = [realisation(k, zero) for k in kernel]
+    ineq = {}
+    for (v, w), length in zip(fw.graph.edges, lengths):
+        base = diff(q0, v, w)
+        steps = [diff(m, v, w) for m in moves]
+        for face in norm.faces:
+            bound = length - sum(f * x for f, x in zip(face, base))
+            key = tuple(sum(f * x for f, x in zip(face, step)) for step in steps)
+            if all(c == 0 for c in key):
+                if bound < 0:
+                    return None
+            elif key not in ineq or bound < ineq[key]:
+                ineq[key] = bound
+    t = feasible_point([list(k) for k in ineq], list(ineq.values()))
+    if t is None:
+        return None
+    point = [x + sum(tj * k[i] for tj, k in zip(t, kernel)) for i, x in enumerate(particular)]
+    return realisation(point, p0)

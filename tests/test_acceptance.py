@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from polyrigid import (
     Framework,
     GLOBALLY_RIGID,
@@ -220,6 +222,7 @@ def test_criterion_07_constructions():
               f"classes ({elapsed:.2f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_08_np_gadget():
     t0 = time.perf_counter()
     # seed 1: a path, not globally rigid on the line; its reflection
@@ -272,6 +275,7 @@ def test_criterion_09_isometry_groups(linf1, linf2, linf3, l1_2):
               "the norm on 100 sampled vectors each")
 
 
+@pytest.mark.slow
 def test_criterion_10_oracle_never_contradicts_engine(
     octahedron, rigid_k4_linf2, rigid_k5_linf2, linf2, l1_2
 ):
@@ -331,6 +335,7 @@ def test_criterion_10_oracle_never_contradicts_engine(
                f"exact engine ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_11_octahedron_stability(octahedron):
     t0 = time.perf_counter()
     base_phi = induced_colouring(octahedron)

@@ -301,6 +301,50 @@ def test_bad_threads_env_is_a_usage_error(monkeypatch, tmp_path, capsys):
     ) == 0
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--threads", "0"], "--threads must be at least 1, got 0"),
+        (["--threads", "-3"], "--threads must be at least 1, got -3"),
+        (["--budget", "-1"], "--budget must be at least 0, got -1"),
+    ],
+)
+def test_global_limits_out_of_range_are_usage_errors(tmp_path, capsys, flags, message):
+    fw_path = tmp_path / "oct.json"
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
+    capsys.readouterr()
+    assert run_cli("global", str(fw_path), *flags) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_env_below_one_is_a_usage_error(monkeypatch, tmp_path, capsys, value):
+    fw_path = tmp_path / "oct.json"
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
+    monkeypatch.setenv("POLYRIGID_THREADS", value)
+    capsys.readouterr()
+    assert run_cli("global", str(fw_path), "--assume-generic") == 2
+    assert capsys.readouterr().err == f"error: POLYRIGID_THREADS must be at least 1, got {value!r}\n"
+    # an explicit flag still overrides the variable
+    assert run_cli(
+        "global", str(fw_path), "--assume-generic", "--threads", "1",
+        "--out", str(tmp_path / "g.json"),
+    ) == 0
+
+
+def test_budget_zero_cuts_at_the_first_colouring(tmp_path):
+    fw_path = tmp_path / "oct.json"
+    report_path = tmp_path / "r.json"
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
+    assert run_cli("global", str(fw_path), "--budget", "0", "--out", str(report_path)) == 0
+    report = json.loads(report_path.read_text())
+    exact = report["results"]["exact"]
+    assert exact["outcome"] == "BudgetExceeded"
+    assert exact["certificate"]["colourings_examined"] == 1
+    assert report["meta"]["budget"] == 0
+
+
 def test_cli_global_threads_flag(tmp_path):
     fw_path = tmp_path / "k4.json"
     run_cli(

@@ -134,6 +134,14 @@ def test_decide_threads_agree(rigid_k4_linf2):
     verify_witness(fw, par)
 
 
+def test_parallel_workers_capped_at_face_count(rigid_k4_linf2):
+    # linf2 has 4 faces: eight requested workers run as four, not serially
+    _, fw = rigid_k4_linf2[1]
+    verdict = decide_global_rigidity(fw, threads=8)
+    verify_witness(fw, verdict)
+    assert verdict.certificate["workers"] == 4
+
+
 def test_decide_flexible_construction(linf2):
     fw = build_flexible_open(complete_graph(list("abcd")), linf2)
     assert decide_global_rigidity(fw).outcome == NOT_RIGID
@@ -338,6 +346,7 @@ def test_parallelogram_norm_engine_sound():
         assert verdict.outcome == GLOBALLY_RIGID
 
 
+@pytest.mark.slow
 def test_certificate_agrees_with_exact_engine_on_random_octahedron(octahedron, linf2):
     # whenever the strong-colouring certificate fires on a concrete
     # rational realisation, the exhaustive engine must confirm it
@@ -416,3 +425,51 @@ def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
         "colourings_examined": 193, "leaves": 61, "pruned_subtrees": 132,
         "isometric_skipped": 1, "lp_runs": 60,
     }
+
+
+def decide_with_reference_leaves(fw, budget, monkeypatch):
+    """decide_global_rigidity with every leaf settled by the plain Fraction
+    route of ``reference_leaf_settlement`` instead of the integer one."""
+    from polyrigid import global_rigidity as gr
+    from _oracles import reference_leaf_settlement
+
+    current = {}
+    enumerate_leaves = gr._consistent_leaves
+
+    def recording(system, options, on_cut):
+        for phi in enumerate_leaves(system, options, on_cut):
+            current["phi"] = phi
+            yield phi
+
+    with monkeypatch.context() as m:
+        m.setattr(gr, "_consistent_leaves", recording)
+        m.setattr(
+            gr, "_settle_leaf",
+            lambda fw, lengths, rows, system: reference_leaf_settlement(fw, lengths, current["phi"]),
+        )
+        return decide_global_rigidity(fw, budget=budget)
+
+
+def test_integer_leaves_agree_with_fraction_reference(
+    monkeypatch, octahedron, rigid_k4_linf2, rigid_k5_linf2
+):
+    from conftest import l1_image
+
+    line = preset("linf", 1)
+    corpus = [(fw, None) for _, fw in rigid_k4_linf2[:6]]
+    corpus += [(l1_image(fw), None) for _, fw in rigid_k4_linf2[:6]]
+    corpus += [(fw, None) for _, fw in rigid_k5_linf2[:3]]
+    corpus.append((octahedron, 2000))
+    for n in (5, 6, 7):
+        g = complete_graph([f"v{i}" for i in range(n)])
+        positions = {v: (Fraction(i * i + i, 3),) for i, v in enumerate(g.vertices)}
+        corpus.append((Framework(g, line, positions), None))
+    outcomes = set()
+    for fw, budget in corpus:
+        verdict = decide_global_rigidity(fw, budget=budget)
+        reference = decide_with_reference_leaves(fw, budget, monkeypatch)
+        assert verdict.outcome == reference.outcome
+        assert verdict.certificate == reference.certificate  # counts, witness_colouring
+        assert verdict.witness == reference.witness
+        outcomes.add(verdict.outcome)
+    assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID, BUDGET_EXCEEDED}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from polyrigid.linalg import (
     solve_affine,
 )
 
-from _oracles import fraction_rank
+from _oracles import fraction_rank, fraction_solve
 
 small_fraction = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -115,6 +116,35 @@ def test_incremental_solve_matches_solve_affine():
     assert mat_vec(rows, particular) == [Fraction(4), Fraction(6)]
     assert len(kernel) == 1
     assert all(v == 0 for v in mat_vec(rows, kernel[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_back_substitution_matches_fraction_elimination(nrows, ncols, consistent, data):
+    # a few distinct small values and repeated rows make rank deficiency common
+    entry = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 5)])
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and data.draw(st.booleans()):
+        rows[-1] = [2 * x for x in rows[0]]
+    x0 = [data.draw(small_fraction) for _ in range(ncols)]
+    rhs = mat_vec(rows, x0) if consistent else [data.draw(small_fraction) for _ in rows]
+    reference = fraction_solve(rows, rhs)
+
+    system = IncrementalSystem(ncols + 1)
+    pushed = [system.push(integerize_row(r + [b]))[0] for r, b in zip(rows, rhs)]
+    assert all(pushed) == (reference is not None)
+    if reference is None:
+        return
+    particular, kernel, free = reference
+    assert system.free_columns() == free
+    X, D = system.back_substitute()
+    assert D > 0 and [Fraction(x, D) for x in X] == particular
+    assert D == lcm(*(x.denominator for x in particular))  # least common denominator
+    for fc, k in zip(free, kernel):
+        K, E = system.back_substitute(fc)
+        assert E > 0 and [Fraction(x, E) for x in K] == k
+    assert system.solve() == (particular, kernel)
+    assert solve_affine(rows, rhs) == (particular, kernel)
 
 
 def test_dot():

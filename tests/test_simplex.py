@@ -98,7 +98,21 @@ def test_optimum_agrees_with_scipy(nvars, nrows, data):
     if status == simplex.INFEASIBLE:
         assert not res.success and res.status == 2
     elif status == simplex.UNBOUNDED:
-        assert not res.success and res.status == 3
+        # HiGHS can call an unbounded LP infeasible: for max y + z subject to
+        # x - y <= 0, z <= 0, -x + y + z <= 1 it answers status 2, though 0 is
+        # feasible and x = y -> oo is a ray.  So unboundedness is checked by
+        # its definition, with two bounded LPs: the constraints are feasible,
+        # and some d in the unit box with A d <= 0 has c.d > 0.
+        a_ub = [[float(v) for v in row] for row in rows]
+        feasible = scipy_linprog(
+            [0.0] * nvars, A_ub=a_ub, b_ub=[float(b) for b in rhs],
+            bounds=[(None, None)] * nvars, method="highs",
+        )
+        ray = scipy_linprog(
+            [-float(c) for c in costs], A_ub=a_ub, b_ub=[0.0] * nrows,
+            bounds=[(-1, 1)] * nvars, method="highs",
+        )
+        assert feasible.success and ray.success and -ray.fun > 1e-9
     else:
         assert res.success
         assert abs(float(value) + res.fun) < 1e-7
