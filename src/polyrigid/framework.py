@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import BudgetExceededError, NotWellPositionedError, ParameterError
 from .graph import Graph, connected_components
-from .linalg import dot, left_kernel_basis, mat_rank, solve_affine
+from .linalg import left_kernel_basis, mat_rank
 from .norm import PolytopeNorm, as_vector, linf_axis
 
 
@@ -54,9 +55,6 @@ class Framework:
     def with_positions(self, positions):
         return Framework(self.graph, self.norm, positions)
 
-    def with_graph(self, graph):
-        return Framework(graph, self.norm, self.positions)
-
     def __repr__(self):
         return f"Framework({self.graph!r}, dim={self.dim})"
 
@@ -65,9 +63,33 @@ def zero_vector(dim):
     return tuple([Fraction(0)] * dim)
 
 
+def edge_table(fw: Framework):
+    """One integer pass over the edges: (active, lengths), where active[e]
+    holds the indices of the faces attaining the norm of edge e's vector
+    (none for a zero vector).  Positions are taken over their common
+    denominator P and faces over the norm's D, so each f.(p(v) - p(w)) is
+    an integer over D*P, and the maximum and its ties are exact."""
+    scale = lcm(*(x.denominator for p in fw.positions.values() for x in p))
+    pos = {v: [x.numerator * (scale // x.denominator) for x in p] for v, p in fw.positions.items()}
+    active, tops = [], []
+    for v, w in fw.graph.edges:
+        vec = [a - b for a, b in zip(pos[v], pos[w])]
+        vals = [sum(map(mul, f, vec)) for f in fw.norm.int_faces]
+        tops.append(max(vals))
+        active.append(tuple(i for i, x in enumerate(vals) if x == tops[-1]) if any(vec) else ())
+    den = scale * fw.norm.denominator
+    return tuple(active), tuple(Fraction(x, den) for x in tops)
+
+
+def unique_colouring(active):
+    """The induced colouring as face indices, or None unless every edge has
+    exactly one active face (the framework is well-positioned)."""
+    return tuple(a[0] for a in active) if all(len(a) == 1 for a in active) else None
+
+
 def edge_lengths(fw: Framework):
     """Norm of every edge vector, in canonical edge order."""
-    return tuple(fw.norm.value(fw.edge_vector(e)) for e in fw.graph.edges)
+    return edge_table(fw)[1]
 
 
 def induced_colourings(fw: Framework):
@@ -79,36 +101,25 @@ def induced_colourings(fw: Framework):
     as its only candidate.
     """
     zero = zero_vector(fw.dim)
-    out = []
-    for e in fw.graph.edges:
-        vec = fw.edge_vector(e)
-        if all(x == 0 for x in vec):
-            out.append((zero,))
-        else:
-            out.append(fw.norm.active_faces(vec))
-    return out
-
-
-def _unique_colouring(fw: Framework):
-    """The induced colouring when every edge has one nonzero candidate, else None."""
-    zero = zero_vector(fw.dim)
-    candidates = induced_colourings(fw)
-    if all(len(c) == 1 and c[0] != zero for c in candidates):
-        return tuple(c[0] for c in candidates)
-    return None
+    faces = fw.norm.faces
+    return [tuple(faces[i] for i in a) if a else (zero,) for a in edge_table(fw)[0]]
 
 
 def is_well_positioned(fw: Framework):
     """Every edge vector is nonzero and has a unique active face."""
-    return _unique_colouring(fw) is not None
+    return unique_colouring(edge_table(fw)[0]) is not None
+
+
+def _induced_indices(fw: Framework):
+    phi = unique_colouring(edge_table(fw)[0])
+    if phi is None:
+        raise NotWellPositionedError("framework is not well-positioned")
+    return phi
 
 
 def induced_colouring(fw: Framework):
     """The unique directed colouring of a well-positioned framework."""
-    phi = _unique_colouring(fw)
-    if phi is None:
-        raise NotWellPositionedError("framework is not well-positioned")
-    return phi
+    return tuple(fw.norm.faces[i] for i in _induced_indices(fw))
 
 
 def colouring_row(graph: Graph, dim, edge, face):
@@ -116,7 +127,7 @@ def colouring_row(graph: Graph, dim, edge, face):
     on w's block; columns run through vertices in canonical order, d
     coordinates per vertex."""
     vi, wi = graph.index(edge[0]), graph.index(edge[1])
-    row = [Fraction(0)] * (dim * len(graph.vertices))
+    row = [0] * (dim * len(graph.vertices))
     for i, x in enumerate(face):
         row[dim * vi + i] = x
         row[dim * wi + i] = -x
@@ -132,6 +143,13 @@ def colouring_matrix(graph: Graph, phi, dim):
     return [colouring_row(graph, dim, e, face) for e, face in zip(graph.edges, phi)]
 
 
+def index_matrix(fw: Framework, phi):
+    """The colouring matrix of the face indices phi, from the integer faces
+    (so scaled by the norm's denominator: same rank, same left kernel)."""
+    faces = fw.norm.int_faces
+    return [colouring_row(fw.graph, fw.dim, e, faces[i]) for e, i in zip(fw.graph.edges, phi)]
+
+
 # -- the pinned system ---------------------------------------------------
 #
 # Equivalent realisations are sought with vertex 0 held at its position.
@@ -139,19 +157,35 @@ def colouring_matrix(graph: Graph, phi, dim):
 # vertex i > 0 owns the pinned columns d(i-1) ... d(i-1)+d-1.
 
 
-def pinned_row(fw: Framework, edge, face, length):
-    """Augmented row of  face.(q(v) - q(w)) = length  with vertex 0 pinned:
-    the coefficients on the pinned columns, then the right-hand side."""
-    d = fw.dim
-    row = colouring_row(fw.graph, d, edge, face)
-    return row[d:] + [length - dot(row[:d], fw.position(fw.graph.vertices[0]))]
-
-
-def pinned_solution(fw: Framework, phi, lengths):
-    """(particular, kernel) of the pinned system M'(G, phi) q = lengths in
-    pinned coordinates, or None when it is inconsistent."""
-    rows = [pinned_row(fw, e, f, length) for e, f, length in zip(fw.graph.edges, phi, lengths)]
-    return solve_affine([r[:-1] for r in rows], [r[-1] for r in rows])
+def pinned_rows(fw: Framework, lengths):
+    """The one builder of pinned rows: rows[e][i] is the augmented row
+    (pinned coefficients, then right-hand side) of f_i.(q(v) - q(w)) =
+    lengths[e] for the e-th edge vw and face index i.  The equation is
+    multiplied by D*M (the norm's denominator, and the common denominator
+    of vertex 0's position and the lengths) and divided by its gcd, a
+    positive factor: at a pinned point x, row[:-1] . x <= row[-1] says the
+    face does not exceed the length."""
+    d, graph = fw.dim, fw.graph
+    p0 = fw.position(graph.vertices[0])
+    scale = lcm(*(x.denominator for x in p0), *(x.denominator for x in lengths))
+    p0 = [int(x * scale) for x in p0]
+    width = d * (len(graph.vertices) - 1) + 1
+    rows = []
+    for (v, w), length in zip(graph.edges, lengths):
+        ends = [(graph.index(v), 1), (graph.index(w), -1)]
+        rhs0 = int(length * scale) * fw.norm.denominator
+        per_face = []
+        for f in fw.norm.int_faces:
+            rhs = rhs0 - sum(sign * sum(map(mul, f, p0)) for i, sign in ends if i == 0)
+            g = gcd(scale * gcd(*f), rhs)
+            row = [0] * width
+            for i, sign in ends:
+                if i:
+                    row[d * i - d:d * i] = [sign * scale * x // g for x in f]
+            row[-1] = rhs // g
+            per_face.append(row)
+        rows.append(per_face)
+    return rows
 
 
 def unpin(fw: Framework, vec, origin=None):
@@ -187,7 +221,7 @@ def is_infinitesimally_rigid(fw: Framework):
 
     Requires a well-positioned framework.
     """
-    return rank_exact(rigidity_matrix(fw)) == rigid_rank(fw)
+    return rank_exact(index_matrix(fw, _induced_indices(fw))) == rigid_rank(fw)
 
 
 def is_redundantly_rigid(fw: Framework):
@@ -199,7 +233,7 @@ def is_redundantly_rigid(fw: Framework):
     nonzero on e.  The left kernel has dimension |E| - rank, so with
     |E| = d|V| - d no edge can go.
     """
-    rows = rigidity_matrix(fw)
+    rows = index_matrix(fw, _induced_indices(fw))
     target = rigid_rank(fw)
     if not rows:
         return target == 0

@@ -22,8 +22,10 @@ characterisation through connectivity in the (2,2)-sparsity matroid.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .errors import (
     BudgetExceededError,
@@ -37,14 +39,17 @@ from .framework import (
     colouring_matrix,
     colouring_row,
     edge_lengths,
+    edge_table,
+    index_matrix,
     induced_colouring,
     is_infinitesimally_rigid,
     is_redundantly_rigid,
     is_well_positioned,
     monochromatic_subgraphs,
-    pinned_row,
+    pinned_rows,
     rank_exact,
     rigid_rank,
+    unique_colouring,
     unpin,
     zero_vector,
 )
@@ -100,19 +105,9 @@ def column_space_contains(rows, vec):
     return rank_exact(augmented) == base
 
 
-def _candidate_rows(fw: Framework, lengths):
-    """Per edge, the (face, integerized pinned row) choice of every face.
-    Integerizing scales by a positive factor, so at a pinned point x,
-    row[:-1] . x <= row[-1]  says the face does not exceed the length."""
-    return [
-        [(face, integerize_row(pinned_row(fw, e, face, length))) for face in fw.norm.faces]
-        for e, length in zip(fw.graph.edges, lengths)
-    ]
-
-
-def _with_support(candidates):
-    """Every candidate row beside its nonzero coefficient columns (at most 2d)."""
-    return [(row, [i for i, x in enumerate(row[:-1]) if x]) for opts in candidates for _, row in opts]
+def _with_support(rows):
+    """Every pinned row beside its nonzero coefficient columns (at most 2d)."""
+    return [(row, [i for i, x in enumerate(row[:-1]) if x]) for per_face in rows for row in per_face]
 
 
 def _fits(row, support, X, D):
@@ -174,21 +169,22 @@ def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
     Returns a realisation map or None when infeasible; raises
     InconsistentSystemError when X_phi itself is empty.
     """
-    zero = zero_vector(fw.dim)
+    phi = [fw.norm.face_index.get(tuple(f)) for f in phi]
+    if None in phi:
+        raise ParameterError("witness search needs a colouring by faces of the norm (zero-free)")
     if not skip_checks:
-        if any(f == zero for f in phi):
-            raise ParameterError("witness search needs a zero-free colouring")
         if not is_well_positioned(fw):
             raise NotWellPositionedError("witness search needs a well-positioned framework")
         if not is_infinitesimally_rigid(fw):
             raise ParameterError("witness search is only meaningful for rigid frameworks")
     if lengths is None:
         lengths = edge_lengths(fw)
+    rows = pinned_rows(fw, lengths)
     system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
-    for e, face, length in zip(fw.graph.edges, phi, lengths):
-        if not system.push(integerize_row(pinned_row(fw, e, face, length)))[0]:
+    for per_face, i in zip(rows, phi):
+        if not system.push(per_face[i])[0]:
             raise InconsistentSystemError("affine system of the colouring has no solution")
-    return _settle_leaf(fw, lengths, _with_support(_candidate_rows(fw, lengths)), system)
+    return _settle_leaf(fw, lengths, _with_support(rows), system)
 
 
 class _BudgetHit(Exception):
@@ -198,11 +194,12 @@ class _BudgetHit(Exception):
 def _consistent_leaves(system, options, on_cut):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
-    ``options[i]`` lists the (face, integer row) choices for edge i.  Each
-    row is pushed onto the incremental system; an inconsistent push cuts
-    the whole subtree below that prefix and is reported to ``on_cut``.
-    Every consistent full colouring is yielded as a tuple of faces while
-    its rows are still pushed, so the caller can solve the system there.
+    ``options[i]`` lists the (face index, integer row) choices for edge i.
+    Each row is pushed onto the incremental system; an inconsistent push
+    cuts the whole subtree below that prefix and is reported to
+    ``on_cut``.  Every consistent full colouring is yielded as a tuple of
+    face indices while its rows are still pushed, so the caller can solve
+    the system there.
     An empty edge list yields nothing.
     """
     m = len(options)
@@ -236,16 +233,12 @@ class _SearchState:
         self.lengths = lengths
         self.iso_set = iso_set
         self.budget = budget
-        self.counts = {
-            "colourings_examined": 0,
-            "leaves": 0,
-            "pruned_subtrees": 0,
-            "isometric_skipped": 0,
-            "lp_runs": 0,
-        }
-        self.width = fw.dim * (len(fw.graph.vertices) - 1) + 1
-        self.candidates = _candidate_rows(fw, lengths)
-        self.rows = _with_support(self.candidates)
+        self.counts = dict.fromkeys(
+            ("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0
+        )
+        rows = pinned_rows(fw, lengths)
+        self.candidates = [list(enumerate(per_face)) for per_face in rows]
+        self.rows = _with_support(rows)
 
     def _check_budget(self):
         if self.budget is not None and self.counts["colourings_examined"] > self.budget:
@@ -258,7 +251,7 @@ class _SearchState:
 
     def run(self, first_edge_faces=None):
         """Search the whole tree (or the given slice of first-edge faces);
-        returns (colouring, witness realisation) or None.
+        returns (colouring as face indices, witness realisation) or None.
 
         A leaf is settled (skipped as isometric, or solved) before the
         budget is enforced, so a cut certificate always satisfies
@@ -268,7 +261,7 @@ class _SearchState:
         if first_edge_faces is not None:
             options[0] = [options[0][j] for j in first_edge_faces]
         counts = self.counts
-        system = IncrementalSystem(self.width)
+        system = IncrementalSystem(self.fw.dim * (len(self.fw.graph.vertices) - 1) + 1)
         for phi in _consistent_leaves(system, options, self._cut):
             counts["leaves"] += 1
             counts["colourings_examined"] += 1
@@ -306,11 +299,11 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     edge's faces, and the certificate records ``workers``.
     """
     cert = {"criterion": "exact colouring enumeration"}
-    try:
-        phi_p = induced_colouring(fw)
-    except NotWellPositionedError:
+    active, lengths = edge_table(fw)
+    phi_p = unique_colouring(active)
+    if phi_p is None:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
-    rank = rank_exact(colouring_matrix(fw.graph, phi_p, fw.dim))
+    rank = rank_exact(index_matrix(fw, phi_p))
     cert["rank"] = rank
     cert["rank_required"] = rigid_rank(fw)
     if rank < rigid_rank(fw):
@@ -319,10 +312,9 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
         cert["note"] = "single vertex: trivially globally rigid"
         return GlobalVerdict(GLOBALLY_RIGID, certificate=cert)
 
-    lengths = edge_lengths(fw)
-    group = fw.norm.isometry_group()
-    iso_set = {apply_colouring(T, phi_p) for T in group}
-    cert["isometry_group_order"] = len(group)
+    perms = fw.norm.face_permutations()
+    iso_set = {tuple(perm[i] for i in phi_p) for perm in perms}
+    cert["isometry_group_order"] = len(perms)
 
     workers = min(threads, len(fw.norm.faces))
     if workers > 1 and len(fw.graph.edges) > 1:
@@ -337,7 +329,7 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
 
         if not is_witness(fw, q, lengths):
             raise AssertionError("witness failed exact verification")
-        cert["witness_colouring"] = phi
+        cert["witness_colouring"] = tuple(fw.norm.faces[i] for i in phi)
         return GlobalVerdict(NOT_GLOBALLY_RIGID, witness=q, certificate=cert)
     if budget_hit:
         return GlobalVerdict(BUDGET_EXCEEDED, certificate=cert)
@@ -353,11 +345,10 @@ def _run_parallel(fw, lengths, iso_set, budget, workers, cert):
     jobs = [(fw, lengths, iso_set, per_budget, s) for s in slices]
     found = None
     budget_hit = False
-    totals = {}
+    totals = Counter()
     with ProcessPoolExecutor(max_workers=len(slices)) as pool:
         for result, counts, hit in pool.map(_search_slice, jobs):
-            for k, v in counts.items():
-                totals[k] = totals.get(k, 0) + v
+            totals.update(counts)
             budget_hit = budget_hit or hit
             if result is not None and found is None:
                 found = result
@@ -395,28 +386,24 @@ def is_strong_colouring_exhaustive(graph: Graph, phi, norm, budget=2_000_000):
     zero = zero_vector(d)
     if any(f == zero for f in phi):
         return False
-    group = norm.isometry_group()
-    iso_set = {apply_colouring(T, tuple(phi)) for T in group}
+    phi_index = [norm.face_index.get(tuple(f)) for f in phi]  # None: not a face, no image
+    perms = norm.face_permutations() if None not in phi_index else ()
+    iso_set = {tuple(perm[i] for i in phi_index) for perm in perms}
     n = len(graph.vertices)
     phi_rows = colouring_matrix(graph, phi, d)
-    cand_faces = list(norm.faces) + [zero]
+    cand_faces = list(norm.faces) + [zero]  # the zero face has index |F|
 
     # paired integer rows, one per (edge, candidate face): candidate row
     # as the key part, the corresponding row of phi as the check part
     paired = [
-        [
-            (face, integerize_row(colouring_row(graph, d, e, face) + phi_rows[ei]))
-            for face in cand_faces
-        ]
-        for ei, e in enumerate(graph.edges)
+        [(i, integerize_row(colouring_row(graph, d, e, face) + phi_row)) for i, face in enumerate(cand_faces)]
+        for e, phi_row in zip(graph.edges, phi_rows)
     ]
 
-    examined = 0
+    examined = count(1)
 
     def tick():
-        nonlocal examined
-        examined += 1
-        if examined > budget:
+        if next(examined) > budget:
             raise BudgetExceededError("strongness enumeration budget exhausted")
 
     system = IncrementalSystem(2 * d * n, keylen=d * n)

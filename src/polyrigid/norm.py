@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 
 from . import simplex
 from .errors import DimensionMismatchError, ParameterError
@@ -22,10 +24,6 @@ def as_vector(values, dim=None):
     if dim is not None and len(vec) != dim:
         raise DimensionMismatchError(f"expected length {dim}, got {len(vec)}")
     return vec
-
-
-def _neg(vec):
-    return tuple(-x for x in vec)
 
 
 def linf_axis(face):
@@ -46,14 +44,7 @@ class LinearIsometry:
         return tuple(dot(row, x) for row in self.matrix)
 
     def transpose_apply(self, x):
-        d = len(self.matrix)
-        return tuple(
-            sum(self.matrix[i][j] * x[i] for i in range(d)) for j in range(d)
-        )
-
-    @property
-    def dim(self):
-        return len(self.matrix)
+        return tuple(dot(col, x) for col in zip(*self.matrix))
 
 
 class PolytopeNorm:
@@ -74,14 +65,19 @@ class PolytopeNorm:
         for f in face_tuples:
             if all(x == 0 for x in f):
                 raise ParameterError("zero vector cannot be a face normal")
-            if _neg(f) not in face_set:
+            if tuple(-x for x in f) not in face_set:
                 raise ParameterError(f"face set is not centrally symmetric: {f} unmatched")
         if mat_rank(face_tuples) != dim:
             raise ParameterError("face normals do not span the space (unit ball unbounded)")
         self.dim = dim
         self.faces = tuple(face_tuples)
         self._check_minimal()
+        # the faces once more as integers: faces[i] == int_faces[i] / denominator
+        self.denominator = lcm(*(x.denominator for f in self.faces for x in f))
+        self.int_faces = tuple(tuple(int(x * self.denominator) for x in f) for f in self.faces)
+        self.face_index = {f: i for i, f in enumerate(self.faces)}
         self._group = None
+        self._perms = None
 
     def _check_minimal(self):
         # f is a facet normal iff some x satisfies f.x > 1 while g.x <= 1
@@ -145,46 +141,62 @@ class PolytopeNorm:
         """All linear isometries of the norm, as a finite group.
 
         A linear map T preserves the norm exactly when its transpose
-        permutes the face set.  Candidates are generated by sending d
-        linearly independent faces to every d-tuple of faces and keeping
-        the maps whose transpose action is a genuine permutation of F.
-        The result is cached; it always contains +/- identity.
+        permutes the face set.  Candidates send d linearly independent base
+        faces to every d-tuple of faces, in product order.  With the faces
+        in base coordinates over a common denominator, a candidate's
+        transpose sends each face to an integer combination of the targets,
+        looked up among the scaled integer faces; the candidate is kept when
+        the images are distinct faces.  The result is cached with the face
+        permutations; it always contains +/- identity.
         """
         if self._group is not None:
             return self._group
-        d = self.dim
+        d, n, ints = self.dim, len(self.faces), self.int_faces
         base = []
         for f in self.faces:
             if mat_rank(base + [f]) > len(base):
                 base.append(f)
             if len(base) == d:
                 break
-        # With B the matrix of base rows, row i of the transpose candidate S
-        # solves B s = (targets' i-th coordinates), so S = (B^-1 applied
-        # per coordinate); invert B once.
+        # face f = sum_k c_k(f) B_k with c_k(f) = (column k of B^-1) . f, so the
+        # transpose S of the candidate sending B_k to t_k maps f to sum_k c_k(f) t_k
         from .linalg import solve_affine
 
-        unit = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-        binv_cols = []
-        for col in range(d):
-            sol = solve_affine(base, unit[col])
-            binv_cols.append(sol[0])
-        binv_rows = list(zip(*binv_cols))  # B^-1 as rows
+        binv_cols = [solve_affine(base, [int(i == k) for i in range(d)])[0] for k in range(d)]
+        coords = [[dot(col, f) for col in binv_cols] for f in self.faces]
+        scale = lcm(*(c.denominator for row in coords for c in row))
+        terms = [[(k, int(c * scale)) for k, c in enumerate(row) if c] for row in coords]
+        times = {c: [tuple(c * x for x in g) for g in ints] for term in terms for _, c in term}
+        terms = [[(k, times[c]) for k, c in term] for term in terms]  # c * every face
+        lookup = {tuple(scale * x for x in g): j for j, g in enumerate(ints)}
+        # T = S^T has entry (j, i) = sum_k B^-1[j][k] t_k[i], in integers over den
+        den = lcm(*(c.denominator for col in binv_cols for c in col))
+        binv = [[int(c * den) for c in row] for row in zip(*binv_cols)]
+        den *= self.denominator
 
-        face_set = set(self.faces)
-        group = []
-        for targets in product(self.faces, repeat=d):
-            s_rows = []
-            for coord in range(d):
-                rhs = [t[coord] for t in targets]
-                s_rows.append(tuple(dot(row, rhs) for row in binv_rows))
-            image = {tuple(dot(r, f) for r in s_rows) for f in self.faces}
-            if image != face_set:
-                continue
-            t_matrix = tuple(zip(*s_rows))  # T = S^T
-            group.append(LinearIsometry(t_matrix))
-        self._group = tuple(group)
+        group, perms = [], []
+        for targets in product(range(n), repeat=d):
+            perm = []
+            for term in terms:
+                image = [table[targets[k]] for k, table in term]
+                j = lookup.get(image[0] if len(image) == 1 else tuple(map(sum, zip(*image))))
+                if j is None:
+                    break
+                perm.append(j)
+            else:
+                if len(set(perm)) == n:
+                    vecs = [ints[t] for t in targets]
+                    matrix = [[Fraction(sum(map(mul, row, col)), den) for col in zip(*vecs)] for row in binv]
+                    group.append(LinearIsometry(tuple(map(tuple, matrix))))
+                    perms.append(tuple(perm))
+        self._group, self._perms = tuple(group), tuple(perms)
         return self._group
+
+    def face_permutations(self):
+        """The isometry group as face-index permutations, in the order of
+        ``isometry_group()``: perm[i] is the index of T^T applied to face i."""
+        self.isometry_group()
+        return self._perms
 
 
 def preset(kind, dim):
@@ -192,16 +204,8 @@ def preset(kind, dim):
     (cross-polytope ball)."""
     if dim < 1:
         raise ParameterError(f"dimension must be positive, got {dim}")
-    one = Fraction(1)
     if kind == "linf":
-        faces = []
-        for i in range(dim):
-            e = [Fraction(0)] * dim
-            e[i] = one
-            faces.append(tuple(e))
-            faces.append(_neg(tuple(e)))
-        return PolytopeNorm(dim, faces)
+        return PolytopeNorm(dim, [[s * (i == j) for j in range(dim)] for i in range(dim) for s in (1, -1)])
     if kind == "l1":
-        faces = [tuple(Fraction(s) for s in signs) for signs in product((1, -1), repeat=dim)]
-        return PolytopeNorm(dim, faces)
+        return PolytopeNorm(dim, list(product((1, -1), repeat=dim)))
     raise ParameterError(f"unknown preset {kind!r} (expected 'linf' or 'l1')")

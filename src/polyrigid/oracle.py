@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .framework import Framework, edge_lengths, pinned_solution, unpin
-from .linalg import affine_point
+from .framework import Framework, edge_lengths, pinned_rows, unpin
+from .linalg import affine_point, solve_affine
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,11 @@ def congruence_check(fw: Framework, q) -> bool:
     """
     v0 = fw.graph.vertices[0]
     p = fw.positions
-    qv0 = tuple(Fraction(x) for x in q[v0])
+    q = {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices}
     for T in fw.norm.isometry_group():
-        t = tuple(a - b for a, b in zip(qv0, T.apply(p[v0])))
+        t = tuple(a - b for a, b in zip(q[v0], T.apply(p[v0])))
         if all(
-            tuple(Fraction(x) for x in q[v]) == tuple(a + b for a, b in zip(T.apply(p[v]), t))
+            q[v] == tuple(a + b for a, b in zip(T.apply(p[v]), t))
             for v in fw.graph.vertices
         ):
             return True
@@ -99,8 +99,9 @@ def _exactify_via_colouring(fw, q_float, lengths):
     for v, w in graph.edges:
         delta = [a - b for a, b in zip(q_float[v], q_float[w])]
         _, face_f = _float_norm_and_face(faces_f, delta)
-        phi.append(norm.faces[faces_f.index(face_f)])
-    solved = pinned_solution(fw, phi, lengths)
+        phi.append(faces_f.index(face_f))
+    rows = [per_face[i] for per_face, i in zip(pinned_rows(fw, lengths), phi)]
+    solved = solve_affine([r[:-1] for r in rows], [r[-1] for r in rows])
     if solved is None:
         return None
     particular, kernel = solved

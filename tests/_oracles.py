@@ -3,13 +3,16 @@
 Everything here is deliberately written from the definitions, separately
 from the library's algorithms: sparsity by explicit subset counting, the
 maximum sparse subset by exhaustive branch-and-bound over edge subsets,
-matrix rank and linear systems by plain Fraction elimination, and the
-global-rigidity search's leaf settlement along the plain Fraction route
-(unpin, per-edge norm, then the exact LP; only the simplex is the
-library's, so that witnesses can be compared).  Slow and simple on purpose.
+matrix rank and linear systems by plain Fraction elimination, edge lengths
+and active faces by the Fraction norm, pinned rows as dense Fraction rows
+scaled to coprime integers, and the global-rigidity search's leaf
+settlement along the plain Fraction route (unpin, per-edge norm, then the
+exact LP; only the simplex is the library's, so that witnesses can be
+compared).  Slow and simple on purpose.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def sparse_by_counting(n_vertices, edge_masks, d, k):
@@ -149,6 +152,48 @@ def fraction_solve(rows, rhs):
     return particular, kernel, free
 
 
+def reference_edge_table(fw):
+    """Per edge, (length, active faces) by the norm's Fraction methods:
+    ``norm.value`` of the edge vector and ``norm.active_faces``, with no
+    active face for a zero vector."""
+    out = []
+    for e in fw.graph.edges:
+        vec = fw.edge_vector(e)
+        zero = all(x == 0 for x in vec)
+        out.append((fw.norm.value(vec), () if zero else fw.norm.active_faces(vec)))
+    return out
+
+
+def fraction_pinned_row(fw, edge, face, length):
+    """The equation  face.(q(v) - q(w)) = length  for edge vw with vertex 0
+    held at its position, as (Fraction coefficients on the pinned columns,
+    right-hand side); vertex i > 0 owns columns d(i-1) .. d(i-1)+d-1."""
+    d = fw.dim
+    v0, *others = fw.graph.vertices
+    p0 = fw.position(v0)
+    col = {u: d * i for i, u in enumerate(others)}
+    row = [Fraction(0)] * (d * len(others))
+    b = Fraction(length)
+    for u, sign in ((edge[0], 1), (edge[1], -1)):
+        for k in range(d):
+            if u == v0:
+                b -= sign * Fraction(face[k]) * p0[k]
+            else:
+                row[col[u] + k] += sign * Fraction(face[k])
+    return row, b
+
+
+def reference_pinned_row(fw, edge, face, length):
+    """The augmented pinned row [coefficients, rhs], scaled by the least
+    common denominator and divided by the gcd: coprime integers, sign kept."""
+    row, b = fraction_pinned_row(fw, edge, face, length)
+    row = row + [b]
+    scale = lcm(*(x.denominator for x in row))
+    ints = [int(x * scale) for x in row]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
 def reference_leaf_settlement(fw, lengths, phi):
     """Settle one consistent leaf colouring along the plain Fraction route.
 
@@ -167,15 +212,8 @@ def reference_leaf_settlement(fw, lengths, phi):
     p0 = fw.position(v0)
     col = {u: d * i for i, u in enumerate(others)}
     rows, rhs = [], []
-    for (v, w), face, length in zip(fw.graph.edges, phi, lengths):
-        row = [Fraction(0)] * (d * len(others))
-        b = Fraction(length)
-        for u, sign in ((v, 1), (w, -1)):
-            for k in range(d):
-                if u == v0:
-                    b -= sign * face[k] * p0[k]
-                else:
-                    row[col[u] + k] += sign * face[k]
+    for edge, face, length in zip(fw.graph.edges, phi, lengths):
+        row, b = fraction_pinned_row(fw, edge, face, length)
         rows.append(row)
         rhs.append(b)
     particular, kernel, _ = fraction_solve(rows, rhs)

@@ -27,11 +27,19 @@ from polyrigid import (
     rank_exact,
     rigidity_matrix,
 )
-from polyrigid.framework import apply_isometry, is_rigid_all_induced_colourings
+from hypothesis import given, settings, strategies as st
+
+from polyrigid import PolytopeNorm
+from polyrigid.framework import (
+    apply_isometry,
+    edge_table,
+    is_rigid_all_induced_colourings,
+    pinned_rows,
+)
 from polyrigid.global_rigidity import apply_colouring
 from polyrigid.linalg import mat_vec
 
-from _oracles import fraction_rank
+from _oracles import fraction_rank, reference_edge_table, reference_pinned_row
 
 
 def single_edge_framework(norm, pa, pb):
@@ -291,3 +299,51 @@ def test_advisory_all_colourings_rigidity(linf2):
     assert is_rigid_all_induced_colourings(square) in (True, False)
     flexible = single_edge_framework(linf2, (0, 0), (1, Fraction(1, 3)))
     assert not is_rigid_all_induced_colourings(flexible)
+
+
+# -- the integer edge table and pinned rows against Fraction references ---
+
+TABLE_NORMS = [preset(k, d) for k in ("linf", "l1") for d in (1, 2, 3)] + [
+    PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 4), Fraction(3, 4)),
+                     (Fraction(-3, 4), Fraction(-3, 4)), (Fraction(3, 4), Fraction(-3, 4)),
+                     (Fraction(-3, 4), Fraction(3, 4))]),
+    PolytopeNorm(3, [(Fraction(s, 2), 0, 0) for s in (1, -1)]
+                 + [(0, Fraction(2 * s, 3), 0) for s in (1, -1)]
+                 + [(0, 0, Fraction(3 * s, 5)) for s in (1, -1)]),
+]
+coordinate = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+
+@st.composite
+def small_frameworks(draw):
+    """Up to five vertices, positions with mixed denominators (a repeated
+    position gives a zero edge), and edges given with either end first, so
+    vertex 0 is named first or second."""
+    norm = draw(st.sampled_from(TABLE_NORMS))
+    names = [f"v{i}" for i in range(draw(st.integers(2, 5)))]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = [(b, a) if draw(st.booleans()) else (a, b) for a, b in chosen]
+    positions = {v: tuple(draw(coordinate) for _ in range(norm.dim)) for v in names}
+    if draw(st.booleans()):
+        positions[names[-1]] = positions[names[0]]
+    return Framework(Graph(names, edges), norm, positions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_frameworks(), st.data())
+def test_integer_edge_table_and_pinned_rows_match_fraction_references(fw, data):
+    reference = reference_edge_table(fw)
+    active, lengths = edge_table(fw)
+    faces = fw.norm.faces
+    assert lengths == edge_lengths(fw) == tuple(length for length, _ in reference)
+    assert [tuple(faces[i] for i in a) for a in active] == [act for _, act in reference]
+    zero = (Fraction(0),) * fw.dim
+    assert induced_colourings(fw) == [act or (zero,) for _, act in reference]
+    assert is_well_positioned(fw) == all(len(act) == 1 for _, act in reference)
+
+    others = data.draw(st.lists(coordinate, min_size=len(reference), max_size=len(reference)))
+    for lengths in (edge_lengths(fw), others):
+        rows = pinned_rows(fw, lengths)
+        for per_face, edge, length in zip(rows, fw.graph.edges, lengths):
+            assert per_face == [reference_pinned_row(fw, edge, face, length) for face in faces]

@@ -134,6 +134,20 @@ def test_decide_threads_agree(rigid_k4_linf2):
     verify_witness(fw, par)
 
 
+def test_parallel_witness_colouring_is_faces(rigid_k4_linf2):
+    # workers return face indices; the certificate names faces, as serially
+    _, fw = rigid_k4_linf2[0]
+    seq = decide_global_rigidity(fw)
+    par = decide_global_rigidity(fw, threads=2)
+    assert seq.outcome == par.outcome == NOT_GLOBALLY_RIGID
+    verify_witness(fw, par)
+    phi = par.certificate["witness_colouring"]
+    assert len(phi) == len(fw.graph.edges)
+    assert all(face in fw.norm.faces for face in phi)
+    assert all(f in fw.norm.faces for f in seq.certificate["witness_colouring"])
+    assert equivalent_witness_lp(fw, phi) is not None
+
+
 def test_parallel_workers_capped_at_face_count(rigid_k4_linf2):
     # linf2 has 4 faces: eight requested workers run as four, not serially
     _, fw = rigid_k4_linf2[1]
@@ -435,10 +449,11 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
 
     current = {}
     enumerate_leaves = gr._consistent_leaves
+    faces = fw.norm.faces
 
     def recording(system, options, on_cut):
         for phi in enumerate_leaves(system, options, on_cut):
-            current["phi"] = phi
+            current["phi"] = tuple(faces[i] for i in phi)  # leaves come as face indices
             yield phi
 
     with monkeypatch.context() as m:

@@ -142,6 +142,66 @@ def test_group_closed_under_composition_and_inverse(linf2):
         assert power == ident
 
 
+def octagon_norm():
+    """A valid planar norm with non-integer faces (denominator 4)."""
+    q = Fraction(3, 4)
+    return PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (q, q), (-q, -q), (q, -q), (-q, q)])
+
+
+def group_norms():
+    hexagon = PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    return [preset(k, d) for k in ("linf", "l1") for d in (1, 2, 3)] + [octagon_norm(), hexagon]
+
+
+def test_face_permutations_form_a_group():
+    for norm in group_norms():
+        perms = norm.face_permutations()
+        n = len(norm.faces)
+        members = set(perms)
+        assert len(members) == len(perms) == len(norm.isometry_group())
+        assert tuple(range(n)) in members
+        negation = tuple(norm.face_index[tuple(-x for x in f)] for f in norm.faces)
+        assert negation in members
+        for p in perms:
+            inverse = [0] * n
+            for i, j in enumerate(p):
+                inverse[j] = i
+            assert tuple(inverse) in members
+            for r in perms:
+                assert tuple(p[r[i]] for i in range(n)) in members
+
+
+def test_face_permutations_are_the_transpose_action():
+    for norm in group_norms():
+        group = norm.isometry_group()
+        perms = norm.face_permutations()
+        assert len(group) == len(perms)
+        for T, perm in zip(group, perms):
+            assert [norm.faces[j] for j in perm] == [T.transpose_apply(f) for f in norm.faces]
+
+
+def test_face_permutation_orders(linf1, linf2, linf3, l1_2):
+    # the orders of acceptance criterion 9, and the octagon's
+    for norm, order in ((linf1, 2), (linf2, 8), (linf3, 48), (l1_2, 8), (octagon_norm(), 8)):
+        assert len(norm.face_permutations()) == order
+
+
+def test_group_order_in_dimension_four():
+    for kind in ("linf", "l1"):
+        norm = preset(kind, 4)
+        assert len(norm.isometry_group()) == len(norm.face_permutations()) == 384
+
+
+def test_integer_faces_over_common_denominator():
+    norm = octagon_norm()
+    assert norm.denominator == 4
+    assert all(
+        tuple(Fraction(x, norm.denominator) for x in g) == f
+        for f, g in zip(norm.faces, norm.int_faces)
+    )
+    assert preset("l1", 3).denominator == 1
+
+
 @settings(max_examples=120, deadline=None)
 @given(rational, rational)
 def test_norm_axioms_linf2(a, b):
