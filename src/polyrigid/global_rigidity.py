@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import count
 
 from .errors import (
@@ -225,65 +226,71 @@ def _consistent_leaves(system, options, on_cut):
                 system.pop()
 
 
-class _SearchState:
-    """Depth-first enumeration of zero-free colourings with pruning."""
+def _search_slice(args):
+    """Search the colouring tree with edge i's faces restricted to
+    restrict[i]; returns (found, counts, budget_hit), found being
+    (colouring as face indices, witness realisation) or None.  A leaf is
+    settled (skipped as isometric, or solved) before the budget is
+    enforced, so a cut certificate keeps lp_runs = leaves - isometric_skipped.
+    """
+    fw, lengths, iso_set, budget, restrict = args
+    counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
+    rows = pinned_rows(fw, lengths)
+    options = [[(j, per_face[j]) for j in restrict.get(i, range(len(per_face)))] for i, per_face in enumerate(rows)]
+    rows = _with_support(rows)
 
-    def __init__(self, fw, lengths, iso_set, budget):
-        self.fw = fw
-        self.lengths = lengths
-        self.iso_set = iso_set
-        self.budget = budget
-        self.counts = dict.fromkeys(
-            ("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0
-        )
-        rows = pinned_rows(fw, lengths)
-        self.candidates = [list(enumerate(per_face)) for per_face in rows]
-        self.rows = _with_support(rows)
-
-    def _check_budget(self):
-        if self.budget is not None and self.counts["colourings_examined"] > self.budget:
+    def check_budget():
+        if budget is not None and counts["colourings_examined"] > budget:
             raise _BudgetHit()
 
-    def _cut(self):
-        self.counts["pruned_subtrees"] += 1
-        self.counts["colourings_examined"] += 1
-        self._check_budget()
+    def cut():
+        counts["pruned_subtrees"] += 1
+        counts["colourings_examined"] += 1
+        check_budget()
 
-    def run(self, first_edge_faces=None):
-        """Search the whole tree (or the given slice of first-edge faces);
-        returns (colouring as face indices, witness realisation) or None.
-
-        A leaf is settled (skipped as isometric, or solved) before the
-        budget is enforced, so a cut certificate always satisfies
-        lp_runs = leaves - isometric_skipped.
-        """
-        options = list(self.candidates)
-        if first_edge_faces is not None:
-            options[0] = [options[0][j] for j in first_edge_faces]
-        counts = self.counts
-        system = IncrementalSystem(self.fw.dim * (len(self.fw.graph.vertices) - 1) + 1)
-        for phi in _consistent_leaves(system, options, self._cut):
+    system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
+    try:
+        for phi in _consistent_leaves(system, options, cut):
             counts["leaves"] += 1
             counts["colourings_examined"] += 1
-            if phi in self.iso_set:
+            if phi in iso_set:
                 counts["isometric_skipped"] += 1
             else:
                 counts["lp_runs"] += 1
-                q = _settle_leaf(self.fw, self.lengths, self.rows, system)
+                q = _settle_leaf(fw, lengths, rows, system)
                 if q is not None:
-                    return phi, q
-            self._check_budget()
-        return None
-
-
-def _search_slice(args):
-    fw, lengths, iso_set, budget, slice_indices = args
-    state = _SearchState(fw, lengths, iso_set, budget)
-    try:
-        found = state.run(first_edge_faces=slice_indices)
-        return found, state.counts, False
+                    return (phi, q), counts, False
+            check_budget()
     except _BudgetHit:
-        return None, state.counts, True
+        return None, counts, True
+    return None, counts, False
+
+
+def _search_order(graph: Graph):
+    """The search's static edge order, as input edge indices: from vertex
+    0, next the edge with the most endpoints already touched, ties by
+    input order.  A pushed row can only be inconsistent if a cycle closes
+    in the prefix, so closing cycles early cuts the tree near its root
+    (fail-first ordering: Haralick & Elliott, AI 1980).  The consistent
+    full colourings do not depend on the order."""
+    edges = graph.edges
+    incident = {v: [i for i, edge in enumerate(edges) if v in edge] for v in graph.vertices}
+    score = [0] * len(edges)  # minus the touched endpoints; None once taken
+    heap = [(0, i) for i in range(len(edges))]  # sorted, so already a heap
+    touched, order, fresh = set(), [], [graph.vertices[0]]
+    while heap:
+        for v in set(fresh) - touched:
+            touched.add(v)
+            for i in incident[v]:
+                if score[i] is not None:
+                    score[i] -= 1
+                    heappush(heap, (score[i], i))
+        s, i = heappop(heap)
+        if score[i] == s:  # scores only fall, so older entries come later
+            score[i] = None
+            order.append(i)
+            fresh = edges[i]
+    return order
 
 
 def decide_global_rigidity(fw: Framework, budget=None, threads=1):
@@ -294,9 +301,19 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     NotGloballyRigid with a verified witness realisation or GloballyRigid
     after exhausting the tree.  ``budget`` bounds the number of colourings
     examined (leaves plus pruned branches); exceeding it yields a
-    BudgetExceeded verdict carrying the progress counters.  With
-    ``threads`` > 1, min(threads, |F|) worker processes split the first
-    edge's faces, and the certificate records ``workers``.
+    BudgetExceeded verdict carrying the progress counters.
+
+    The search takes the edges in ``_search_order`` (only
+    ``witness_colouring`` is mapped back to the input order) and gives the
+    first one the least face of each orbit of the isometry group G.  This
+    is complete: if q is a witness with colouring psi and T is in G, then
+    T o q, moved back onto the pinned vertex, is a witness with colouring
+    T.psi, and some T takes psi's first face to its orbit's least face;
+    the skipped set, the G-orbit of the induced colouring, is G-invariant.
+    With ``threads`` > 1, worker processes split the options of the first
+    search edge with more than one (the second when G is transitive on
+    the faces, as for linf and l1), one worker per option at most; the
+    certificate records ``workers``.
     """
     cert = {"criterion": "exact colouring enumeration"}
     active, lengths = edge_table(fw)
@@ -313,14 +330,19 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
         return GlobalVerdict(GLOBALLY_RIGID, certificate=cert)
 
     perms = fw.norm.face_permutations()
-    iso_set = {tuple(perm[i] for i in phi_p) for perm in perms}
     cert["isometry_group_order"] = len(perms)
-
-    workers = min(threads, len(fw.norm.faces))
-    if workers > 1 and len(fw.graph.edges) > 1:
-        found, budget_hit = _run_parallel(fw, lengths, iso_set, budget, workers, cert)
+    order = _search_order(fw.graph)
+    search_fw = Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in order]), fw.norm, fw.positions)
+    iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
+    restrict = {0: [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]}
+    job = (search_fw, [lengths[i] for i in order], iso_set, budget, restrict)
+    depth = 0 if len(restrict[0]) > 1 else 1
+    choices = restrict.get(depth, range(len(fw.norm.faces)))
+    workers = min(threads, len(choices))
+    if workers > 1 and depth < len(order):
+        found, budget_hit = _run_parallel(job, depth, choices, workers, cert)
     else:
-        found, counts, budget_hit = _search_slice((fw, lengths, iso_set, budget, None))
+        found, counts, budget_hit = _search_slice(job)
         cert.update(counts)
 
     if found is not None:
@@ -329,31 +351,30 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
 
         if not is_witness(fw, q, lengths):
             raise AssertionError("witness failed exact verification")
-        cert["witness_colouring"] = tuple(fw.norm.faces[i] for i in phi)
+        cert["witness_colouring"] = tuple(fw.norm.faces[f] for _, f in sorted(zip(order, phi)))
         return GlobalVerdict(NOT_GLOBALLY_RIGID, witness=q, certificate=cert)
     if budget_hit:
         return GlobalVerdict(BUDGET_EXCEEDED, certificate=cert)
     return GlobalVerdict(GLOBALLY_RIGID, certificate=cert)
 
 
-def _run_parallel(fw, lengths, iso_set, budget, workers, cert):
-    """Partition the first edge's face choices across ``workers`` processes."""
+def _run_parallel(job, depth, choices, workers, cert):
+    """Deal the face choices of search edge ``depth`` round-robin to
+    ``workers`` processes, with the budget split evenly between them."""
     from concurrent.futures import ProcessPoolExecutor
 
-    slices = [list(range(j, len(fw.norm.faces), workers)) for j in range(workers)]
-    per_budget = None if budget is None else max(1, budget // len(slices))
-    jobs = [(fw, lengths, iso_set, per_budget, s) for s in slices]
-    found = None
-    budget_hit = False
-    totals = Counter()
-    with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+    fw, lengths, iso_set, budget, restrict = job
+    per_budget = None if budget is None else max(1, budget // workers)
+    jobs = [(fw, lengths, iso_set, per_budget, {**restrict, depth: list(choices[j::workers])}) for j in range(workers)]
+    found, budget_hit, totals = None, False, Counter()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for result, counts, hit in pool.map(_search_slice, jobs):
             totals.update(counts)
             budget_hit = budget_hit or hit
             if result is not None and found is None:
                 found = result
     cert.update(totals)
-    cert["workers"] = len(slices)
+    cert["workers"] = workers
     return found, budget_hit
 
 
@@ -426,9 +447,7 @@ def certify_generic_global(fw: Framework):
     """
     if not fw.norm.is_linf:
         raise ParameterError("certificate requires the linf preset norm")
-    if not is_well_positioned(fw):
-        raise NotWellPositionedError("certificate requires a well-positioned framework")
-    phi_p = induced_colouring(fw)
+    phi_p = induced_colouring(fw)  # NotWellPositionedError unless well-positioned
     strong = is_strong_colouring_linf(fw.graph, phi_p)
     if strong:
         if not is_redundantly_rigid(fw):

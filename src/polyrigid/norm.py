@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 from operator import mul
@@ -123,14 +124,14 @@ class PolytopeNorm:
 
     # -- structure -----------------------------------------------------
 
-    @property
+    @cached_property
     def is_linf(self):
         """Whether the face set is exactly the signed standard basis."""
         return len(self.faces) == 2 * self.dim and all(
             linf_axis(f) is not None for f in self.faces
         )
 
-    @property
+    @cached_property
     def is_l1(self):
         """Whether the face set is exactly the sign vectors {1, -1}^d."""
         return len(self.faces) == 2 ** self.dim and all(

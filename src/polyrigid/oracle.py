@@ -16,6 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul, sub
 
 from .framework import Framework, edge_lengths, pinned_rows, unpin
 from .linalg import affine_point, solve_affine
@@ -42,19 +45,28 @@ def congruence_check(fw: Framework, q) -> bool:
 
     Isometries of a polytope norm are linear isometries plus translations,
     so it suffices to try every group element with the translation pinned
-    by the first vertex.  Exact comparison throughout.
+    by the first vertex.  Exact comparison, in integers: with p and q
+    relative to vertex 0 over their common denominators P and Q, and each
+    matrix T = A / M over its own, q - q0 = T (p - p0) reads
+    M P (q - q0) = Q A (p - p0).
     """
-    v0 = fw.graph.vertices[0]
-    p = fw.positions
-    q = {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices}
+    P, p = _relative_integers(fw, fw.positions)
+    Q, q = _relative_integers(fw, {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices})
     for T in fw.norm.isometry_group():
-        t = tuple(a - b for a, b in zip(q[v0], T.apply(p[v0])))
-        if all(
-            q[v] == tuple(a + b for a, b in zip(T.apply(p[v]), t))
-            for v in fw.graph.vertices
-        ):
+        M = lcm(*(x.denominator for row in T.matrix for x in row))
+        A = [[x.numerator * (M // x.denominator) for x in row] for row in T.matrix]
+        if all([Q * sum(map(mul, row, pv)) for row in A] == [M * P * x for x in qv] for pv, qv in zip(p, q)):
             return True
     return False
+
+
+def _relative_integers(fw, positions):
+    """(S, rows): the positions over their common denominator S, as integer
+    numerators of q(v) - q(v0) for every vertex v after the first."""
+    S = lcm(*(x.denominator for x in chain.from_iterable(positions.values())))
+    v0, *others = fw.graph.vertices
+    base = [x.numerator * (S // x.denominator) for x in positions[v0]]
+    return S, [[x.numerator * (S // x.denominator) - b for x, b in zip(positions[v], base)] for v in others]
 
 
 def is_witness(fw: Framework, q, lengths) -> bool:
@@ -64,14 +76,10 @@ def is_witness(fw: Framework, q, lengths) -> bool:
 
 
 def _float_norm_and_face(faces_f, delta):
-    best = None
-    best_face = None
-    for f in faces_f:
-        val = sum(a * b for a, b in zip(f, delta))
-        if best is None or val > best:
-            best = val
-            best_face = f
-    return best, best_face
+    """The largest f.delta over the faces, and the first face attaining it."""
+    vals = [sum(map(mul, f, delta)) for f in faces_f]
+    best = max(vals)
+    return best, faces_f[vals.index(best)]
 
 
 def _snap_positions(q_float, vertices, v0, p0, bound):
@@ -164,19 +172,15 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
         """Relative squared length mismatch at q, and its subgradient."""
         grad = {v: [0.0] * d for v in others}
         total = 0.0
-        for ei, (v, w) in enumerate(graph.edges):
-            delta = [a - b for a, b in zip(q[v], q[w])]
-            val, face = _float_norm_and_face(faces_f, delta)
-            res = val - lengths_f[ei]
+        for (v, w), length in zip(graph.edges, lengths_f):
+            val, face = _float_norm_and_face(faces_f, list(map(sub, q[v], q[w])))
+            res = val - length
             total += res * res
+            step = 2.0 * res
             if v in grad:
-                gv = grad[v]
-                for i in range(d):
-                    gv[i] += 2.0 * res * face[i]
+                grad[v] = [g + step * x for g, x in zip(grad[v], face)]
             if w in grad:
-                gw = grad[w]
-                for i in range(d):
-                    gw[i] -= 2.0 * res * face[i]
+                grad[w] = [g - step * x for g, x in zip(grad[w], face)]
         return total / scale2, grad
 
     for _ in range(params.restarts):

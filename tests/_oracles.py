@@ -5,10 +5,12 @@ from the library's algorithms: sparsity by explicit subset counting, the
 maximum sparse subset by exhaustive branch-and-bound over edge subsets,
 matrix rank and linear systems by plain Fraction elimination, edge lengths
 and active faces by the Fraction norm, pinned rows as dense Fraction rows
-scaled to coprime integers, and the global-rigidity search's leaf
+scaled to coprime integers, the global-rigidity search's leaf
 settlement along the plain Fraction route (unpin, per-edge norm, then the
 exact LP; only the simplex is the library's, so that witnesses can be
-compared).  Slow and simple on purpose.
+compared), congruence by the Fraction loop over the group matrices, the
+whole decision by enumerating every colouring in input order, and the
+greedy search order by its definition.  Slow and simple on purpose.
 """
 
 from fractions import Fraction
@@ -251,3 +253,85 @@ def reference_leaf_settlement(fw, lengths, phi):
         return None
     point = [x + sum(tj * k[i] for tj, k in zip(t, kernel)) for i, x in enumerate(particular)]
     return realisation(point, p0)
+
+
+def reference_congruence_check(fw, q):
+    """Congruence by the plain Fraction loop: every isometry matrix, with
+    the translation pinned by the first vertex, applied vertex by vertex."""
+    v0 = fw.graph.vertices[0]
+    p = fw.positions
+    q = {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices}
+    for T in fw.norm.isometry_group():
+        t = tuple(a - b for a, b in zip(q[v0], T.apply(p[v0])))
+        if all(q[v] == tuple(a + b for a, b in zip(T.apply(p[v]), t)) for v in fw.graph.vertices):
+            return True
+    return False
+
+
+def reference_decide(fw):
+    """Global rigidity by the plain enumeration of every colouring.
+
+    NotWellPositioned and NotRigid come from ``reference_edge_table`` and
+    the ``fraction_rank`` of the pinned induced rows.  Otherwise edges are
+    taken in input order and faces in face order, and a prefix whose
+    pinned system (the coprime rows of ``reference_pinned_row``, by
+    fraction-free elimination) is inconsistent is cut.  Every consistent
+    full colouring (a leaf) is settled by ``reference_leaf_settlement``,
+    and its point is a witness when ``reference_congruence_check`` rejects
+    it; no leaf is skipped, since the leaves isometric to the induced
+    colouring only hold congruent copies of a rigid framework.  Returns
+    (outcome, witness or None, leaves visited).
+    """
+    edges, faces = fw.graph.edges, fw.norm.faces
+    table = reference_edge_table(fw)
+    if any(len(active) != 1 for _, active in table):
+        return "NotWellPositioned", None, 0
+    lengths = [length for length, _ in table]
+    induced = [fraction_pinned_row(fw, e, active[0], length)[0] for e, (length, active) in zip(edges, table)]
+    if fraction_rank(induced) < fw.dim * (len(fw.graph.vertices) - 1):
+        return "NotRigid", None, 0
+    rows = [[reference_pinned_row(fw, e, f, length) for f in faces] for e, length in zip(edges, lengths)]
+    leaves = 0
+
+    def reduce(pivots, row):
+        """The echelon pivots (column, integer row) with the augmented row
+        added, by fraction-free elimination, or None when it reduces to
+        0 = nonzero."""
+        for col, prow in pivots:
+            if row[col]:
+                row = [x * prow[col] - y * row[col] for x, y in zip(row, prow)]
+        lead = next((i for i, x in enumerate(row[:-1]) if x), None)
+        if lead is None:
+            return None if row[-1] else pivots
+        g = gcd(*row)
+        return pivots + [(lead, [x // g for x in row])]
+
+    def walk(i, pivots, phi):
+        nonlocal leaves
+        if i == len(edges):
+            leaves += 1
+            q = reference_leaf_settlement(fw, lengths, phi)
+            return None if q is None or reference_congruence_check(fw, q) else q
+        for face, row in zip(faces, rows[i]):
+            reduced = reduce(pivots, row)
+            if reduced is not None:
+                q = walk(i + 1, reduced, phi + [face])
+                if q is not None:
+                    return q
+        return None
+
+    witness = walk(0, [], [])
+    return ("GloballyRigid" if witness is None else "NotGloballyRigid"), witness, leaves
+
+
+def reference_search_order(graph):
+    """The greedy edge order by its definition: from the first vertex,
+    repeatedly the edge with the most endpoints already touched, the
+    earliest in input order among ties."""
+    touched, left, order = {graph.vertices[0]}, list(range(len(graph.edges))), []
+    while left:
+        best = max(left, key=lambda i: (sum(v in touched for v in graph.edges[i]), -i))
+        left.remove(best)
+        order.append(best)
+        touched.update(graph.edges[best])
+    return order

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyrigid import (
     BUDGET_EXCEEDED,
@@ -38,6 +39,11 @@ def verify_witness(fw, verdict):
     assert q is not None
     assert edge_lengths(fw.with_positions(q)) == edge_lengths(fw)
     assert not congruence_check(fw, q)
+    # the certificate's colouring is in input edge order: active in q
+    phi = verdict.certificate["witness_colouring"]
+    assert len(phi) == len(fw.graph.edges)
+    for (v, w), face in zip(fw.graph.edges, phi):
+        assert face in fw.norm.active_faces([a - b for a, b in zip(q[v], q[w])])
 
 
 def test_isometric_colouring_examples(linf2):
@@ -392,11 +398,18 @@ def search_counts(verdict):
 
 
 def test_budget_cut_settles_the_leaf_first(octahedron):
-    # the 151st colouring is a leaf: it is solved before the budget bites
-    verdict = decide_global_rigidity(octahedron, budget=150)
+    # find a budget whose cut falls on a leaf (one more leaf than with a
+    # budget one lower): that leaf is solved before the budget bites
+    previous = decide_global_rigidity(octahedron, budget=99).certificate["leaves"]
+    for budget in range(100, 1000):
+        verdict = decide_global_rigidity(octahedron, budget=budget)
+        c = verdict.certificate
+        if c["leaves"] > previous:
+            break
+        previous = c["leaves"]
     assert verdict.outcome == BUDGET_EXCEEDED
-    c = verdict.certificate
-    assert c["colourings_examined"] == 151 == c["leaves"] + c["pruned_subtrees"]
+    assert c["leaves"] == previous + 1
+    assert c["colourings_examined"] == budget + 1 == c["leaves"] + c["pruned_subtrees"]
     assert c["lp_runs"] == c["leaves"] - c["isometric_skipped"]
 
 
@@ -420,15 +433,17 @@ def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
     verdict = decide_global_rigidity(k5)
     assert verdict.outcome == GLOBALLY_RIGID
     assert search_counts(verdict) == {
-        "colourings_examined": 55768, "leaves": 128, "pruned_subtrees": 55640,
-        "isometric_skipped": 8, "lp_runs": 120,
+        "colourings_examined": 11095, "leaves": 32, "pruned_subtrees": 11063,
+        "isometric_skipped": 2, "lp_runs": 30,
     }
+    # one first-edge face of the four: a quarter of the 128 consistent leaves
+    assert verdict.certificate["leaves"] * len(k5.norm.faces) == 128
     _, k4 = rigid_k4_linf2[0]
     verdict = decide_global_rigidity(k4)
     verify_witness(k4, verdict)
     assert search_counts(verdict) == {
-        "colourings_examined": 329, "leaves": 101, "pruned_subtrees": 228,
-        "isometric_skipped": 1, "lp_runs": 100,
+        "colourings_examined": 293, "leaves": 89, "pruned_subtrees": 204,
+        "isometric_skipped": 0, "lp_runs": 89,
     }
     from conftest import l1_image
 
@@ -436,8 +451,8 @@ def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
     verdict = decide_global_rigidity(k4_l1)
     verify_witness(k4_l1, verdict)
     assert search_counts(verdict) == {
-        "colourings_examined": 193, "leaves": 61, "pruned_subtrees": 132,
-        "isometric_skipped": 1, "lp_runs": 60,
+        "colourings_examined": 253, "leaves": 85, "pruned_subtrees": 168,
+        "isometric_skipped": 1, "lp_runs": 84,
     }
 
 
@@ -488,3 +503,84 @@ def test_integer_leaves_agree_with_fraction_reference(
         assert verdict.witness == reference.witness
         outcomes.add(verdict.outcome)
     assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID, BUDGET_EXCEEDED}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])))))
+def test_search_order_is_the_greedy_order(graph_spec):
+    # also on disconnected graphs, where an edge may touch nothing yet
+    from polyrigid.global_rigidity import _search_order
+    from _oracles import reference_search_order
+
+    n, edges = graph_spec
+    graph = Graph(range(n), edges)
+    order = _search_order(graph)
+    assert order == reference_search_order(graph)
+    assert sorted(order) == list(range(len(graph.edges)))
+
+
+def line_framework(n):
+    """K_n on the line at distinct rational points: globally rigid."""
+    g = complete_graph([f"v{i}" for i in range(n)])
+    return Framework(g, preset("linf", 1), {v: (Fraction(i * i + i, 3),) for i, v in enumerate(g.vertices)})
+
+
+def test_engine_agrees_with_plain_reference_enumeration(rigid_k4_linf2, rigid_k5_linf2, linf2):
+    # the reference tries every colouring in input order, with no orbit
+    # cut and no skip: for linf and l1 the group is transitive on the
+    # faces, so it meets |F| times the engine's leaves
+    from conftest import l1_image
+    from _oracles import reference_decide
+
+    k4s = [fw for _, fw in rigid_k4_linf2[:4]]
+    corpus = k4s + [l1_image(fw) for fw in k4s]
+    corpus += [fw for _, fw in rigid_k5_linf2[:2]] + [l1_image(rigid_k5_linf2[0][1])]
+    corpus += [line_framework(n) for n in (5, 6, 7)]
+    corpus.append(build_flexible_open(complete_graph(list("abcd")), linf2))
+    outcomes = set()
+    for fw in corpus:
+        verdict = decide_global_rigidity(fw)
+        outcome, _, leaves = reference_decide(fw)
+        assert verdict.outcome == outcome
+        outcomes.add(outcome)
+        if outcome == GLOBALLY_RIGID:
+            assert verdict.certificate["leaves"] * len(fw.norm.faces) == leaves
+        elif outcome == NOT_GLOBALLY_RIGID:
+            verify_witness(fw, verdict)
+    assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID, NOT_RIGID}
+
+
+def test_orbit_cut_and_split_with_two_face_orbits():
+    # the octagon's axis faces and diagonal faces form two orbits, so the
+    # first search edge keeps two faces and the workers split those two;
+    # every K4 here is refuted, by a witness each search re-verifies
+    from polyrigid import PolytopeNorm
+    from conftest import rigid_random_realisations
+
+    c = Fraction(3, 4)
+    octagon = PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (c, c), (-c, -c), (c, -c), (-c, c)])
+    for _, fw in rigid_random_realisations(complete_graph(list("abcd")), octagon, 3, denominator_bound=100):
+        verdict = decide_global_rigidity(fw)
+        parallel = decide_global_rigidity(fw, threads=8)
+        assert parallel.certificate["workers"] == 2
+        verify_witness(fw, verdict)
+        verify_witness(fw, parallel)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_edge_order_does_not_change_the_verdict(rigid_k4_linf2, rigid_k5_linf2, data):
+    # the search order is computed from the input order; shuffling the
+    # edge list may change the first witness, but not the outcome, and an
+    # exhaustive proof meets the same number of leaves
+    corpus = [fw for _, fw in rigid_k4_linf2[:3] + rigid_k5_linf2[:3]] + [line_framework(5), line_framework(6)]
+    fw = data.draw(st.sampled_from(corpus))
+    edges = data.draw(st.permutations(fw.graph.edges))
+    shuffled = Framework(Graph(fw.graph.vertices, edges), fw.norm, fw.positions)
+    verdict, again = decide_global_rigidity(fw), decide_global_rigidity(shuffled)
+    assert again.outcome == verdict.outcome
+    if verdict.outcome == GLOBALLY_RIGID:
+        assert again.certificate["leaves"] == verdict.certificate["leaves"]
+    else:
+        verify_witness(shuffled, again)

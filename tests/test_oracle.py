@@ -1,16 +1,23 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from polyrigid import (
     Framework,
     GLOBALLY_RIGID,
+    Graph,
+    PolytopeNorm,
     SearchParams,
     congruence_check,
     decide_global_rigidity,
     edge_lengths,
     numeric_witness_search,
     path_graph,
+    preset,
 )
 from polyrigid.framework import apply_isometry, translate
+
+from _oracles import reference_congruence_check
 
 
 def test_congruence_translation(octahedron):
@@ -69,3 +76,37 @@ def test_numeric_search_no_edges(linf2):
 
     fw = Framework(Graph(["a"]), linf2, {"a": (0, 0)})
     assert numeric_witness_search(fw, SearchParams(restarts=3, steps=3, seed=1)) is None
+
+
+# -- the integer congruence check against the Fraction loop ---------------
+
+CONGRUENCE_NORMS = [preset(k, d) for k in ("linf", "l1") for d in (1, 2, 3)] + [
+    PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 4), Fraction(3, 4)),
+                     (Fraction(-3, 4), Fraction(-3, 4)), (Fraction(3, 4), Fraction(-3, 4)),
+                     (Fraction(-3, 4), Fraction(3, 4))]),
+]
+coordinate = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_congruence_matches_fraction_loop(data):
+    # moved copies (an isometry plus a translation) are congruent; a nudge
+    # of one coordinate, or unrelated positions, must get the same answer
+    # from both; positions, translations and nudges mix denominators
+    norm = data.draw(st.sampled_from(CONGRUENCE_NORMS))
+    names = [f"v{i}" for i in range(data.draw(st.integers(1, 5)))]
+    point = st.tuples(*[coordinate] * norm.dim)
+    fw = Framework(Graph(names), norm, {v: data.draw(point) for v in names})
+    T = data.draw(st.sampled_from(norm.isometry_group()))
+    t = data.draw(point)
+    moved = {v: tuple(a + b for a, b in zip(T.apply(p), t)) for v, p in fw.positions.items()}
+    assert congruence_check(fw, moved) and reference_congruence_check(fw, moved)
+    nudged = dict(moved)
+    v = data.draw(st.sampled_from(names))
+    k = data.draw(st.integers(0, norm.dim - 1))
+    step = data.draw(st.fractions(min_value=-1, max_value=1, max_denominator=50))
+    nudged[v] = tuple(x + step * (i == k) for i, x in enumerate(moved[v]))
+    other = {v: data.draw(point) for v in names}
+    for q in (nudged, other):
+        assert congruence_check(fw, q) == reference_congruence_check(fw, q)
