@@ -44,6 +44,7 @@ from .framework import (
 )
 from .sparsity import (
     SparsityParams,
+    edges_in_circuits,
     fundamental_circuit,
     is_Mdd_connected,
     is_dd_redundant,

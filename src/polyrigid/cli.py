@@ -38,7 +38,7 @@ from .global_rigidity import (
 )
 from .norm import preset
 from .oracle import SearchParams, numeric_witness_search
-from .sparsity import SparsityParams, is_Mdd_connected, is_sparse, is_tight, pebble_rank
+from .sparsity import SparsityParams, edges_in_circuits, is_Mdd_connected, is_sparse, is_tight, pebble_rank
 from . import constructions
 
 
@@ -181,22 +181,19 @@ def cmd_sparsity(args):
     obj = ff.load_graph_or_framework(args.file)
     graph = obj.graph if hasattr(obj, "graph") else obj
     params = SparsityParams(args.d, args.k)
-    rank = pebble_rank(graph, params)
     results = {
         "d": args.d,
         "k": args.k,
         "vertex_count": len(graph.vertices),
         "edge_count": len(graph.edges),
-        "rank": rank,
+        "rank": pebble_rank(graph, params),
         "sparse": is_sparse(graph, params),
         "tight": is_tight(graph, params),
     }
     if params.matroidal:
-        per_edge = {}
-        for v, w in graph.edges:
-            reduced = pebble_rank(graph.without_edge(v, w), params)
-            per_edge[f"{v}--{w}"] = reduced == rank
-        results["edge_in_some_circuit"] = per_edge
+        results["edge_in_some_circuit"] = {
+            f"{v}--{w}": inside for (v, w), inside in zip(graph.edges, edges_in_circuits(graph, params))
+        }
     results["Mdd_connected"] = is_Mdd_connected(graph, args.d)
     input_doc = (
         ff.serialize_framework(obj)

@@ -158,18 +158,19 @@ def index_matrix(fw: Framework, phi):
 
 
 def pinned_rows(fw: Framework, lengths):
-    """The one builder of pinned rows: rows[e][i] is the augmented row
-    (pinned coefficients, then right-hand side) of f_i.(q(v) - q(w)) =
-    lengths[e] for the e-th edge vw and face index i.  The equation is
+    """The one builder of pinned rows: rows[e][i] is the sparse augmented
+    row (pinned coefficients, then the right-hand side at column
+    d(|V| - 1)) of f_i.(q(v) - q(w)) = lengths[e] for the e-th edge vw and
+    face index i, with at most 2d + 1 entries.  The equation is
     multiplied by D*M (the norm's denominator, and the common denominator
     of vertex 0's position and the lengths) and divided by its gcd, a
-    positive factor: at a pinned point x, row[:-1] . x <= row[-1] says the
-    face does not exceed the length."""
+    positive factor: at a pinned point x, the coefficients . x <= the
+    right-hand side says the face does not exceed the length."""
     d, graph = fw.dim, fw.graph
     p0 = fw.position(graph.vertices[0])
     scale = lcm(*(x.denominator for x in p0), *(x.denominator for x in lengths))
     p0 = [int(x * scale) for x in p0]
-    width = d * (len(graph.vertices) - 1) + 1
+    last = d * (len(graph.vertices) - 1)
     rows = []
     for (v, w), length in zip(graph.edges, lengths):
         ends = [(graph.index(v), 1), (graph.index(w), -1)]
@@ -178,11 +179,9 @@ def pinned_rows(fw: Framework, lengths):
         for f in fw.norm.int_faces:
             rhs = rhs0 - sum(sign * sum(map(mul, f, p0)) for i, sign in ends if i == 0)
             g = gcd(scale * gcd(*f), rhs)
-            row = [0] * width
-            for i, sign in ends:
-                if i:
-                    row[d * i - d:d * i] = [sign * scale * x // g for x in f]
-            row[-1] = rhs // g
+            row = {d * i - d + k: sign * scale * x // g for i, sign in ends if i for k, x in enumerate(f) if x}
+            if rhs:
+                row[last] = rhs // g
             per_face.append(row)
         rows.append(per_face)
     return rows
@@ -199,9 +198,7 @@ def unpin(fw: Framework, vec, origin=None):
     return q
 
 
-def rank_exact(matrix):
-    """Rank over the rationals (fraction-free elimination)."""
-    return mat_rank(matrix)
+rank_exact = mat_rank  # rank over the rationals
 
 
 def rigidity_matrix(fw: Framework):
@@ -230,17 +227,15 @@ def is_redundantly_rigid(fw: Framework):
     Deleting edge e removes one row of the matrix.  The matrix must have
     rank d|V| - d, and removing row e keeps that rank exactly when row e
     is a combination of the others, i.e. when some left-kernel vector is
-    nonzero on e.  The left kernel has dimension |E| - rank, so with
-    |E| = d|V| - d no edge can go.
+    nonzero on e.  The left kernel has dimension |E| - rank, so one
+    left-kernel basis gives the rank too; with |E| = d|V| - d no edge can
+    go.
     """
     rows = index_matrix(fw, _induced_indices(fw))
-    target = rigid_rank(fw)
     if not rows:
-        return target == 0
-    if rank_exact(rows) != target or len(rows) == target:
-        return False
+        return rigid_rank(fw) == 0
     left = left_kernel_basis(rows)
-    return all(any(z[e] != 0 for z in left) for e in range(len(rows)))
+    return len(rows) - len(left) == rigid_rank(fw) and all(any(z[e] for z in left) for e in range(len(rows)))
 
 
 def monochromatic_subgraphs(graph: Graph, phi):

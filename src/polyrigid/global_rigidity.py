@@ -55,7 +55,7 @@ from .framework import (
     zero_vector,
 )
 from .graph import Graph, is_2_connected
-from .linalg import IncrementalSystem, affine_point, dot, integerize_row
+from .linalg import IncrementalSystem, affine_point, dot, integerize_row, solve_affine
 from .sparsity import is_Mdd_connected
 
 GLOBALLY_RIGID = "GloballyRigid"
@@ -98,41 +98,34 @@ def is_isometric_colouring(phi, psi, group):
 
 
 def column_space_contains(rows, vec):
-    """Whether vec lies in the column space: augmenting keeps the rank."""
+    """Whether vec lies in the column space: rows x = vec is solvable."""
     if len(vec) != len(rows):
         raise ParameterError("vector length must match the row count")
-    base = rank_exact(rows)
-    augmented = [list(r) + [b] for r, b in zip(rows, vec)]
-    return rank_exact(augmented) == base
+    return solve_affine(rows, vec) is not None
 
 
-def _with_support(rows):
-    """Every pinned row beside its nonzero coefficient columns (at most 2d)."""
-    return [(row, [i for i, x in enumerate(row[:-1]) if x]) for per_face in rows for row in per_face]
-
-
-def _fits(row, support, X, D):
-    """row[:-1] . (X / D) <= row[-1], in integers (D > 0)."""
-    return sum(row[i] * X[i] for i in support) <= row[-1] * D
+def _level(row, vec):
+    """row . vec for a sparse row and a dense vector as wide as the system."""
+    return sum(y * vec[c] for c, y in row.items())
 
 
 def _settle_leaf(fw: Framework, lengths, rows, system):
     """An equivalent realisation on a consistent leaf's affine set, or None.
 
     ``system`` holds the leaf's pinned rows; ``rows`` are all (edge, face)
-    rows with their supports.  On the affine set phi(e).(q(v)-q(w)) =
-    length(e), so q is equivalent iff no face exceeds any length.  The
-    particular solution X / D is tested in integers; then a violated row
-    that annihilates the kernel is constant on the set and rules it out;
-    only then does the exact LP over the kernel coordinates run.
+    rows.  On the affine set phi(e).(q(v)-q(w)) = length(e), so q is
+    equivalent iff no face exceeds any length.  The particular solution
+    X / D is tested in integers, as row . (X, -D) <= 0; then a violated
+    row that annihilates the kernel is constant on the set and rules it
+    out; only then does the exact LP over the kernel coordinates run.
     """
     X, D = system.back_substitute()
-    if all(_fits(row, support, X, D) for row, support in rows):
+    point = X + [-D]
+    if all(_level(row, point) <= 0 for row in rows):
         return unpin(fw, [Fraction(x, D) for x in X])
-    kernel = [system.back_substitute(c)[0] for c in system.free_columns()]
+    kernel = [system.back_substitute(c)[0] + [0] for c in system.free_columns()]
     if not kernel or any(
-        not _fits(row, support, X, D) and not any(sum(row[i] * K[i] for i in support) for K in kernel)
-        for row, support in rows
+        _level(row, point) > 0 and not any(_level(row, K) for K in kernel) for row in rows
     ):
         return None
 
@@ -185,7 +178,7 @@ def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
     for per_face, i in zip(rows, phi):
         if not system.push(per_face[i])[0]:
             raise InconsistentSystemError("affine system of the colouring has no solution")
-    return _settle_leaf(fw, lengths, _with_support(rows), system)
+    return _settle_leaf(fw, lengths, [row for per_face in rows for row in per_face], system)
 
 
 class _BudgetHit(Exception):
@@ -237,7 +230,7 @@ def _search_slice(args):
     counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
     rows = pinned_rows(fw, lengths)
     options = [[(j, per_face[j]) for j in restrict.get(i, range(len(per_face)))] for i, per_face in enumerate(rows)]
-    rows = _with_support(rows)
+    rows = [row for per_face in rows for row in per_face]
 
     def check_budget():
         if budget is not None and counts["colourings_examined"] > budget:

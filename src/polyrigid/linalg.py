@@ -1,58 +1,44 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on plain lists of ``fractions.Fraction`` (or ints).
-Ranks are computed with fraction-free Bareiss elimination after clearing
-denominators row by row; solving and kernel extraction run the one
-incremental integer elimination, ``IncrementalSystem``, and back-substitute
-its echelon rows fraction-free.  No floating point anywhere.
+Matrices come in as plain lists of ``fractions.Fraction`` (or ints).  Every
+rank, solve and kernel runs the one incremental integer elimination,
+``IncrementalSystem``, on sparse rows: a row is a dict from column to
+nonzero int.  Solutions are back-substituted fraction-free.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+
+# a row is divided by its gcd once its leading entry exceeds this in size
+_NORMALIZE_ABOVE = 1 << 24
 
 
 def integerize_row(row):
-    """Scale a rational row to coprime integers (sign preserved).
+    """A rational row as a sparse row of coprime integers (sign preserved).
 
     Row scaling by a positive rational leaves rank, consistency and
-    solution sets of homogeneous comparisons unchanged.  Zeros are skipped.
+    solution sets of homogeneous comparisons unchanged.  Zeros are dropped.
     """
     scale = lcm(*(x.denominator for x in row if x))
-    ints = [x.numerator * (scale // x.denominator) if x else 0 for x in row]
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+    ints = {c: x.numerator * (scale // x.denominator) for c, x in enumerate(row) if x}
+    g = gcd(*ints.values())
+    return {c: v // g for c, v in ints.items()} if g > 1 else ints
 
 
 def mat_rank(rows):
-    """Rank of a rational matrix, via fraction-free (Bareiss) elimination."""
-    m = [integerize_row(r) for r in rows]
-    if not m:
+    """Rank of a rational matrix: the pivots left by pushing its rows."""
+    if not rows:
         return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            row_r, row_p = m[r], m[rank]
-            m[r] = [(p * row_r[c] - f * row_p[c]) // prev for c in range(ncols)]
-        prev = p
-        rank += 1
-        if rank == nrows:
+    width = len(rows[0])
+    system = IncrementalSystem(width, keylen=width)
+    for row in rows:
+        if len(system.pivots) == width:
             break
-    return rank
+        system.push(integerize_row(row))
+    return len(system.pivots)
 
 
 def kernel_basis(rows, ncols=None):
@@ -105,46 +91,52 @@ def affine_point(particular, kernel, t):
 class IncrementalSystem:
     """Row-by-row consistency tracking for an augmented system [A | b].
 
-    Rows are pushed (and popped, stack-wise) as integer sequences whose last
-    entry is the right-hand side.  ``push`` reduces the new row against the
-    pivot rows accumulated so far and reports whether the system stays
-    consistent.  Pivoting never touches earlier rows, so popping is O(1).
+    Rows are pushed (and popped, stack-wise) as sparse integer rows, dicts
+    from column to nonzero int, with the right-hand side at column
+    ``width - 1``.  ``push`` reduces the new row against the pivot rows
+    accumulated so far and reports whether the system stays consistent.
+    Pivoting never touches earlier rows, so popping is O(1).
 
     The same machine doubles as a relative-kernel checker: with ``keylen``
-    set, only the first ``keylen`` entries act as the coefficient part and
-    everything after is a check part that must vanish whenever the
-    coefficient part reduces to zero.
+    set, only the columns below ``keylen`` act as the coefficient part and
+    the columns from ``keylen`` on are a check part that must vanish
+    whenever the coefficient part reduces to zero.
     """
 
     def __init__(self, width, keylen=None):
         self.width = width
         self.keylen = width - 1 if keylen is None else keylen
-        self.pivots = {}  # lead column -> integer row
+        self.pivots = {}  # lead column -> sparse integer row
         self._trail = []  # lead columns added, for popping
 
     def _reduce(self, row):
-        keylen = self.keylen
-        start = 0
-        while True:
-            lead = None
-            for c in range(start, keylen):
-                if row[c] != 0:
-                    lead = c
-                    break
-            if lead is None:
-                return None, row
-            piv = self.pivots.get(lead)
+        """(lead, reduced row), lead None once the coefficient part is zero.
+        Each step builds a new dict, so pushed rows are never mutated."""
+        pivots, keylen = self.pivots, self.keylen
+        while row:
+            lead = min(row)
+            if lead >= keylen:
+                break
+            b = row[lead]
+            # entries grow by the leads they are multiplied with; dividing
+            # by the gcd only once the lead is large keeps the check O(1)
+            if not -_NORMALIZE_ABOVE <= b <= _NORMALIZE_ABOVE:
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {c: x // g for c, x in row.items()}
+                    b = row[lead]
+            piv = pivots.get(lead)
             if piv is None:
                 return lead, row
-            a, b = piv[lead], row[lead]
-            row = [a * x - b * y for x, y in zip(row, piv)]
-            # normalize only once entries grow; small-int arithmetic is the
-            # common case and gcd passes dominate otherwise
-            if max(map(abs, row)) > 0xFFFFFFFFFFFF:
-                g = gcd(*row)
-                if g > 1:
-                    row = [v // g for v in row]
-            start = lead + 1
+            a = piv[lead]
+            row = {c: a * x for c, x in row.items()}
+            for c, y in piv.items():
+                v = row.get(c, 0) - b * y
+                if v:
+                    row[c] = v
+                else:
+                    del row[c]
+        return None, row
 
     def free_columns(self):
         """The coefficient columns without a pivot."""
@@ -160,13 +152,13 @@ class IncrementalSystem:
         denominator.  Only valid when every pushed row reported consistent.
         """
         n = self.keylen
-        X, D = [0] * n, 1
+        X, D = [0] * self.width, 1  # entries from n on stay zero
         if free is not None:
             X[free] = 1  # stays equal to D
         with_rhs = free is None and self.width > n
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
-            s = (row[n] * D if with_rhs else 0) - sum(map(mul, row[lead + 1:n], X[lead + 1:n]))
+            s = (row.get(n, 0) * D if with_rhs else 0) - sum(y * X[c] for c, y in row.items())
             den = row[lead] * D
             g = gcd(s, den) if den > 0 else -gcd(s, den)
             num, den = s // g, den // g
@@ -175,7 +167,7 @@ class IncrementalSystem:
                 X = [x * grow for x in X]
                 D *= grow
             X[lead] = num * (D // den)
-        return X, D
+        return X[:n], D
 
     def solve(self):
         """Particular solution and kernel basis as Fractions: the view
@@ -185,12 +177,11 @@ class IncrementalSystem:
         return particular, kernel
 
     def push(self, row):
-        """Add a row; returns (consistent, pivot_added)."""
-        lead, reduced = self._reduce(list(row))
+        """Add a sparse row; returns (consistent, pivot_added)."""
+        lead, reduced = self._reduce(row)
         if lead is None:
-            ok = all(v == 0 for v in reduced[self.keylen:])
             self._trail.append(None)
-            return ok, False
+            return not reduced, False
         self.pivots[lead] = reduced
         self._trail.append(lead)
         return True, True
@@ -199,6 +190,3 @@ class IncrementalSystem:
         lead = self._trail.pop()
         if lead is not None:
             del self.pivots[lead]
-
-    def depth(self):
-        return len(self._trail)

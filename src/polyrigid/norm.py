@@ -17,7 +17,7 @@ from operator import mul
 
 from . import simplex
 from .errors import DimensionMismatchError, ParameterError
-from .linalg import dot, mat_rank
+from .linalg import IncrementalSystem, dot, integerize_row, mat_rank, solve_affine
 
 
 def as_vector(values, dim=None):
@@ -153,16 +153,16 @@ class PolytopeNorm:
         if self._group is not None:
             return self._group
         d, n, ints = self.dim, len(self.faces), self.int_faces
-        base = []
+        base, system = [], IncrementalSystem(d, keylen=d)
         for f in self.faces:
-            if mat_rank(base + [f]) > len(base):
+            if system.push(integerize_row(f))[1]:
                 base.append(f)
-            if len(base) == d:
-                break
+                if len(base) == d:
+                    break
+            else:
+                system.pop()
         # face f = sum_k c_k(f) B_k with c_k(f) = (column k of B^-1) . f, so the
         # transpose S of the candidate sending B_k to t_k maps f to sum_k c_k(f) t_k
-        from .linalg import solve_affine
-
         binv_cols = [solve_affine(base, [int(i == k) for i in range(d)])[0] for k in range(d)]
         coords = [[dot(col, f) for col in binv_cols] for f in self.faces]
         scale = lcm(*(c.denominator for row in coords for c in row))

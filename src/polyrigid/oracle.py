@@ -21,7 +21,7 @@ from math import lcm
 from operator import mul, sub
 
 from .framework import Framework, edge_lengths, pinned_rows, unpin
-from .linalg import affine_point, solve_affine
+from .linalg import IncrementalSystem, affine_point
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ def _exactify_via_colouring(fw, q_float, lengths):
         delta = [a - b for a, b in zip(q_float[v], q_float[w])]
         _, face_f = _float_norm_and_face(faces_f, delta)
         phi.append(faces_f.index(face_f))
-    rows = [per_face[i] for per_face, i in zip(pinned_rows(fw, lengths), phi)]
-    solved = solve_affine([r[:-1] for r in rows], [r[-1] for r in rows])
-    if solved is None:
-        return None
-    particular, kernel = solved
+    system = IncrementalSystem(fw.dim * (len(graph.vertices) - 1) + 1)
+    for per_face, i in zip(pinned_rows(fw, lengths), phi):
+        if not system.push(per_face[i])[0]:
+            return None
+    particular, kernel = system.solve()
 
     target = [x for v in graph.vertices[1:] for x in q_float[v]]
     resid = [t - float(x) for t, x in zip(target, particular)]

@@ -198,18 +198,18 @@ def is_tight(g: Graph, params: SparsityParams):
     return len(g.edges) == target and is_sparse(g, params)
 
 
-def is_dd_redundant(g: Graph, d: int):
-    """Every edge lies in a circuit of the (d,d)-sparsity matroid.
-
-    An edge is in some circuit of E exactly when removing it does not drop
-    the rank.
-    """
-    params = SparsityParams(d, d)
+def edges_in_circuits(g: Graph, params: SparsityParams):
+    """Per edge, in edge order, whether it lies in some circuit of E:
+    exactly when removing it does not drop the rank.  Lazy, so a caller
+    may stop at the first edge that lies in none."""
     full = pebble_rank(g, params)
     for v, w in g.edges:
-        if pebble_rank(g.without_edge(v, w), params) != full:
-            return False
-    return True
+        yield pebble_rank(g.without_edge(v, w), params) == full
+
+
+def is_dd_redundant(g: Graph, d: int):
+    """Every edge lies in a circuit of the (d,d)-sparsity matroid."""
+    return all(edges_in_circuits(g, SparsityParams(d, d)))
 
 
 def is_Mdd_connected(g: Graph, d: int):

@@ -82,6 +82,11 @@ def brute_force_max_sparse(graph, d, k):
     return best
 
 
+def sparse_row(row):
+    """A dense row in the library's sparse form: column -> nonzero entry."""
+    return {c: x for c, x in enumerate(row) if x}
+
+
 def fraction_rank(rows):
     """Rank by textbook Gauss elimination over Fraction."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -39,7 +39,7 @@ from polyrigid.framework import (
 from polyrigid.global_rigidity import apply_colouring
 from polyrigid.linalg import mat_vec
 
-from _oracles import fraction_rank, reference_edge_table, reference_pinned_row
+from _oracles import fraction_rank, reference_edge_table, reference_pinned_row, sparse_row
 
 
 def single_edge_framework(norm, pa, pb):
@@ -346,4 +346,4 @@ def test_integer_edge_table_and_pinned_rows_match_fraction_references(fw, data):
     for lengths in (edge_lengths(fw), others):
         rows = pinned_rows(fw, lengths)
         for per_face, edge, length in zip(rows, fw.graph.edges, lengths):
-            assert per_face == [reference_pinned_row(fw, edge, face, length) for face in faces]
+            assert per_face == [sparse_row(reference_pinned_row(fw, edge, face, length)) for face in faces]

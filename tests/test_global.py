@@ -32,6 +32,8 @@ from polyrigid import (
     randomize_realisation,
 )
 
+from _oracles import fraction_rank
+
 
 def verify_witness(fw, verdict):
     assert verdict.outcome == NOT_GLOBALLY_RIGID
@@ -71,6 +73,29 @@ def test_column_space_contains_lengths(octahedron):
     phi = induced_colouring(octahedron)
     rows = colouring_matrix(octahedron.graph, phi, 2)
     assert column_space_contains(rows, list(edge_lengths(octahedron)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.booleans(), st.data())
+def test_column_space_contains_matches_augmented_rank(nrows, ncols, consistent, data):
+    entry = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 5)])
+    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if consistent:
+        x0 = [data.draw(entry) for _ in range(ncols)]
+        vec = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        vec = [data.draw(entry) for _ in range(nrows)]
+    augmented = [row + [b] for row, b in zip(rows, vec)]
+    assert column_space_contains(rows, vec) == (fraction_rank(augmented) == fraction_rank(rows))
+
+
+def test_budget_cut_on_a_large_graph():
+    """k2d extended to 600 vertices (1,198 edges, rank 1,198): the rank and
+    a budgeted search both finish; no wall-clock bound is asserted."""
+    verdict = decide_global_rigidity(build_k2d(2, n=600), budget=400)
+    assert verdict.outcome == BUDGET_EXCEEDED
+    assert verdict.certificate["colourings_examined"] == 401
+    assert verdict.certificate["rank"] == verdict.certificate["rank_required"] == 1198
 
 
 def test_witness_lp_returns_input_on_induced_colouring(rigid_k4_linf2):

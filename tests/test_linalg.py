@@ -14,7 +14,7 @@ from polyrigid.linalg import (
     solve_affine,
 )
 
-from _oracles import fraction_rank, fraction_solve
+from _oracles import fraction_rank, fraction_solve, sparse_row
 
 small_fraction = st.fractions(
     min_value=-5, max_value=5, max_denominator=6
@@ -22,9 +22,9 @@ small_fraction = st.fractions(
 
 
 def test_integerize_row():
-    assert integerize_row([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-    assert integerize_row([Fraction(-2), Fraction(4)]) == [-1, 2]
-    assert integerize_row([0, 0]) == [0, 0]
+    assert integerize_row([Fraction(1, 2), Fraction(1, 3)]) == sparse_row([3, 2])
+    assert integerize_row([Fraction(-2), Fraction(4)]) == sparse_row([-1, 2])
+    assert integerize_row([0, 0]) == sparse_row([0, 0])
 
 
 def test_rank_basics():
@@ -36,14 +36,21 @@ def test_rank_basics():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(2, 5),
-    st.integers(2, 5),
+    st.integers(0, 7),
+    st.integers(1, 7),
     st.data(),
 )
 def test_rank_matches_plain_elimination(nrows, ncols, data):
-    rows = [
-        [data.draw(small_fraction) for _ in range(ncols)] for _ in range(nrows)
-    ]
+    # tall, wide and empty shapes; zero rows and repeated (scaled) rows
+    row = st.lists(small_fraction, min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    kinds = data.draw(st.lists(st.sampled_from(["drawn", "drawn", "zero", "repeat"]), min_size=nrows, max_size=nrows))
+    for i, kind in enumerate(kinds):
+        if kind == "zero":
+            rows[i] = [Fraction(0)] * ncols
+        elif kind == "repeat" and i:
+            scale = data.draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            rows[i] = [scale * x for x in rows[data.draw(st.integers(0, i - 1))]]
     assert mat_rank(rows) == fraction_rank(rows)
 
 
@@ -82,26 +89,26 @@ def test_kernels():
 def test_incremental_system_consistency_tracking():
     # x + y = 2; x - y = 0; their sum forces 2x = 2, so x + 0y = 3 clashes
     sys_ = IncrementalSystem(3)
-    ok, _ = sys_.push([1, 1, 2])
+    ok, _ = sys_.push(sparse_row([1, 1, 2]))
     assert ok
-    ok, _ = sys_.push([1, -1, 0])
+    ok, _ = sys_.push(sparse_row([1, -1, 0]))
     assert ok
-    ok, added = sys_.push([1, 0, 3])
+    ok, added = sys_.push(sparse_row([1, 0, 3]))
     assert not ok and not added
     sys_.pop()
-    ok, _ = sys_.push([1, 0, 1])  # consistent with x = y = 1
+    ok, _ = sys_.push(sparse_row([1, 0, 1]))  # consistent with x = y = 1
     assert ok
 
 
 def test_incremental_system_pop_restores_state():
     sys_ = IncrementalSystem(3)
-    sys_.push([1, 0, 1])
-    depth = sys_.depth()
-    ok, _ = sys_.push([1, 0, 2])  # contradicts
+    sys_.push(sparse_row([1, 0, 1]))
+    pivots = dict(sys_.pivots)
+    ok, _ = sys_.push(sparse_row([1, 0, 2]))  # contradicts
     assert not ok
     sys_.pop()
-    assert sys_.depth() == depth
-    ok, _ = sys_.push([0, 1, 5])
+    assert sys_.pivots == pivots
+    ok, _ = sys_.push(sparse_row([0, 1, 5]))
     assert ok
 
 
@@ -110,7 +117,7 @@ def test_incremental_solve_matches_solve_affine():
     rhs = [4, 6]
     sys_ = IncrementalSystem(4)
     for r, b in zip(rows, rhs):
-        ok, _ = sys_.push(r + [b])
+        ok, _ = sys_.push(sparse_row(r + [b]))
         assert ok
     particular, kernel = sys_.solve()
     assert mat_vec(rows, particular) == [Fraction(4), Fraction(6)]

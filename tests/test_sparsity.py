@@ -7,6 +7,7 @@ from polyrigid import (
     ParameterError,
     SparsityParams,
     complete_graph,
+    edges_in_circuits,
     fundamental_circuit,
     is_2_connected,
     is_Mdd_connected,
@@ -156,6 +157,18 @@ def test_fundamental_circuit_disjoint_union():
     params = SparsityParams(2, 2)
     assert fundamental_circuit(g, params, (k4[0], k4[1])) is None
     assert fundamental_circuit(g, params, (k5[0], k5[1])) is not None
+
+
+def test_edges_in_circuits_match_fundamental_circuits():
+    rng = random.Random(5)
+    vertices = list("abcdef")
+    graphs = [double_banana(), complete_graph(list("abcde"))]
+    for _ in range(10):
+        graphs.append(Graph(vertices, [(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1:] if rng.random() < 0.6]))
+    for g in graphs:
+        for params in (SparsityParams(2, 2), SparsityParams(2, 3), SparsityParams(1, 1)):
+            expected = [fundamental_circuit(g, params, e) is not None for e in g.edges]
+            assert list(edges_in_circuits(g, params)) == expected
 
 
 def test_max_sparse_subset_is_basis():
