@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .errors import ParameterError, PolyrigidError
@@ -101,25 +102,17 @@ def _verdict_to_json(fw, verdict):
     return doc
 
 
-def _env_threads():
-    """The --threads default: POLYRIGID_THREADS, else 1; None when the
-    variable is not a positive integer (reported by the global command)."""
-    try:
-        threads = int(os.environ.get("POLYRIGID_THREADS", "1"))
-    except ValueError:
-        return None
-    return threads if threads >= 1 else None
-
-
 def _check_limits(args):
-    """Usage errors in the global command's worker count and budget."""
+    """Usage errors in the global command's worker count and budget; without
+    --threads, POLYRIGID_THREADS (else 1) is read anew into args.threads."""
     if args.threads is None:
-        raw = os.environ["POLYRIGID_THREADS"]
+        raw = os.environ.get("POLYRIGID_THREADS", "1")
         try:
-            int(raw)
+            args.threads = int(raw)
         except ValueError:
             raise ParameterError(f"POLYRIGID_THREADS must be an integer, got {raw!r}") from None
-        raise ParameterError(f"POLYRIGID_THREADS must be at least 1, got {raw!r}")
+        if args.threads < 1:
+            raise ParameterError(f"POLYRIGID_THREADS must be at least 1, got {raw!r}")
     if args.threads < 1:
         raise ParameterError(f"--threads must be at least 1, got {args.threads}")
     if args.budget is not None and args.budget < 0:
@@ -261,7 +254,9 @@ def cmd_witness(args):
     return _report("witness", ff.serialize_framework(fw), results, meta)
 
 
+@cache
 def build_parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="polyrigid",
         description="Exact rigidity and global rigidity analysis of bar-joint "
@@ -278,7 +273,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None,
                    help="max colourings to examine before giving up (0 cuts at the first)")
-    p.add_argument("--threads", type=int, default=_env_threads())
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--assume-generic", action="store_true",
                    help="report only the generic fast-path verdicts")
     p.add_argument("--strict", action="store_true",

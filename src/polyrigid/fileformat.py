@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 
 from .errors import FrameworkFileError
 from .framework import Framework
@@ -41,9 +42,13 @@ def _require(data, key, where):
     return data[key]
 
 
+# one norm per (preset, dim) for the process, facet check and group paid once
+_shared_preset = cache(preset)
+
+
 def parse_norm(spec, dim):
     if spec == "linf" or spec == "l1":
-        return preset(spec, dim)
+        return _shared_preset(spec, dim)
     if isinstance(spec, dict) and "faces" in spec:
         faces = [
             [parse_rational(x, f"norm.faces[{i}]") for x in face]

@@ -53,7 +53,9 @@ class PolytopeNorm:
 
     The face set must be symmetric (F = -F), span the space, and be
     minimal; a normal that never uniquely attains the maximum describes no
-    facet and is rejected rather than silently dropped.
+    facet and is rejected rather than silently dropped.  A norm is immutable
+    after construction, apart from its lazily filled group cache, and so
+    safe to share between frameworks.
     """
 
     def __init__(self, dim, faces):

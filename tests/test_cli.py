@@ -14,6 +14,7 @@ from polyrigid.fileformat import (
     serialize_framework,
 )
 from polyrigid.errors import FrameworkFileError
+from polyrigid.norm import preset
 
 from fractions import Fraction
 
@@ -64,6 +65,30 @@ def test_custom_norm_round_trip():
     assert len(fw.norm.faces) == 4
     out = serialize_framework(fw)
     assert out["norm"] == {"faces": [["1", "0"], ["-1", "0"], ["1", "1"], ["-1", "-1"]]}
+
+
+def test_loader_shares_one_norm_per_preset(tmp_path):
+    doc = serialize_framework(build_octahedron())
+    first = load_framework(write(tmp_path / "a.json", doc))
+    doc["positions"]["v1"] = ["5", "7/2"]
+    second = load_framework(write(tmp_path / "b.json", doc))
+    assert first.norm is second.norm
+    l1_doc = dict(doc, norm="l1")
+    l1_norm = load_framework(write(tmp_path / "c.json", l1_doc)).norm
+    assert l1_norm is not first.norm
+    for norm, kind in ((first.norm, "linf"), (l1_norm, "l1")):
+        assert norm.face_permutations() == preset(kind, 2).face_permutations()
+    # the library constructor still returns a fresh norm on every call
+    assert preset("linf", 2) is not preset("linf", 2)
+
+
+def test_invalid_custom_norm_fails_on_every_load(tmp_path):
+    doc = serialize_framework(build_octahedron())
+    doc["norm"] = {"faces": [["1", "0"], ["-1", "0"], ["0", "1"]]}  # not symmetric
+    path = write(tmp_path / "bad.json", doc)
+    for _ in range(2):
+        with pytest.raises(FrameworkFileError, match="norm.faces"):
+            load_framework(path)
 
 
 def test_parse_errors_are_diagnostic():
@@ -275,15 +300,34 @@ def test_cli_np_gadget_requires_seed_file():
     assert run_cli("generate", "np-gadget", "--d", "2") == 2
 
 
-def test_threads_env_default(monkeypatch):
-    from polyrigid.cli import build_parser
+def global_meta(tmp_path, fw_path):
+    report_path = tmp_path / "g.json"
+    assert run_cli("global", str(fw_path), "--assume-generic", "--out", str(report_path)) == 0
+    return json.loads(report_path.read_text())["meta"]
 
+
+def test_threads_env_default(monkeypatch, tmp_path):
+    fw_path = tmp_path / "oct.json"
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
     monkeypatch.setenv("POLYRIGID_THREADS", "3")
-    args = build_parser().parse_args(["global", "x.json"])
-    assert args.threads == 3
+    assert global_meta(tmp_path, fw_path)["threads"] == 3
     monkeypatch.delenv("POLYRIGID_THREADS")
-    args = build_parser().parse_args(["global", "x.json"])
-    assert args.threads == 1
+    assert global_meta(tmp_path, fw_path)["threads"] == 1
+
+
+def test_threads_env_is_read_on_every_call(monkeypatch, tmp_path, capsys):
+    # the parser is built once per process; its --threads default must not
+    # freeze the variable's value at the first call
+    fw_path = tmp_path / "oct.json"
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
+    monkeypatch.setenv("POLYRIGID_THREADS", "2")
+    assert global_meta(tmp_path, fw_path)["threads"] == 2
+    monkeypatch.setenv("POLYRIGID_THREADS", "abc")
+    capsys.readouterr()
+    assert run_cli("global", str(fw_path), "--assume-generic") == 2
+    assert capsys.readouterr().err == "error: POLYRIGID_THREADS must be an integer, got 'abc'\n"
+    monkeypatch.delenv("POLYRIGID_THREADS")
+    assert global_meta(tmp_path, fw_path)["threads"] == 1
 
 
 def test_bad_threads_env_is_a_usage_error(monkeypatch, tmp_path, capsys):

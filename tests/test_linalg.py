@@ -16,9 +16,18 @@ from polyrigid.linalg import (
 
 from _oracles import fraction_rank, fraction_solve, sparse_row
 
-small_fraction = st.fractions(
-    min_value=-5, max_value=5, max_denominator=6
-)
+# the values of st.fractions(min_value=-5, max_value=5, max_denominator=6),
+# simplest first (Hypothesis shrinks towards the front); that strategy's
+# flat-mapped draw of each entry costs far more than the code under test
+small_fraction = st.sampled_from(sorted(
+    {Fraction(p, q) for q in range(1, 7) for p in range(-5 * q, 5 * q + 1)},
+    key=lambda x: (x.denominator, abs(x), x < 0),
+))
+
+
+def vectors(elements, size):
+    # whole rows and matrices in one draw, not one data.draw per entry
+    return st.lists(elements, min_size=size, max_size=size)
 
 
 def test_integerize_row():
@@ -42,8 +51,7 @@ def test_rank_basics():
 )
 def test_rank_matches_plain_elimination(nrows, ncols, data):
     # tall, wide and empty shapes; zero rows and repeated (scaled) rows
-    row = st.lists(small_fraction, min_size=ncols, max_size=ncols)
-    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    rows = data.draw(vectors(vectors(small_fraction, ncols), nrows))
     kinds = data.draw(st.lists(st.sampled_from(["drawn", "drawn", "zero", "repeat"]), min_size=nrows, max_size=nrows))
     for i, kind in enumerate(kinds):
         if kind == "zero":
@@ -57,10 +65,8 @@ def test_rank_matches_plain_elimination(nrows, ncols, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 4), st.integers(2, 4), st.data())
 def test_solve_affine_solution_and_kernel(nrows, ncols, data):
-    rows = [
-        [data.draw(small_fraction) for _ in range(ncols)] for _ in range(nrows)
-    ]
-    x0 = [data.draw(small_fraction) for _ in range(ncols)]
+    rows = data.draw(vectors(vectors(small_fraction, ncols), nrows))
+    x0 = data.draw(vectors(small_fraction, ncols))
     rhs = mat_vec(rows, x0)  # consistent by construction
     solved = solve_affine(rows, rhs)
     assert solved is not None
@@ -130,11 +136,11 @@ def test_incremental_solve_matches_solve_affine():
 def test_back_substitution_matches_fraction_elimination(nrows, ncols, consistent, data):
     # a few distinct small values and repeated rows make rank deficiency common
     entry = st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 5)])
-    rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    rows = data.draw(vectors(vectors(entry, ncols), nrows))
     if nrows > 1 and data.draw(st.booleans()):
         rows[-1] = [2 * x for x in rows[0]]
-    x0 = [data.draw(small_fraction) for _ in range(ncols)]
-    rhs = mat_vec(rows, x0) if consistent else [data.draw(small_fraction) for _ in rows]
+    x0 = data.draw(vectors(small_fraction, ncols))
+    rhs = mat_vec(rows, x0) if consistent else data.draw(vectors(small_fraction, nrows))
     reference = fraction_solve(rows, rhs)
 
     system = IncrementalSystem(ncols + 1)
