@@ -185,7 +185,7 @@ class _BudgetHit(Exception):
     pass
 
 
-def _consistent_leaves(system, options, on_cut):
+def _consistent_leaves(system, options, on_cut, faces=None):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
     ``options[i]`` lists the (face index, integer row) choices for edge i.
@@ -193,10 +193,30 @@ def _consistent_leaves(system, options, on_cut):
     cuts the whole subtree below that prefix and is reported to
     ``on_cut``.  Every consistent full colouring is yielded as a tuple of
     face indices while its rows are still pushed, so the caller can solve
-    the system there.
-    An empty edge list yields nothing.
-    """
-    m = len(options)
+    the system there.  An empty edge list yields nothing.
+
+    With ``faces``, each edge's rows for every face (coef . x <= rhs),
+    opening edge i reduces all of edge i's rows against the prefix (edge
+    0 opens plainly: no row is constant on the whole space).  A constant
+    row with a negative right-hand side is violated on the prefix's whole
+    affine set, so at every leaf below (``_settle_leaf`` rejects them
+    all): each option of edge i goes to ``on_cut`` instead.  Else the
+    options are pushed from their reduced rows.  Leaves keep their order,
+    so the first witness is unchanged; p's own colouring meets every row
+    and is never cut; all faces are read, not a worker slice's options,
+    so slices cut where the serial walk does."""
+
+    def opened(i):
+        if faces is None:
+            return iter(options[i])
+        reduced = [system.reduce(row) for row in faces[i]]
+        if any(lead is None and row.get(rhs, 0) < 0 for lead, row in reduced):
+            for _ in options[i]:
+                on_cut()
+            return None
+        return iter([(j, reduced[j][1]) for j, _ in options[i]])
+
+    m, rhs = len(options), system.width - 1
     assign = [None] * m
     stack = [iter(options[0])] if m else []
     while stack:
@@ -208,10 +228,11 @@ def _consistent_leaves(system, options, on_cut):
                 on_cut()
                 continue
             assign[i] = face
-            if i + 1 < m:
-                stack.append(iter(options[i + 1]))
+            if i + 1 == m:
+                yield tuple(assign)
+            elif (below := opened(i + 1)) is not None:
+                stack.append(below)
                 break
-            yield tuple(assign)
             system.pop()
         else:
             stack.pop()
@@ -230,7 +251,7 @@ def _search_slice(args):
     counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
     rows = pinned_rows(fw, lengths)
     options = [[(j, per_face[j]) for j in restrict.get(i, range(len(per_face)))] for i, per_face in enumerate(rows)]
-    rows = [row for per_face in rows for row in per_face]
+    faces, rows = rows, [row for per_face in rows for row in per_face]
 
     def check_budget():
         if budget is not None and counts["colourings_examined"] > budget:
@@ -243,7 +264,7 @@ def _search_slice(args):
 
     system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
     try:
-        for phi in _consistent_leaves(system, options, cut):
+        for phi in _consistent_leaves(system, options, cut, faces):
             counts["leaves"] += 1
             counts["colourings_examined"] += 1
             if phi in iso_set:

@@ -109,9 +109,11 @@ class IncrementalSystem:
         self.pivots = {}  # lead column -> sparse integer row
         self._trail = []  # lead columns added, for popping
 
-    def _reduce(self, row):
+    def reduce(self, row):
         """(lead, reduced row), lead None once the coefficient part is zero.
-        Each step builds a new dict, so pushed rows are never mutated."""
+        The row is a positive multiple of the input minus pivot rows, so a
+        constant row's right-hand side is negative exactly when coef . x >
+        rhs at every solution x.  New dicts: pushed rows are never mutated."""
         pivots, keylen = self.pivots, self.keylen
         while row:
             lead = min(row)
@@ -129,6 +131,8 @@ class IncrementalSystem:
             if piv is None:
                 return lead, row
             a = piv[lead]
+            if a < 0:  # scale by |a|: the input's multiplier stays positive
+                a, b = -a, -b
             row = {c: a * x for c, x in row.items()}
             for c, y in piv.items():
                 v = row.get(c, 0) - b * y
@@ -178,7 +182,7 @@ class IncrementalSystem:
 
     def push(self, row):
         """Add a sparse row; returns (consistent, pivot_added)."""
-        lead, reduced = self._reduce(row)
+        lead, reduced = self.reduce(row)
         if lead is None:
             self._trail.append(None)
             return not reduced, False

@@ -454,32 +454,37 @@ def test_deep_graph_gives_budget_exceeded_not_recursion_error():
     assert verdict.certificate["colourings_examined"] == 201
 
 
+def decide_without_lookahead(fw, **kwargs):
+    """decide_global_rigidity with the walk's look-ahead off: the face rows
+    are dropped, so only an inconsistent push cuts a prefix."""
+    from polyrigid import global_rigidity as gr
+
+    walk = gr._consistent_leaves
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gr, "_consistent_leaves", lambda system, options, on_cut, faces=None: walk(system, options, on_cut))
+        return decide_global_rigidity(fw, **kwargs)
+
+
 def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
-    _, k5 = rigid_k5_linf2[0]
-    verdict = decide_global_rigidity(k5)
-    assert verdict.outcome == GLOBALLY_RIGID
-    assert search_counts(verdict) == {
-        "colourings_examined": 11095, "leaves": 32, "pruned_subtrees": 11063,
-        "isometric_skipped": 2, "lp_runs": 30,
-    }
-    # one first-edge face of the four: a quarter of the 128 consistent leaves
-    assert verdict.certificate["leaves"] * len(k5.norm.faces) == 128
-    _, k4 = rigid_k4_linf2[0]
-    verdict = decide_global_rigidity(k4)
-    verify_witness(k4, verdict)
-    assert search_counts(verdict) == {
-        "colourings_examined": 293, "leaves": 89, "pruned_subtrees": 204,
-        "isometric_skipped": 0, "lp_runs": 89,
-    }
+    # per instance, the counts with the look-ahead and without it
     from conftest import l1_image
 
+    _, k5 = rigid_k5_linf2[0]
+    _, k4 = rigid_k4_linf2[0]
     k4_l1 = l1_image(k4)
-    verdict = decide_global_rigidity(k4_l1)
-    verify_witness(k4_l1, verdict)
-    assert search_counts(verdict) == {
-        "colourings_examined": 253, "leaves": 85, "pruned_subtrees": 168,
-        "isometric_skipped": 1, "lp_runs": 84,
-    }
+    pins = [
+        (k5, GLOBALLY_RIGID, (3145, 16, 3129, 2, 14), (11095, 32, 11063, 2, 30)),
+        (k4, NOT_GLOBALLY_RIGID, (167, 33, 134, 0, 33), (293, 89, 204, 0, 89)),
+        (k4_l1, NOT_GLOBALLY_RIGID, (199, 37, 162, 1, 36), (253, 85, 168, 1, 84)),
+    ]
+    for fw, outcome, lookahead, plain in pins:
+        for verdict, counts in ((decide_global_rigidity(fw), lookahead), (decide_without_lookahead(fw), plain)):
+            assert verdict.outcome == outcome
+            if outcome == NOT_GLOBALLY_RIGID:
+                verify_witness(fw, verdict)
+            assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, counts))
+    # one first-edge face of the four: a quarter of the 128 consistent leaves
+    assert decide_without_lookahead(k5).certificate["leaves"] * len(k5.norm.faces) == 128
 
 
 def decide_with_reference_leaves(fw, budget, monkeypatch):
@@ -492,8 +497,8 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
     enumerate_leaves = gr._consistent_leaves
     faces = fw.norm.faces
 
-    def recording(system, options, on_cut):
-        for phi in enumerate_leaves(system, options, on_cut):
+    def recording(system, options, on_cut, face_rows=None):
+        for phi in enumerate_leaves(system, options, on_cut, face_rows):
             current["phi"] = tuple(faces[i] for i in phi)  # leaves come as face indices
             yield phi
 
@@ -555,7 +560,8 @@ def line_framework(n):
 def test_engine_agrees_with_plain_reference_enumeration(rigid_k4_linf2, rigid_k5_linf2, linf2):
     # the reference tries every colouring in input order, with no orbit
     # cut and no skip: for linf and l1 the group is transitive on the
-    # faces, so it meets |F| times the engine's leaves
+    # faces, so it meets |F| times the leaves of the engine without its
+    # look-ahead; with it, outcomes agree and witnesses verify
     from conftest import l1_image
     from _oracles import reference_decide
 
@@ -566,27 +572,34 @@ def test_engine_agrees_with_plain_reference_enumeration(rigid_k4_linf2, rigid_k5
     corpus.append(build_flexible_open(complete_graph(list("abcd")), linf2))
     outcomes = set()
     for fw in corpus:
-        verdict = decide_global_rigidity(fw)
+        verdict, plain = decide_global_rigidity(fw), decide_without_lookahead(fw)
         outcome, _, leaves = reference_decide(fw)
-        assert verdict.outcome == outcome
+        assert verdict.outcome == plain.outcome == outcome
         outcomes.add(outcome)
         if outcome == GLOBALLY_RIGID:
-            assert verdict.certificate["leaves"] * len(fw.norm.faces) == leaves
+            assert plain.certificate["leaves"] * len(fw.norm.faces) == leaves
         elif outcome == NOT_GLOBALLY_RIGID:
             verify_witness(fw, verdict)
+            verify_witness(fw, plain)
     assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID, NOT_RIGID}
 
 
-def test_orbit_cut_and_split_with_two_face_orbits():
-    # the octagon's axis faces and diagonal faces form two orbits, so the
-    # first search edge keeps two faces and the workers split those two;
-    # every K4 here is refuted, by a witness each search re-verifies
+def octagon_k4s(count):
+    """Rigid K4s in an octagon norm: axis faces and diagonal faces form two
+    orbits of its isometry group."""
     from polyrigid import PolytopeNorm
     from conftest import rigid_random_realisations
 
     c = Fraction(3, 4)
     octagon = PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (c, c), (-c, -c), (c, -c), (-c, c)])
-    for _, fw in rigid_random_realisations(complete_graph(list("abcd")), octagon, 3, denominator_bound=100):
+    return [fw for _, fw in rigid_random_realisations(complete_graph(list("abcd")), octagon, count, denominator_bound=100)]
+
+
+def test_orbit_cut_and_split_with_two_face_orbits():
+    # the octagon's two face orbits leave the first search edge two faces,
+    # and the workers split those two; every K4 here is refuted, by a
+    # witness each search re-verifies
+    for fw in octagon_k4s(3):
         verdict = decide_global_rigidity(fw)
         parallel = decide_global_rigidity(fw, threads=8)
         assert parallel.certificate["workers"] == 2
@@ -599,14 +612,89 @@ def test_orbit_cut_and_split_with_two_face_orbits():
 def test_edge_order_does_not_change_the_verdict(rigid_k4_linf2, rigid_k5_linf2, data):
     # the search order is computed from the input order; shuffling the
     # edge list may change the first witness, but not the outcome, and an
-    # exhaustive proof meets the same number of leaves
+    # exhaustive proof without the look-ahead meets the same number of
+    # leaves (the look-ahead's cuts depend on the order)
     corpus = [fw for _, fw in rigid_k4_linf2[:3] + rigid_k5_linf2[:3]] + [line_framework(5), line_framework(6)]
     fw = data.draw(st.sampled_from(corpus))
     edges = data.draw(st.permutations(fw.graph.edges))
     shuffled = Framework(Graph(fw.graph.vertices, edges), fw.norm, fw.positions)
     verdict, again = decide_global_rigidity(fw), decide_global_rigidity(shuffled)
-    assert again.outcome == verdict.outcome
+    plain, plain_again = decide_without_lookahead(fw), decide_without_lookahead(shuffled)
+    assert again.outcome == verdict.outcome == plain.outcome == plain_again.outcome
     if verdict.outcome == GLOBALLY_RIGID:
-        assert again.certificate["leaves"] == verdict.certificate["leaves"]
+        assert plain_again.certificate["leaves"] == plain.certificate["leaves"]
     else:
         verify_witness(shuffled, again)
+        verify_witness(shuffled, plain_again)
+
+
+def recorded_search(fw, lookahead):
+    """decide_global_rigidity, serially, with the look-ahead on or off:
+    (verdict, the leaves the walk yields in order as face-index tuples,
+    the search's framework and lengths, both in search edge order)."""
+    from polyrigid import global_rigidity as gr
+
+    walk, search = gr._consistent_leaves, gr._search_slice
+    leaves, jobs = [], []
+
+    def recording(system, options, on_cut, face_rows=None):
+        for phi in walk(system, options, on_cut, face_rows if lookahead else None):
+            leaves.append(phi)
+            yield phi
+
+    def capturing(job):
+        jobs.append(job)
+        return search(job)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gr, "_consistent_leaves", recording)
+        m.setattr(gr, "_search_slice", capturing)
+        verdict = decide_global_rigidity(fw)
+    (search_fw, lengths, *_), = jobs
+    return verdict, leaves, search_fw, lengths
+
+
+@pytest.mark.slow
+def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf2, rigid_k5_linf2):
+    # the look-ahead cuts a prefix on which some face of the next edge is
+    # exceeded everywhere: the leaves it drops must all settle to None by
+    # the plain Fraction route, and the rest keep their order and answer
+    from conftest import l1_image
+    from _oracles import reference_leaf_settlement
+
+    corpus = [fw for _, fw in rigid_k4_linf2[:3] + rigid_k5_linf2[:2]]
+    corpus += [l1_image(fw) for fw in corpus] + [octahedron]
+    corpus += [line_framework(n) for n in (5, 6, 7)] + octagon_k4s(2)
+    outcomes, dropped = set(), 0
+    for fw in corpus:
+        verdict, leaves, search_fw, lengths = recorded_search(fw, lookahead=True)
+        plain, plain_leaves, _, _ = recorded_search(fw, lookahead=False)
+        assert verdict.outcome == plain.outcome
+        assert verdict.witness == plain.witness
+        assert verdict.certificate.get("witness_colouring") == plain.certificate.get("witness_colouring")
+        walk = iter(plain_leaves)
+        assert all(leaf in walk for leaf in leaves)  # an ordered subsequence
+        kept, faces = set(leaves), fw.norm.faces
+        for leaf in plain_leaves:
+            if leaf not in kept:
+                dropped += 1
+                assert reference_leaf_settlement(search_fw, lengths, [faces[j] for j in leaf]) is None
+        outcomes.add(verdict.outcome)
+    assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID}
+    assert dropped > 0
+
+
+def test_worker_slices_sum_to_the_serial_counts(octahedron, rigid_k5_linf2):
+    # the look-ahead reads every face of the next edge, not only a slice's
+    # options, so the workers cut where the serial search does
+    from conftest import l1_image
+
+    _, k5 = rigid_k5_linf2[0]
+    for fw in (octahedron, k5, l1_image(k5)):
+        serial = decide_global_rigidity(fw)
+        assert serial.outcome == GLOBALLY_RIGID
+        for threads in (2, 4):
+            parallel = decide_global_rigidity(fw, threads=threads)
+            assert parallel.outcome == serial.outcome
+            assert parallel.certificate["workers"] == threads
+            assert search_counts(parallel) == search_counts(serial)

@@ -160,5 +160,34 @@ def test_back_substitution_matches_fraction_elimination(nrows, ncols, consistent
     assert solve_affine(rows, rhs) == (particular, kernel)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_reduce_signs_a_constant_row_by_its_gap(nrows, ncols, data):
+    # a row whose coefficients are a combination of the pushed rows is
+    # constant on their solutions: it reduces to lead None, with its
+    # right-hand side of the sign of rhs - coef . x; adding a kernel
+    # vector takes the coefficients out of the row space, and gives a lead
+    entry = st.sampled_from([Fraction(0)] * 2 + [Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 5)])
+    rows = data.draw(vectors(vectors(entry, ncols), nrows))
+    x0 = data.draw(vectors(small_fraction, ncols))
+    rhs = mat_vec(rows, x0)
+    particular, kernel, _ = fraction_solve(rows, rhs)
+    system = IncrementalSystem(ncols + 1)
+    assert all(system.push(integerize_row(r + [b]))[0] for r, b in zip(rows, rhs))
+
+    weights = data.draw(vectors(small_fraction, nrows))
+    coef = [dot(weights, col) for col in zip(*rows)]
+    b = data.draw(small_fraction)
+    lead, reduced = system.reduce(integerize_row(coef + [b]))
+    assert lead is None and set(reduced) <= {ncols}
+    gap = b - dot(coef, particular)
+    assert (reduced.get(ncols, 0) > 0) - (reduced.get(ncols, 0) < 0) == (gap > 0) - (gap < 0)
+
+    if kernel:
+        outside = [x + k for x, k in zip(coef, data.draw(st.sampled_from(kernel)))]
+        lead, reduced = system.reduce(integerize_row(outside + [b]))
+        assert lead is not None and lead < ncols and lead not in system.pivots
+
+
 def test_dot():
     assert dot([1, 2], [3, 4]) == 11
