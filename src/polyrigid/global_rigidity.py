@@ -3,14 +3,14 @@
 The decision rests on a complete case split over directed colourings: an
 equivalent realisation q of (G, p) must satisfy M(G, phi) q = lengths(p)
 for some colouring phi of its own, plus the per-edge inequalities saying
-no face exceeds the prescribed length.  The engine therefore enumerates
-zero-free colourings depth-first, pruning a branch the moment the partial
-affine system (with one vertex pinned) becomes inconsistent, skipping the
-colourings obtained from the induced one by a linear isometry (those only
-reproduce congruent copies), and settling the survivors in integers: a
-fraction-free leaf solution and integer face inequalities.  Only the exact
-LP, run when the leaf's kernel leaves room, and the final witness check
-use Fractions.  A feasible point is an explicit equivalent, non-congruent
+no face exceeds the prescribed length.  The engine enumerates zero-free
+colourings depth-first, pruning a branch once the partial affine system
+(one vertex pinned) is inconsistent or fixes a face of the next edge above
+its length, skipping the colourings obtained from the induced one by a
+linear isometry (they only reproduce congruent copies), and settling the
+survivors in integers: a fraction-free leaf solution and integer face
+inequalities.  Only the exact LP, run when the leaf's kernel leaves room,
+and the final witness check use Fractions.  A feasible point is an explicit equivalent, non-congruent
 realisation; if the whole tree is exhausted without one, the framework is
 globally rigid - exactly, with no genericity caveat.
 
@@ -249,9 +249,9 @@ def _search_slice(args):
     """
     fw, lengths, iso_set, budget, restrict = args
     counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
-    rows = pinned_rows(fw, lengths)
-    options = [[(j, per_face[j]) for j in restrict.get(i, range(len(per_face)))] for i, per_face in enumerate(rows)]
-    faces, rows = rows, [row for per_face in rows for row in per_face]
+    faces = pinned_rows(fw, lengths)  # per edge, one row per face
+    options = [[(j, per_face[j]) for j in restrict.get(i, range(len(per_face)))] for i, per_face in enumerate(faces)]
+    rows = [row for per_face in faces for row in per_face]
 
     def check_budget():
         if budget is not None and counts["colourings_examined"] > budget:

@@ -454,15 +454,36 @@ def test_deep_graph_gives_budget_exceeded_not_recursion_error():
     assert verdict.certificate["colourings_examined"] == 201
 
 
-def decide_without_lookahead(fw, **kwargs):
-    """decide_global_rigidity with the walk's look-ahead off: the face rows
-    are dropped, so only an inconsistent push cuts a prefix."""
+def recorded_search(fw, lookahead):
+    """decide_global_rigidity, serially, with the look-ahead on or off:
+    (verdict, the leaves the walk yields in order as face-index tuples,
+    the jobs given to ``_search_slice``, whose framework and lengths are
+    in search edge order)."""
     from polyrigid import global_rigidity as gr
 
-    walk = gr._consistent_leaves
+    walk, search = gr._consistent_leaves, gr._search_slice
+    leaves, jobs = [], []
+
+    def recording(system, options, on_cut, face_rows=None):
+        for phi in walk(system, options, on_cut, face_rows if lookahead else None):
+            leaves.append(phi)
+            yield phi
+
+    def capturing(job):
+        jobs.append(job)
+        return search(job)
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(gr, "_consistent_leaves", lambda system, options, on_cut, faces=None: walk(system, options, on_cut))
-        return decide_global_rigidity(fw, **kwargs)
+        m.setattr(gr, "_consistent_leaves", recording)
+        m.setattr(gr, "_search_slice", capturing)
+        verdict = decide_global_rigidity(fw)
+    return verdict, leaves, jobs
+
+
+def decide_without_lookahead(fw):
+    """decide_global_rigidity with the face rows dropped from the walk, so
+    only an inconsistent push cuts a prefix."""
+    return recorded_search(fw, lookahead=False)[0]
 
 
 def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
@@ -628,32 +649,6 @@ def test_edge_order_does_not_change_the_verdict(rigid_k4_linf2, rigid_k5_linf2, 
         verify_witness(shuffled, plain_again)
 
 
-def recorded_search(fw, lookahead):
-    """decide_global_rigidity, serially, with the look-ahead on or off:
-    (verdict, the leaves the walk yields in order as face-index tuples,
-    the search's framework and lengths, both in search edge order)."""
-    from polyrigid import global_rigidity as gr
-
-    walk, search = gr._consistent_leaves, gr._search_slice
-    leaves, jobs = [], []
-
-    def recording(system, options, on_cut, face_rows=None):
-        for phi in walk(system, options, on_cut, face_rows if lookahead else None):
-            leaves.append(phi)
-            yield phi
-
-    def capturing(job):
-        jobs.append(job)
-        return search(job)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gr, "_consistent_leaves", recording)
-        m.setattr(gr, "_search_slice", capturing)
-        verdict = decide_global_rigidity(fw)
-    (search_fw, lengths, *_), = jobs
-    return verdict, leaves, search_fw, lengths
-
-
 @pytest.mark.slow
 def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf2, rigid_k5_linf2):
     # the look-ahead cuts a prefix on which some face of the next edge is
@@ -667,8 +662,8 @@ def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf
     corpus += [line_framework(n) for n in (5, 6, 7)] + octagon_k4s(2)
     outcomes, dropped = set(), 0
     for fw in corpus:
-        verdict, leaves, search_fw, lengths = recorded_search(fw, lookahead=True)
-        plain, plain_leaves, _, _ = recorded_search(fw, lookahead=False)
+        verdict, leaves, [(search_fw, lengths, *_)] = recorded_search(fw, lookahead=True)
+        plain, plain_leaves, _ = recorded_search(fw, lookahead=False)
         assert verdict.outcome == plain.outcome
         assert verdict.witness == plain.witness
         assert verdict.certificate.get("witness_colouring") == plain.certificate.get("witness_colouring")
