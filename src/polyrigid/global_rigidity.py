@@ -7,12 +7,12 @@ no face exceeds the prescribed length.  The engine enumerates zero-free
 colourings depth-first, pruning a branch once the partial affine system
 (one vertex pinned) is inconsistent or fixes a face of the next edge above
 its length, skipping the colourings obtained from the induced one by a
-linear isometry (they only reproduce congruent copies), and settling the
-survivors in integers: a fraction-free leaf solution and integer face
-inequalities.  Only the exact LP, run when the leaf's kernel leaves room,
-and the final witness check use Fractions.  A feasible point is an explicit equivalent, non-congruent
-realisation; if the whole tree is exhausted without one, the framework is
-globally rigid - exactly, with no genericity caveat.
+linear isometry (they only give congruent copies), and settling the rest
+in integers: a fraction-free leaf solution and integer face inequalities.
+Only the exact LP, run when the leaf's kernel leaves room, and the final
+witness check use Fractions.  A feasible point is an explicit equivalent,
+non-congruent realisation; if the whole tree is exhausted without one,
+the framework is globally rigid - exactly, with no genericity caveat.
 
 Alongside the exact engine live the certificate routes: strong directed
 colourings (all colour classes 2-connected certifies global rigidity of
