@@ -201,7 +201,7 @@ def cmd_generate(args):
     if kind == "octahedron":
         fw = constructions.build_octahedron()
     elif kind == "k2d":
-        eps = Fraction(args.eps) if args.eps else Fraction(1, 4)
+        eps = ff.parse_rational(args.eps, "--eps") if args.eps else Fraction(1, 4)
         fw = constructions.build_k2d(args.d, eps=eps, n=args.n)
     elif kind == "hypercube":
         fw = constructions.build_hypercube(args.d)
@@ -325,10 +325,10 @@ def main(argv=None):
             report = cmd_witness(args)
         else:  # pragma: no cover
             parser.error(f"unknown command {args.command!r}")
+        ff.save(args.out, report)
     except PolyrigidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ff.save(args.out, report)
     if budget_hit and getattr(args, "strict", False):
         return 3
     return 0

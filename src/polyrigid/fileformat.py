@@ -150,5 +150,8 @@ def save(path, data):
     if path is None:
         print(text, end="")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FrameworkFileError(f"cannot write {path}: {exc}") from exc

@@ -374,19 +374,26 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
 
 def _run_parallel(job, depth, choices, workers, cert):
     """Deal the face choices of search edge ``depth`` round-robin to
-    ``workers`` processes, with the budget split evenly between them."""
-    from concurrent.futures import ProcessPoolExecutor
+    ``workers`` processes, with the budget split evenly between them.
+    Slices are read in order up to the first with a witness, which is the
+    answer; the rest are stopped, and the counts cover the slices read.
+    Workers are spawned, not forked, so a caller may hold threads."""
+    from multiprocessing import get_context
 
     fw, lengths, iso_set, budget, restrict = job
     per_budget = None if budget is None else max(1, budget // workers)
     jobs = [(fw, lengths, iso_set, per_budget, {**restrict, depth: list(choices[j::workers])}) for j in range(workers)]
     found, budget_hit, totals = None, False, Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for result, counts, hit in pool.map(_search_slice, jobs):
+    pool = get_context("spawn").Pool(workers)
+    try:
+        for found, counts, hit in pool.imap(_search_slice, jobs):
             totals.update(counts)
             budget_hit = budget_hit or hit
-            if result is not None and found is None:
-                found = result
+            if found is not None:
+                break
+    finally:
+        pool.terminate()
+        pool.join()
     cert.update(totals)
     cert["workers"] = workers
     return found, budget_hit

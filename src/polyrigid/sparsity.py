@@ -44,7 +44,7 @@ class SparsityParams:
 
 
 class _PebbleGame:
-    """Mutable pebble-game state for one rank computation."""
+    """Mutable pebble-game state for one run: a rank, a basis or circuits."""
 
     def __init__(self, vertices, d, k):
         self.d = d
@@ -109,14 +109,33 @@ class _PebbleGame:
         self.out[tail].add(head)
         return True
 
+    def circuit(self, v, w, accepted):
+        """Try vw: if it is accepted, append it to ``accepted`` (the edges
+        accepted so far) and return None; otherwise return the unique
+        circuit of accepted + vw: vw and the accepted edges inside R, the
+        vertices reachable from v or w along accepted-edge directions.
 
-def _pebble_accepted(vertices, edges, params):
-    game = _PebbleGame(vertices, params.d, params.k)
-    accepted = []
-    for v, w in edges:
-        if game.try_accept(v, w):
+        The game keeps pebbles(u) + outdeg(u) = d at every vertex, and no
+        edge leaves R.  After a failed ``try_accept`` no vertex of R but v
+        and w has a free pebble, and v and w hold at most k, so R spans at
+        least d|R| - k accepted edges, hence exactly that many (the accepted
+        edges are sparse).  A vertex set S containing v and w that spans
+        d|S| - k accepted edges holds k pebbles on v and w, so none of its
+        edges leaves it and S contains R.  The circuit C of accepted + vw
+        lies in the d|R| - k + 1 dependent edges on R, and its vertex set
+        spans |C| - 1 = d|S| - k accepted edges, so S = R and C takes every
+        accepted edge inside R.  A rejected edge stays dependent, so it may
+        be queried again once the game has ended.
+        """
+        if self.try_accept(v, w):
             accepted.append((v, w))
-    return accepted
+            return None
+        reach, stack = {v, w}, [v, w]
+        while stack:
+            new = self.out[stack.pop()] - reach
+            reach |= new
+            stack.extend(new)
+        return [(v, w)] + [e for e in accepted if reach.issuperset(e)]
 
 
 def _is_sparse_by_counting(g: Graph, params: SparsityParams):
@@ -176,7 +195,7 @@ def pebble_rank(g: Graph, params: SparsityParams):
     In the matroid range this is the matroid rank, from the pebble game.
     """
     if params.matroidal:
-        return len(_pebble_accepted(g.vertices, g.edges, params))
+        return len(max_sparse_subset(g, params))
     return _max_sparse_subset_size(g, params)
 
 
@@ -184,7 +203,8 @@ def max_sparse_subset(g: Graph, params: SparsityParams):
     """A maximum sparse edge subset (a basis of E in the matroid range)."""
     if not params.matroidal:
         raise ParameterError("bases are only well defined for k <= 2d-1")
-    return tuple(_pebble_accepted(g.vertices, g.edges, params))
+    game = _PebbleGame(g.vertices, params.d, params.k)
+    return tuple(e for e in g.edges if game.try_accept(*e))
 
 
 def is_sparse(g: Graph, params: SparsityParams):
@@ -199,12 +219,15 @@ def is_tight(g: Graph, params: SparsityParams):
 
 
 def edges_in_circuits(g: Graph, params: SparsityParams):
-    """Per edge, in edge order, whether it lies in some circuit of E:
-    exactly when removing it does not drop the rank.  Lazy, so a caller
-    may stop at the first edge that lies in none."""
-    full = pebble_rank(g, params)
+    """Per edge, in edge order, whether it lies in some circuit of E: from
+    one pebble game, exactly the rejected edges and the edges inside their
+    circuits (basis exchange)."""
+    if not params.matroidal:
+        raise ParameterError("circuits are only well defined for k <= 2d-1")
+    game, accepted, inside = _PebbleGame(g.vertices, params.d, params.k), [], set()
     for v, w in g.edges:
-        yield pebble_rank(g.without_edge(v, w), params) == full
+        inside.update(game.circuit(v, w, accepted) or ())
+    return [e in inside for e in g.edges]
 
 
 def is_dd_redundant(g: Graph, d: int):
@@ -222,8 +245,8 @@ def fundamental_circuit(g: Graph, params: SparsityParams, edge):
     """One matroid circuit through ``edge``, or None if it is a coloop.
 
     Builds a basis B of E - edge with the pebble game; if the edge extends
-    B it lies in no circuit.  Otherwise the circuit is ``edge`` together
-    with the basis elements whose removal makes B - b + edge independent.
+    B it lies in no circuit, otherwise the game returns the circuit of
+    B + edge.
     """
     if not params.matroidal:
         raise ParameterError("circuits are only well defined for k <= 2d-1")
@@ -232,13 +255,7 @@ def fundamental_circuit(g: Graph, params: SparsityParams, edge):
         v, w = w, v
     if not g.has_edge(v, w):
         raise ParameterError(f"edge {edge!r} not in graph")
-    rest = [e for e in g.edges if e != (v, w)]
-    basis = _pebble_accepted(g.vertices, rest, params)
-    if len(_pebble_accepted(g.vertices, basis + [(v, w)], params)) == len(basis) + 1:
-        return None
-    circuit = [(v, w)]
-    for b in basis:
-        candidate = [e for e in basis if e != b] + [(v, w)]
-        if len(_pebble_accepted(g.vertices, candidate, params)) == len(basis):
-            circuit.append(b)
-    return tuple(sorted(circuit, key=g.edges.index))
+    game = _PebbleGame(g.vertices, params.d, params.k)
+    basis = [e for e in g.edges if e != (v, w) and game.try_accept(*e)]
+    circuit = game.circuit(v, w, basis)
+    return None if circuit is None else tuple(sorted(circuit, key=g.edges.index))

@@ -296,6 +296,25 @@ def test_cli_generate_k2d_eps(tmp_path):
     assert run_cli("generate", "k2d", "--d", "2", "--eps", "2/3", "--out", str(out)) == 2
 
 
+@pytest.mark.parametrize("eps", ["abc", "1/0"])
+def test_cli_generate_k2d_bad_eps_is_a_usage_error(capsys, eps):
+    assert run_cli("generate", "k2d", "--eps", eps) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: --eps: invalid rational {eps!r}") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    fw_path = tmp_path / "oct.json"
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
+    for argv in (["generate", "octahedron"], ["analyze", str(fw_path)]):
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", str(missing)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot write {missing}: ") and err.count("\n") == 1
+    assert not missing.parent.exists()
+
+
 def test_cli_np_gadget_requires_seed_file():
     assert run_cli("generate", "np-gadget", "--d", "2") == 2
 

@@ -693,3 +693,22 @@ def test_worker_slices_sum_to_the_serial_counts(octahedron, rigid_k5_linf2):
             assert parallel.outcome == serial.outcome
             assert parallel.certificate["workers"] == threads
             assert search_counts(parallel) == search_counts(serial)
+
+
+def test_workers_stop_at_the_first_witness():
+    # slice 0 holds the serial search's witness on these golden K4s, so the
+    # 2-worker search stops there with the serial witness and counts; read
+    # to the end, both slices gave 186 and 188 colourings
+    from pathlib import Path
+
+    from polyrigid.fileformat import load_framework
+
+    for name, colourings in (("linf_k4_s125", 40), ("l1_k4_s125", 42)):
+        fw = load_framework(Path(__file__).parent / "data" / "golden" / f"{name}.json")
+        serial, parallel = decide_global_rigidity(fw), decide_global_rigidity(fw, threads=2)
+        assert serial.outcome == parallel.outcome == NOT_GLOBALLY_RIGID
+        assert serial.certificate["colourings_examined"] == colourings
+        assert search_counts(parallel) == search_counts(serial)
+        assert parallel.witness == serial.witness
+        assert parallel.certificate["witness_colouring"] == serial.certificate["witness_colouring"]
+        assert parallel.certificate["workers"] == 2

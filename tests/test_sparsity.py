@@ -171,6 +171,56 @@ def test_edges_in_circuits_match_fundamental_circuits():
             assert list(edges_in_circuits(g, params)) == expected
 
 
+MATROIDAL = ((1, 0), (1, 1), (2, 1), (2, 2), (2, 3), (3, 3), (3, 4), (3, 5))
+
+
+def differential_graphs():
+    """Every graph on 4 vertices, then seeded graphs on 5 and 6 vertices."""
+    from _oracles import all_graphs
+
+    graphs = [Graph(list("abcd"), edges) for edges in all_graphs(list("abcd"))]
+    rng = random.Random(2008)
+    for n in (5,) * 6 + (6,) * 6:
+        vertices = list("abcdef")[:n]
+        p = rng.uniform(0.3, 0.9)
+        graphs.append(Graph(vertices, [(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1:] if rng.random() < p]))
+    return graphs
+
+
+def test_edges_in_circuits_match_rank_drop_by_counting():
+    # an edge lies in a circuit exactly when removing it keeps the rank,
+    # with ranks from the exhaustive oracle, which plays no pebble game
+    for g in differential_graphs():
+        for d, k in MATROIDAL:
+            full = brute_force_max_sparse(g, d, k)
+            expected = [brute_force_max_sparse(g.without_edge(*e), d, k) == full for e in g.edges]
+            assert edges_in_circuits(g, SparsityParams(d, k)) == expected, (g.edges, d, k)
+
+
+def test_fundamental_circuit_matches_basis_exchange_by_counting():
+    # the circuit of B + e, B a basis of E - e, is e and the b in B for
+    # which B - b + e is sparse, each checked by subset counting
+    for g in differential_graphs():
+        for d, k in MATROIDAL:
+            params = SparsityParams(d, k)
+
+            def sparse(edges):
+                return sparse_by_counting(len(g.vertices), edge_masks_of(g.subgraph_on_edges(edges)), d, k)
+
+            for e in g.edges:
+                basis = max_sparse_subset(g.without_edge(*e), params)
+                expected = None
+                if not sparse(basis + (e,)):
+                    exchange = [b for b in basis if sparse([f for f in basis if f != b] + [e])]
+                    expected = tuple(sorted([e] + exchange, key=g.edges.index))
+                assert fundamental_circuit(g, params, e) == expected, (g.edges, d, k, e)
+
+
+def test_nonmatroidal_edges_in_circuits_rejected():
+    with pytest.raises(ParameterError):
+        edges_in_circuits(double_banana(), SparsityParams(3, 6))
+
+
 def test_max_sparse_subset_is_basis():
     g = complete_graph(list("abcde"))
     params = SparsityParams(2, 2)
