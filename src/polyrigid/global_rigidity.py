@@ -376,15 +376,14 @@ def _run_parallel(job, depth, choices, workers, cert):
     """Deal the face choices of search edge ``depth`` round-robin to
     ``workers`` processes, with the budget split evenly between them.
     Slices are read in order up to the first with a witness, which is the
-    answer; the rest are stopped, and the counts cover the slices read.
-    Workers are spawned, not forked, so a caller may hold threads."""
-    from multiprocessing import get_context
+    answer; the rest are stopped, and the counts cover the slices read."""
+    from multiprocessing import Pool
 
     fw, lengths, iso_set, budget, restrict = job
     per_budget = None if budget is None else max(1, budget // workers)
     jobs = [(fw, lengths, iso_set, per_budget, {**restrict, depth: list(choices[j::workers])}) for j in range(workers)]
     found, budget_hit, totals = None, False, Counter()
-    pool = get_context("spawn").Pool(workers)
+    pool = Pool(workers)
     try:
         for found, counts, hit in pool.imap(_search_slice, jobs):
             totals.update(counts)
