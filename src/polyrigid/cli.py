@@ -39,7 +39,7 @@ from .global_rigidity import (
 )
 from .norm import preset
 from .oracle import SearchParams, numeric_witness_search
-from .sparsity import SparsityParams, edges_in_circuits, is_Mdd_connected, is_sparse, is_tight, pebble_rank
+from .sparsity import SparsityParams, edges_in_circuits, is_Mdd_connected, pebble_rank
 from . import constructions
 
 
@@ -174,14 +174,15 @@ def cmd_sparsity(args):
     obj = ff.load_graph_or_framework(args.file)
     graph = obj.graph if hasattr(obj, "graph") else obj
     params = SparsityParams(args.d, args.k)
+    rank, m = pebble_rank(graph, params), len(graph.edges)
     results = {
         "d": args.d,
         "k": args.k,
         "vertex_count": len(graph.vertices),
-        "edge_count": len(graph.edges),
-        "rank": pebble_rank(graph, params),
-        "sparse": is_sparse(graph, params),
-        "tight": is_tight(graph, params),
+        "edge_count": m,
+        "rank": rank,
+        "sparse": rank == m,  # the rank is |E| exactly when the graph is sparse
+        "tight": rank == m == args.d * len(graph.vertices) - args.k,
     }
     if params.matroidal:
         results["edge_in_some_circuit"] = {

@@ -105,14 +105,11 @@ class GadgetSpec:
     """Input to the dimension-lift gadget.
 
     seed: a connected 1-dimensional framework with at least one edge of
-    nonzero length; dim: the target dimension; scale: optional explicit
-    contraction factor (validated against the bound the construction
-    needs), chosen automatically when omitted.
+    nonzero length; dim: the target dimension.
     """
 
     seed: Framework
     dim: int
-    scale: Fraction | None = None
 
 
 @dataclass
@@ -181,12 +178,7 @@ def build_np_gadget(spec: GadgetSpec):
     m = len(seed.graph.edges)
     base = seed.position(v0)[0]
     maxdev = max(abs(seed.position(v)[0] - base) for v in seed.graph.vertices)
-    if spec.scale is not None:
-        s = Fraction(spec.scale)
-        if s <= 0 or s * maxdev >= Fraction(1, 2 * m):
-            raise ParameterError("scale violates the contraction bound 1/(2|E|)")
-    else:
-        s = Fraction(1, 4 * m) / maxdev
+    s = Fraction(1, 4 * m) / maxdev
     sigma = 1 if seed.position(v1)[0] > base else -1
     norm_positions = {
         v: (1 + s * sigma * (seed.position(v)[0] - base),)
@@ -268,15 +260,15 @@ def project_framework(fw: Framework):
     return Framework(fw.graph, lower, positions)
 
 
-def randomize_realisation(g: Graph, d, norm: PolytopeNorm, seed, denominator_bound=10**6, max_tries=200):
-    """Seeded pseudo-random rational realisation, retried until
-    well-positioned.  Same arguments, same output."""
+def randomize_realisation(g: Graph, d, norm: PolytopeNorm, seed, denominator_bound=10**6):
+    """Seeded pseudo-random rational realisation, retried (up to 200 draws)
+    until well-positioned.  Same arguments, same output."""
     if denominator_bound < 2:
         raise ParameterError("denominator bound must be at least 2")
     if norm.dim != d:
         raise ParameterError("norm dimension disagrees with d")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(200):
         positions = {
             v: tuple(
                 Fraction(rng.randint(-denominator_bound, denominator_bound),

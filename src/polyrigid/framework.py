@@ -25,9 +25,13 @@ from .norm import PolytopeNorm, as_vector, linf_axis
 
 
 class Framework:
-    """Graph plus exact rational realisation under a polytope norm."""
+    """Graph plus exact rational realisation under a polytope norm.
 
-    __slots__ = ("graph", "norm", "positions")
+    Immutable after construction, apart from the edge table that
+    ``edge_table`` fills on first use; ``with_positions`` makes a new one.
+    """
+
+    __slots__ = ("graph", "norm", "positions", "_table")
 
     def __init__(self, graph: Graph, norm: PolytopeNorm, positions):
         pos = {}
@@ -38,6 +42,7 @@ class Framework:
         self.graph = graph
         self.norm = norm
         self.positions = pos
+        self._table = None
 
     @property
     def dim(self):
@@ -68,7 +73,10 @@ def edge_table(fw: Framework):
     holds the indices of the faces attaining the norm of edge e's vector
     (none for a zero vector).  Positions are taken over their common
     denominator P and faces over the norm's D, so each f.(p(v) - p(w)) is
-    an integer over D*P, and the maximum and its ties are exact."""
+    an integer over D*P, and the maximum and its ties are exact.  Computed
+    on the first call and kept on the framework."""
+    if fw._table is not None:
+        return fw._table
     scale = lcm(*(x.denominator for p in fw.positions.values() for x in p))
     pos = {v: [x.numerator * (scale // x.denominator) for x in p] for v, p in fw.positions.items()}
     active, tops = [], []
@@ -78,7 +86,8 @@ def edge_table(fw: Framework):
         tops.append(max(vals))
         active.append(tuple(i for i, x in enumerate(vals) if x == tops[-1]) if any(vec) else ())
     den = scale * fw.norm.denominator
-    return tuple(active), tuple(Fraction(x, den) for x in tops)
+    fw._table = tuple(active), tuple(Fraction(x, den) for x in tops)
+    return fw._table
 
 
 def unique_colouring(active):

@@ -109,7 +109,7 @@ def _level(row, vec):
     return sum(y * vec[c] for c, y in row.items())
 
 
-def _settle_leaf(fw: Framework, lengths, rows, system):
+def _settle_leaf(fw: Framework, rows, system):
     """An equivalent realisation on a consistent leaf's affine set, or None.
 
     ``system`` holds the leaf's pinned rows; ``rows`` are all (edge, face)
@@ -137,11 +137,11 @@ def _settle_leaf(fw: Framework, lengths, rows, system):
     origin = zero_vector(fw.dim)
     moves = [unpin(fw, k, origin) for k in kernel]
     ineq = {}
-    for ei, (v, w) in enumerate(fw.graph.edges):
+    for (v, w), length in zip(fw.graph.edges, edge_lengths(fw)):
         base = [a - b for a, b in zip(q0[v], q0[w])]
         steps = [[a - b for a, b in zip(m[v], m[w])] for m in moves]
         for face in fw.norm.faces:
-            bound = lengths[ei] - dot(face, base)
+            bound = length - dot(face, base)
             key = tuple(dot(face, step) for step in steps)
             if any(key) and (key not in ineq or bound < ineq[key]):
                 ineq[key] = bound
@@ -151,7 +151,7 @@ def _settle_leaf(fw: Framework, lengths, rows, system):
     return unpin(fw, affine_point(particular, kernel, t))
 
 
-def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
+def equivalent_witness_lp(fw: Framework, phi):
     """Search X_phi for an equivalent realisation, by exact LP feasibility.
 
     X_phi is the affine solution set of the pinned system
@@ -166,19 +166,16 @@ def equivalent_witness_lp(fw: Framework, phi, lengths=None, skip_checks=False):
     phi = [fw.norm.face_index.get(tuple(f)) for f in phi]
     if None in phi:
         raise ParameterError("witness search needs a colouring by faces of the norm (zero-free)")
-    if not skip_checks:
-        if not is_well_positioned(fw):
-            raise NotWellPositionedError("witness search needs a well-positioned framework")
-        if not is_infinitesimally_rigid(fw):
-            raise ParameterError("witness search is only meaningful for rigid frameworks")
-    if lengths is None:
-        lengths = edge_lengths(fw)
-    rows = pinned_rows(fw, lengths)
+    if not is_well_positioned(fw):
+        raise NotWellPositionedError("witness search needs a well-positioned framework")
+    if not is_infinitesimally_rigid(fw):
+        raise ParameterError("witness search is only meaningful for rigid frameworks")
+    rows = pinned_rows(fw, edge_lengths(fw))
     system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
     for per_face, i in zip(rows, phi):
         if not system.push(per_face[i])[0]:
             raise InconsistentSystemError("affine system of the colouring has no solution")
-    return _settle_leaf(fw, lengths, [row for per_face in rows for row in per_face], system)
+    return _settle_leaf(fw, [row for per_face in rows for row in per_face], system)
 
 
 class _BudgetHit(Exception):
@@ -247,9 +244,9 @@ def _search_slice(args):
     settled (skipped as isometric, or solved) before the budget is
     enforced, so a cut certificate keeps lp_runs = leaves - isometric_skipped.
     """
-    fw, lengths, iso_set, budget, restrict = args
+    fw, iso_set, budget, restrict = args
     counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
-    faces = pinned_rows(fw, lengths)  # per edge, one row per face
+    faces = pinned_rows(fw, edge_lengths(fw))  # per edge, one row per face
     options = [[(j, per_face[j]) for j in restrict.get(i, range(len(per_face)))] for i, per_face in enumerate(faces)]
     rows = [row for per_face in faces for row in per_face]
 
@@ -271,7 +268,7 @@ def _search_slice(args):
                 counts["isometric_skipped"] += 1
             else:
                 counts["lp_runs"] += 1
-                q = _settle_leaf(fw, lengths, rows, system)
+                q = _settle_leaf(fw, rows, system)
                 if q is not None:
                     return (phi, q), counts, False
             check_budget()
@@ -330,8 +327,7 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     certificate records ``workers``.
     """
     cert = {"criterion": "exact colouring enumeration"}
-    active, lengths = edge_table(fw)
-    phi_p = unique_colouring(active)
+    phi_p = unique_colouring(edge_table(fw)[0])
     if phi_p is None:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
     rank = rank_exact(index_matrix(fw, phi_p))
@@ -349,7 +345,7 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     search_fw = Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in order]), fw.norm, fw.positions)
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
     restrict = {0: [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]}
-    job = (search_fw, [lengths[i] for i in order], iso_set, budget, restrict)
+    job = (search_fw, iso_set, budget, restrict)
     depth = 0 if len(restrict[0]) > 1 else 1
     choices = restrict.get(depth, range(len(fw.norm.faces)))
     workers = min(threads, len(choices))
@@ -363,7 +359,7 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
         phi, q = found
         from .oracle import is_witness
 
-        if not is_witness(fw, q, lengths):
+        if not is_witness(fw, q):
             raise AssertionError("witness failed exact verification")
         cert["witness_colouring"] = tuple(fw.norm.faces[f] for _, f in sorted(zip(order, phi)))
         return GlobalVerdict(NOT_GLOBALLY_RIGID, witness=q, certificate=cert)
@@ -379,9 +375,9 @@ def _run_parallel(job, depth, choices, workers, cert):
     answer; the rest are stopped, and the counts cover the slices read."""
     from multiprocessing import Pool
 
-    fw, lengths, iso_set, budget, restrict = job
+    fw, iso_set, budget, restrict = job
     per_budget = None if budget is None else max(1, budget // workers)
-    jobs = [(fw, lengths, iso_set, per_budget, {**restrict, depth: list(choices[j::workers])}) for j in range(workers)]
+    jobs = [(fw, iso_set, per_budget, {**restrict, depth: list(choices[j::workers])}) for j in range(workers)]
     found, budget_hit, totals = None, False, Counter()
     pool = Pool(workers)
     try:

@@ -37,7 +37,6 @@ class SearchParams:
     steps: int = 120
     tolerance: float = 1e-3
     seed: int = 0
-    snap_denominator: int = 10**6
 
 
 def congruence_check(fw: Framework, q) -> bool:
@@ -69,10 +68,10 @@ def _relative_integers(fw, positions):
     return S, [[x.numerator * (S // x.denominator) - b for x, b in zip(positions[v], base)] for v in others]
 
 
-def is_witness(fw: Framework, q, lengths) -> bool:
-    """Whether q realises exactly these edge lengths without being congruent
-    to the framework's realisation: an exact disproof of global rigidity."""
-    return edge_lengths(fw.with_positions(q)) == lengths and not congruence_check(fw, q)
+def is_witness(fw: Framework, q) -> bool:
+    """Whether q realises exactly the framework's edge lengths without being
+    congruent to its realisation: an exact disproof of global rigidity."""
+    return edge_lengths(fw.with_positions(q)) == edge_lengths(fw) and not congruence_check(fw, q)
 
 
 def _float_norm_and_face(faces_f, delta):
@@ -82,18 +81,18 @@ def _float_norm_and_face(faces_f, delta):
     return best, faces_f[vals.index(best)]
 
 
-def _snap_positions(q_float, vertices, v0, p0, bound):
+def _snap_positions(q_float, vertices, v0, p0):
     snapped = {v0: p0}
     for v in vertices:
         if v == v0:
             continue
         snapped[v] = tuple(
-            Fraction(x).limit_denominator(bound) for x in q_float[v]
+            Fraction(x).limit_denominator(10**6) for x in q_float[v]
         )
     return snapped
 
 
-def _exactify_via_colouring(fw, q_float, lengths):
+def _exactify_via_colouring(fw, q_float):
     """Solve the affine system of the float point's apparent colouring.
 
     The float iterate sits near a polyhedron of exact solutions; its
@@ -109,7 +108,7 @@ def _exactify_via_colouring(fw, q_float, lengths):
         _, face_f = _float_norm_and_face(faces_f, delta)
         phi.append(faces_f.index(face_f))
     system = IncrementalSystem(fw.dim * (len(graph.vertices) - 1) + 1)
-    for per_face, i in zip(pinned_rows(fw, lengths), phi):
+    for per_face, i in zip(pinned_rows(fw, edge_lengths(fw)), phi):
         if not system.push(per_face[i])[0]:
             return None
     particular, kernel = system.solve()
@@ -156,8 +155,7 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
     d = fw.dim
     if not graph.edges:
         return None
-    lengths = edge_lengths(fw)
-    lengths_f = [float(x) for x in lengths]
+    lengths_f = [float(x) for x in edge_lengths(fw)]
     faces_f = [tuple(float(x) for x in f) for f in norm.faces]
     v0 = graph.vertices[0]
     p0 = fw.position(v0)
@@ -206,9 +204,9 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
             continue
 
         for candidate in (
-            _snap_positions(q, graph.vertices, v0, p0, params.snap_denominator),
-            _exactify_via_colouring(fw, q, lengths),
+            _snap_positions(q, graph.vertices, v0, p0),
+            _exactify_via_colouring(fw, q),
         ):
-            if candidate is not None and is_witness(fw, candidate, lengths):
+            if candidate is not None and is_witness(fw, candidate):
                 return candidate
     return None

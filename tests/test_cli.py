@@ -288,6 +288,40 @@ def test_cli_generate_flexible_and_random(tmp_path):
     assert rand_path.read_text() == again.read_text()
 
 
+def edge_tables_computed(argv):
+    """How many edge tables ``main(argv)`` computes: the calls of
+    ``framework.edge_table``, under every name the package binds it to,
+    that find the framework's table not yet filled."""
+    from polyrigid import framework
+
+    real, computed = framework.edge_table, []
+
+    def counting(fw):
+        if getattr(fw, "_table", None) is None:
+            computed.append(fw)
+        return real(fw)
+
+    with pytest.MonkeyPatch.context() as m:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polyrigid") and getattr(module, "edge_table", None) is real:
+                m.setattr(module, "edge_table", counting)
+        assert main(argv) == 0
+    return len(computed)
+
+
+def test_each_framework_computes_its_edge_table_once(tmp_path):
+    # analyze reads one framework; global reads the input, the search's
+    # reordered copy and, when it finds one, the witness
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "data" / "golden"
+    out = str(tmp_path / "r.json")
+    octahedron, k4 = str(golden / "octahedron.json"), str(golden / "linf_k4_s125.json")
+    assert edge_tables_computed(["analyze", octahedron, "--out", out]) == 1
+    assert edge_tables_computed(["global", octahedron, "--budget", "500", "--threads", "1", "--out", out]) == 2
+    assert edge_tables_computed(["global", k4, "--threads", "1", "--out", out]) == 3
+
+
 def test_cli_generate_k2d_eps(tmp_path):
     out = tmp_path / "k2d.json"
     assert run_cli("generate", "k2d", "--d", "2", "--eps", "1/3", "--out", str(out)) == 0

@@ -66,6 +66,15 @@ def test_edge_lengths_octahedron(octahedron):
     assert lengths[g.edge_index("v2", "v-3")] == Fraction(9, 5)
 
 
+def test_edge_table_is_kept_and_a_moved_framework_gets_its_own(octahedron):
+    table = edge_table(octahedron)
+    assert edge_table(octahedron) is table
+    v = octahedron.graph.vertices[1]
+    moved = octahedron.with_positions({**octahedron.positions, v: (Fraction(3), Fraction(1, 7))})
+    fresh = Framework(moved.graph, moved.norm, moved.positions)
+    assert edge_table(moved) == edge_table(fresh) != table
+
+
 def test_edge_lengths_zero_edge(linf2):
     fw = single_edge_framework(linf2, (1, 1), (1, 1))
     assert edge_lengths(fw) == (0,)

@@ -457,8 +457,8 @@ def test_deep_graph_gives_budget_exceeded_not_recursion_error():
 def recorded_search(fw, lookahead):
     """decide_global_rigidity, serially, with the look-ahead on or off:
     (verdict, the leaves the walk yields in order as face-index tuples,
-    the jobs given to ``_search_slice``, whose framework and lengths are
-    in search edge order)."""
+    the jobs given to ``_search_slice``, whose framework is in search edge
+    order)."""
     from polyrigid import global_rigidity as gr
 
     walk, search = gr._consistent_leaves, gr._search_slice
@@ -527,7 +527,7 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
         m.setattr(gr, "_consistent_leaves", recording)
         m.setattr(
             gr, "_settle_leaf",
-            lambda fw, lengths, rows, system: reference_leaf_settlement(fw, lengths, current["phi"]),
+            lambda fw, rows, system: reference_leaf_settlement(fw, edge_lengths(fw), current["phi"]),
         )
         return decide_global_rigidity(fw, budget=budget)
 
@@ -662,7 +662,7 @@ def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf
     corpus += [line_framework(n) for n in (5, 6, 7)] + octagon_k4s(2)
     outcomes, dropped = set(), 0
     for fw in corpus:
-        verdict, leaves, [(search_fw, lengths, *_)] = recorded_search(fw, lookahead=True)
+        verdict, leaves, [(search_fw, *_)] = recorded_search(fw, lookahead=True)
         plain, plain_leaves, _ = recorded_search(fw, lookahead=False)
         assert verdict.outcome == plain.outcome
         assert verdict.witness == plain.witness
@@ -673,7 +673,7 @@ def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf
         for leaf in plain_leaves:
             if leaf not in kept:
                 dropped += 1
-                assert reference_leaf_settlement(search_fw, lengths, [faces[j] for j in leaf]) is None
+                assert reference_leaf_settlement(search_fw, edge_lengths(search_fw), [faces[j] for j in leaf]) is None
         outcomes.add(verdict.outcome)
     assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID}
     assert dropped > 0
