@@ -42,7 +42,7 @@ print(f"\nexact rank: {rank} (need {2 * 6 - 2} for rigidity)")
 print("infinitesimally rigid:", is_infinitesimally_rigid(fw))
 print("redundantly rigid:", is_redundantly_rigid(fw))
 
-subs = monochromatic_subgraphs(fw.graph, phi)
+subs = monochromatic_subgraphs(fw.graph, phi, fw.dim)
 for i, sub in enumerate(subs):
     print(f"colour class {i}: {len(sub.edges)} edges, 2-connected: {is_2_connected(sub)}")
 print("strong-colouring certificate (generic global rigidity):",

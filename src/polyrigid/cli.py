@@ -9,7 +9,6 @@ and --strict was requested.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from fractions import Fraction
@@ -73,7 +72,7 @@ def cmd_analyze(args):
         results["infinitesimally_rigid"] = rank == needed
         results["redundantly_rigid"] = is_redundantly_rigid(fw)
         if fw.norm.is_linf:
-            subs = monochromatic_subgraphs(fw.graph, phi)
+            subs = monochromatic_subgraphs(fw.graph, phi, fw.dim)
             results["monochromatic_classes"] = [
                 {
                     "edges": [[v, w] for v, w in sub.edges],
@@ -102,25 +101,9 @@ def _verdict_to_json(fw, verdict):
     return doc
 
 
-def _check_limits(args):
-    """Usage errors in the global command's worker count and budget; without
-    --threads, POLYRIGID_THREADS (else 1) is read anew into args.threads."""
-    if args.threads is None:
-        raw = os.environ.get("POLYRIGID_THREADS", "1")
-        try:
-            args.threads = int(raw)
-        except ValueError:
-            raise ParameterError(f"POLYRIGID_THREADS must be an integer, got {raw!r}") from None
-        if args.threads < 1:
-            raise ParameterError(f"POLYRIGID_THREADS must be at least 1, got {raw!r}")
-    if args.threads < 1:
-        raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+def cmd_global(args):
     if args.budget is not None and args.budget < 0:
         raise ParameterError(f"--budget must be at least 0, got {args.budget}")
-
-
-def cmd_global(args):
-    _check_limits(args)
     fw = ff.load_framework(args.file)
     t0 = time.perf_counter()
     fast_paths = []
@@ -157,13 +140,12 @@ def cmd_global(args):
     if args.assume_generic:
         results["exact"] = None
     else:
-        verdict = decide_global_rigidity(fw, budget=args.budget, threads=args.threads)
+        verdict = decide_global_rigidity(fw, budget=args.budget)
         results["exact"] = _verdict_to_json(fw, verdict)
         budget_hit = verdict.outcome == BUDGET_EXCEEDED
     results["elapsed_seconds"] = round(time.perf_counter() - t0, 6)
     meta = {
         "budget": args.budget,
-        "threads": args.threads,
         "assume_generic": bool(args.assume_generic),
         "strict": bool(args.strict),
     }
@@ -274,7 +256,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None,
                    help="max colourings to examine before giving up (0 cuts at the first)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--assume-generic", action="store_true",
                    help="report only the generic fast-path verdicts")
     p.add_argument("--strict", action="store_true",

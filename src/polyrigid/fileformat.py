@@ -19,7 +19,7 @@ from .norm import PolytopeNorm, preset
 
 
 def parse_rational(text, where=""):
-    if isinstance(text, int):
+    if type(text) is int:  # a JSON true is not 1
         return Fraction(text)
     if not isinstance(text, str):
         raise FrameworkFileError(
@@ -42,6 +42,14 @@ def _require(data, key, where):
     return data[key]
 
 
+def _as_list(value, where):
+    """value itself when it is a JSON array; a string is not a list of its
+    characters."""
+    if not isinstance(value, list):
+        raise FrameworkFileError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
 # one norm per (preset, dim) for the process, facet check and group paid once
 _shared_preset = cache(preset)
 
@@ -51,8 +59,8 @@ def parse_norm(spec, dim):
         return _shared_preset(spec, dim)
     if isinstance(spec, dict) and "faces" in spec:
         faces = [
-            [parse_rational(x, f"norm.faces[{i}]") for x in face]
-            for i, face in enumerate(spec["faces"])
+            [parse_rational(x, f"norm.faces[{i}]") for x in _as_list(face, f"norm.faces[{i}]")]
+            for i, face in enumerate(_as_list(spec["faces"], "norm.faces"))
         ]
         try:
             return PolytopeNorm(dim, faces)
@@ -68,24 +76,27 @@ def parse_graph_dict(data):
     edges = _require(data, "edges", "graph")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise FrameworkFileError("vertices: expected a list of identifier strings")
+    edges = [tuple(_as_list(e, f"edges[{i}]")) for i, e in enumerate(_as_list(edges, "edges"))]
     try:
-        return Graph(vertices, [tuple(e) for e in edges])
+        return Graph(vertices, edges)
     except Exception as exc:
         raise FrameworkFileError(f"edges: {exc}") from exc
 
 
 def parse_framework_dict(data):
     dim = _require(data, "dim", "framework")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise FrameworkFileError(f"dim: expected a positive integer, got {dim!r}")
     graph = parse_graph_dict(data)
     norm = parse_norm(_require(data, "norm", "framework"), dim)
     raw_positions = _require(data, "positions", "framework")
+    if not isinstance(raw_positions, dict):
+        raise FrameworkFileError(f"positions: expected an object of vertex coordinates, got {type(raw_positions).__name__}")
     positions = {}
     for v in graph.vertices:
         if v not in raw_positions:
             raise FrameworkFileError(f"positions: missing vertex {v!r}")
-        coords = raw_positions[v]
+        coords = _as_list(raw_positions[v], f"positions[{v!r}]")
         if len(coords) != dim:
             raise FrameworkFileError(
                 f"positions[{v!r}]: expected {dim} coordinates, got {len(coords)}"

@@ -20,7 +20,7 @@ from operator import mul
 
 from .errors import BudgetExceededError, NotWellPositionedError, ParameterError
 from .graph import Graph, connected_components
-from .linalg import left_kernel_basis, mat_rank
+from .linalg import IncrementalSystem, left_kernel_basis, mat_rank
 from .norm import PolytopeNorm, as_vector, linf_axis
 
 
@@ -196,6 +196,17 @@ def pinned_rows(fw: Framework, lengths):
     return rows
 
 
+def pinned_system(fw: Framework, rows, phi=()):
+    """The pinned system (right-hand side at column d(|V| - 1)) with the
+    row rows[e][phi[e]] of ``pinned_rows`` pushed for every edge e of the
+    colouring phi, given as face indices; None when a push is inconsistent."""
+    system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
+    for per_face, i in zip(rows, phi):
+        if not system.push(per_face[i])[0]:
+            return None
+    return system
+
+
 def unpin(fw: Framework, vec, origin=None):
     """The realisation with vertex i > 0 at the pinned coordinates
     vec[d(i-1) : di] and vertex 0 at ``origin`` (default: its position)."""
@@ -247,16 +258,13 @@ def is_redundantly_rigid(fw: Framework):
     return len(rows) - len(left) == rigid_rank(fw) and all(any(z[e] for z in left) for e in range(len(rows)))
 
 
-def monochromatic_subgraphs(graph: Graph, phi):
+def monochromatic_subgraphs(graph: Graph, phi, dim):
     """Split the edges by the coordinate axis of their face vector.
 
     Only meaningful when every face is a signed standard basis vector
     (the hypercube-ball norm); returns one spanning subgraph per
-    coordinate, together partitioning the edge set.
+    coordinate of R^dim, together partitioning the edge set.
     """
-    if not phi:
-        raise ParameterError("empty colouring: dimension is undetermined")
-    dim = len(phi[0])
     buckets = [[] for _ in range(dim)]
     for e, face in zip(graph.edges, phi):
         axis = linf_axis(face)
@@ -281,7 +289,7 @@ def is_rigid_linf_by_colour(fw: Framework):
     phi = induced_colouring(fw)
     return all(
         len(connected_components(sub)) == 1
-        for sub in monochromatic_subgraphs(fw.graph, phi)
+        for sub in monochromatic_subgraphs(fw.graph, phi, fw.dim)
     )
 
 

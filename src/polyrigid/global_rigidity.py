@@ -22,7 +22,6 @@ characterisation through connectivity in the (2,2)-sparsity matroid.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -48,6 +47,7 @@ from .framework import (
     is_well_positioned,
     monochromatic_subgraphs,
     pinned_rows,
+    pinned_system,
     rank_exact,
     rigid_rank,
     unique_colouring,
@@ -171,10 +171,9 @@ def equivalent_witness_lp(fw: Framework, phi):
     if not is_infinitesimally_rigid(fw):
         raise ParameterError("witness search is only meaningful for rigid frameworks")
     rows = pinned_rows(fw, edge_lengths(fw))
-    system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
-    for per_face, i in zip(rows, phi):
-        if not system.push(per_face[i])[0]:
-            raise InconsistentSystemError("affine system of the colouring has no solution")
+    system = pinned_system(fw, rows, phi)
+    if system is None:
+        raise InconsistentSystemError("affine system of the colouring has no solution")
     return _settle_leaf(fw, [row for per_face in rows for row in per_face], system)
 
 
@@ -200,8 +199,7 @@ def _consistent_leaves(system, options, on_cut, faces=None):
     all): each option of edge i goes to ``on_cut`` instead.  Else the
     options are pushed from their reduced rows.  Leaves keep their order,
     so the first witness is unchanged; p's own colouring meets every row
-    and is never cut; all faces are read, not a worker slice's options,
-    so slices cut where the serial walk does."""
+    and is never cut."""
 
     def opened(i):
         if faces is None:
@@ -237,17 +235,16 @@ def _consistent_leaves(system, options, on_cut, faces=None):
                 system.pop()
 
 
-def _search_slice(args):
-    """Search the colouring tree with edge i's faces restricted to
-    restrict[i]; returns (found, counts, budget_hit), found being
-    (colouring as face indices, witness realisation) or None.  A leaf is
-    settled (skipped as isometric, or solved) before the budget is
+def _search(fw: Framework, iso_set, budget, first):
+    """Search the colouring tree with the first edge's faces restricted to
+    the face indices ``first``; returns (found, counts, budget_hit), found
+    being (colouring as face indices, witness realisation) or None.  A leaf
+    is settled (skipped as isometric, or solved) before the budget is
     enforced, so a cut certificate keeps lp_runs = leaves - isometric_skipped.
     """
-    fw, iso_set, budget, restrict = args
     counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
     faces = pinned_rows(fw, edge_lengths(fw))  # per edge, one row per face
-    options = [[(j, per_face[j]) for j in restrict.get(i, range(len(per_face)))] for i, per_face in enumerate(faces)]
+    options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
     rows = [row for per_face in faces for row in per_face]
 
     def check_budget():
@@ -259,7 +256,7 @@ def _search_slice(args):
         counts["colourings_examined"] += 1
         check_budget()
 
-    system = IncrementalSystem(fw.dim * (len(fw.graph.vertices) - 1) + 1)
+    system = pinned_system(fw, faces)
     try:
         for phi in _consistent_leaves(system, options, cut, faces):
             counts["leaves"] += 1
@@ -304,7 +301,7 @@ def _search_order(graph: Graph):
     return order
 
 
-def decide_global_rigidity(fw: Framework, budget=None, threads=1):
+def decide_global_rigidity(fw: Framework, budget=None):
     """Full decision for a framework in its polytope norm.
 
     Verdicts are exact: NotWellPositioned and NotRigid short-circuit;
@@ -321,10 +318,6 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     T o q, moved back onto the pinned vertex, is a witness with colouring
     T.psi, and some T takes psi's first face to its orbit's least face;
     the skipped set, the G-orbit of the induced colouring, is G-invariant.
-    With ``threads`` > 1, worker processes split the options of the first
-    search edge with more than one (the second when G is transitive on
-    the faces, as for linf and l1), one worker per option at most; the
-    certificate records ``workers``.
     """
     cert = {"criterion": "exact colouring enumeration"}
     phi_p = unique_colouring(edge_table(fw)[0])
@@ -344,16 +337,9 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     order = _search_order(fw.graph)
     search_fw = Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in order]), fw.norm, fw.positions)
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
-    restrict = {0: [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]}
-    job = (search_fw, iso_set, budget, restrict)
-    depth = 0 if len(restrict[0]) > 1 else 1
-    choices = restrict.get(depth, range(len(fw.norm.faces)))
-    workers = min(threads, len(choices))
-    if workers > 1 and depth < len(order):
-        found, budget_hit = _run_parallel(job, depth, choices, workers, cert)
-    else:
-        found, counts, budget_hit = _search_slice(job)
-        cert.update(counts)
+    first = [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]
+    found, counts, budget_hit = _search(search_fw, iso_set, budget, first)
+    cert.update(counts)
 
     if found is not None:
         phi, q = found
@@ -368,39 +354,13 @@ def decide_global_rigidity(fw: Framework, budget=None, threads=1):
     return GlobalVerdict(GLOBALLY_RIGID, certificate=cert)
 
 
-def _run_parallel(job, depth, choices, workers, cert):
-    """Deal the face choices of search edge ``depth`` round-robin to
-    ``workers`` processes, with the budget split evenly between them.
-    Slices are read in order up to the first with a witness, which is the
-    answer; the rest are stopped, and the counts cover the slices read."""
-    from multiprocessing import Pool
-
-    fw, iso_set, budget, restrict = job
-    per_budget = None if budget is None else max(1, budget // workers)
-    jobs = [(fw, iso_set, per_budget, {**restrict, depth: list(choices[j::workers])}) for j in range(workers)]
-    found, budget_hit, totals = None, False, Counter()
-    pool = Pool(workers)
-    try:
-        for found, counts, hit in pool.imap(_search_slice, jobs):
-            totals.update(counts)
-            budget_hit = budget_hit or hit
-            if found is not None:
-                break
-    finally:
-        pool.terminate()
-        pool.join()
-    cert.update(totals)
-    cert["workers"] = workers
-    return found, budget_hit
-
-
 # -- certificate routes ------------------------------------------------
 
 
-def is_strong_colouring_linf(graph: Graph, phi):
-    """Sufficient test for strongness under the hypercube-ball norm:
+def is_strong_colouring_linf(graph: Graph, phi, dim):
+    """Sufficient test for strongness under the hypercube-ball norm of R^dim:
     every colour class is 2-connected on the full vertex set."""
-    return all(is_2_connected(sub) for sub in monochromatic_subgraphs(graph, phi))
+    return all(is_2_connected(sub) for sub in monochromatic_subgraphs(graph, phi, dim))
 
 
 def is_strong_colouring_exhaustive(graph: Graph, phi, norm, budget=2_000_000):
@@ -464,7 +424,7 @@ def certify_generic_global(fw: Framework):
     if not fw.norm.is_linf:
         raise ParameterError("certificate requires the linf preset norm")
     phi_p = induced_colouring(fw)  # NotWellPositionedError unless well-positioned
-    strong = is_strong_colouring_linf(fw.graph, phi_p)
+    strong = is_strong_colouring_linf(fw.graph, phi_p, fw.dim)
     if strong:
         if not is_redundantly_rigid(fw):
             raise AssertionError("strong colouring without redundant rigidity")

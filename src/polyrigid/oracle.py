@@ -20,8 +20,8 @@ from itertools import chain
 from math import lcm
 from operator import mul, sub
 
-from .framework import Framework, edge_lengths, pinned_rows, unpin
-from .linalg import IncrementalSystem, affine_point
+from .framework import Framework, edge_lengths, pinned_rows, pinned_system, unpin
+from .linalg import affine_point
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,9 @@ def _exactify_via_colouring(fw, q_float):
         delta = [a - b for a, b in zip(q_float[v], q_float[w])]
         _, face_f = _float_norm_and_face(faces_f, delta)
         phi.append(faces_f.index(face_f))
-    system = IncrementalSystem(fw.dim * (len(graph.vertices) - 1) + 1)
-    for per_face, i in zip(pinned_rows(fw, edge_lengths(fw)), phi):
-        if not system.push(per_face[i])[0]:
-            return None
+    system = pinned_system(fw, pinned_rows(fw, edge_lengths(fw)), phi)
+    if system is None:
+        return None
     particular, kernel = system.solve()
 
     target = [x for v in graph.vertices[1:] for x in q_float[v]]

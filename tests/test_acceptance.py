@@ -63,7 +63,7 @@ def test_criterion_01_octahedron(octahedron):
     assert rank_exact(rigidity_matrix(octahedron)) == 10
     assert is_infinitesimally_rigid(octahedron)
     assert is_redundantly_rigid(octahedron)
-    subs = monochromatic_subgraphs(octahedron.graph, induced_colouring(octahedron))
+    subs = monochromatic_subgraphs(octahedron.graph, induced_colouring(octahedron), 2)
     assert len(subs) == 2 and all(is_2_connected(s) for s in subs)
     assert certify_generic_global(octahedron)
     elapsed = time.perf_counter() - t0
@@ -173,7 +173,7 @@ def test_criterion_06_rank_formula():
         phi = [norm.faces[rng.randrange(2 * d)] for _ in edges]
         expected = sum(
             n - len(connected_components(sub))
-            for sub in monochromatic_subgraphs(g, phi)
+            for sub in monochromatic_subgraphs(g, phi, d)
         )
         assert rank_exact(colouring_matrix(g, phi, d)) == expected
         done += 1

@@ -91,7 +91,7 @@ def test_invalid_custom_norm_fails_on_every_load(tmp_path):
             load_framework(path)
 
 
-def test_parse_errors_are_diagnostic():
+def test_parse_errors_are_diagnostic(tmp_path, capsys):
     with pytest.raises(FrameworkFileError, match="missing field"):
         parse_framework_dict({"dim": 2})
     with pytest.raises(FrameworkFileError, match="positions"):
@@ -104,6 +104,32 @@ def test_parse_errors_are_diagnostic():
                 "positions": {},
             }
         )
+    # malformed shapes: each names its field, and no command reads a string
+    # as a list of its characters or true as 1
+    good = {"dim": 2, "norm": "linf", "vertices": ["a", "b"], "edges": [["a", "b"]],
+            "positions": {"a": ["0", "0"], "b": ["1", "1/3"]}}
+    faces = [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]
+    shapes = [
+        ({"positions": [["0", "0"], ["1", "1/3"]]}, r"^positions: "),
+        ({"positions": {"a": 5, "b": ["1", "1/3"]}}, r"^positions\['a'\]: "),
+        ({"norm": {"faces": 5}}, r"^norm\.faces: "),
+        ({"norm": {"faces": faces[:3] + [5]}}, r"^norm\.faces\[3\]: "),
+        ({"positions": {"a": "12", "b": ["1", "1/3"]}}, r"^positions\['a'\]: "),
+        ({"edges": ["ab"]}, r"^edges\[0\]: "),
+        ({"dim": True}, r"^dim: "),
+        ({"positions": {"a": [True, "0"], "b": ["1", "1/3"]}}, r"^positions\['a'\]: "),
+    ]
+    for fields, where in shapes:
+        doc = dict(good, **fields)
+        with pytest.raises(FrameworkFileError, match=where):
+            parse_framework_dict(doc)
+        path = write(tmp_path / "bad.json", doc)
+        for argv in (["analyze", path], ["global", path], ["sparsity", path, "--d", "2", "--k", "2"]):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert parse_framework_dict(dict(good, norm={"faces": faces})).norm.faces == preset("linf", 2).faces
 
 
 def run_cli(*argv):
@@ -318,8 +344,8 @@ def test_each_framework_computes_its_edge_table_once(tmp_path):
     out = str(tmp_path / "r.json")
     octahedron, k4 = str(golden / "octahedron.json"), str(golden / "linf_k4_s125.json")
     assert edge_tables_computed(["analyze", octahedron, "--out", out]) == 1
-    assert edge_tables_computed(["global", octahedron, "--budget", "500", "--threads", "1", "--out", out]) == 2
-    assert edge_tables_computed(["global", k4, "--threads", "1", "--out", out]) == 3
+    assert edge_tables_computed(["global", octahedron, "--budget", "500", "--out", out]) == 2
+    assert edge_tables_computed(["global", k4, "--out", out]) == 3
 
 
 def test_cli_generate_k2d_eps(tmp_path):
@@ -359,75 +385,40 @@ def global_meta(tmp_path, fw_path):
     return json.loads(report_path.read_text())["meta"]
 
 
-def test_threads_env_default(monkeypatch, tmp_path):
-    fw_path = tmp_path / "oct.json"
-    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
-    monkeypatch.setenv("POLYRIGID_THREADS", "3")
-    assert global_meta(tmp_path, fw_path)["threads"] == 3
-    monkeypatch.delenv("POLYRIGID_THREADS")
-    assert global_meta(tmp_path, fw_path)["threads"] == 1
-
-
-def test_threads_env_is_read_on_every_call(monkeypatch, tmp_path, capsys):
-    # the parser is built once per process; its --threads default must not
-    # freeze the variable's value at the first call
-    fw_path = tmp_path / "oct.json"
-    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
-    monkeypatch.setenv("POLYRIGID_THREADS", "2")
-    assert global_meta(tmp_path, fw_path)["threads"] == 2
-    monkeypatch.setenv("POLYRIGID_THREADS", "abc")
-    capsys.readouterr()
-    assert run_cli("global", str(fw_path), "--assume-generic") == 2
-    assert capsys.readouterr().err == "error: POLYRIGID_THREADS must be an integer, got 'abc'\n"
-    monkeypatch.delenv("POLYRIGID_THREADS")
-    assert global_meta(tmp_path, fw_path)["threads"] == 1
-
-
-def test_bad_threads_env_is_a_usage_error(monkeypatch, tmp_path, capsys):
-    fw_path = tmp_path / "oct.json"
-    monkeypatch.setenv("POLYRIGID_THREADS", "abc")
-    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
-    assert run_cli("analyze", str(fw_path), "--out", str(tmp_path / "a.json")) == 0
-    capsys.readouterr()
-    assert run_cli("global", str(fw_path), "--assume-generic") == 2
-    err = capsys.readouterr().err
-    assert err == "error: POLYRIGID_THREADS must be an integer, got 'abc'\n"
-    assert run_cli(
-        "global", str(fw_path), "--assume-generic", "--threads", "1",
-        "--out", str(tmp_path / "g.json"),
-    ) == 0
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (["--threads", "0"], "--threads must be at least 1, got 0"),
-        (["--threads", "-3"], "--threads must be at least 1, got -3"),
-        (["--budget", "-1"], "--budget must be at least 0, got -1"),
-    ],
-)
-def test_global_limits_out_of_range_are_usage_errors(tmp_path, capsys, flags, message):
+def test_negative_budget_is_a_usage_error(tmp_path, capsys):
     fw_path = tmp_path / "oct.json"
     assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
     capsys.readouterr()
-    assert run_cli("global", str(fw_path), *flags) == 2
+    assert run_cli("global", str(fw_path), "--budget", "-1") == 2
     out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: {message}\n")
+    assert (out, err) == ("", "error: --budget must be at least 0, got -1\n")
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_threads_env_below_one_is_a_usage_error(monkeypatch, tmp_path, capsys, value):
+def test_global_has_no_worker_setting(monkeypatch, tmp_path, capsys):
+    # the search is serial: --threads is an unknown flag, and
+    # POLYRIGID_THREADS is not read
     fw_path = tmp_path / "oct.json"
     assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
-    monkeypatch.setenv("POLYRIGID_THREADS", value)
-    capsys.readouterr()
-    assert run_cli("global", str(fw_path), "--assume-generic") == 2
-    assert capsys.readouterr().err == f"error: POLYRIGID_THREADS must be at least 1, got {value!r}\n"
-    # an explicit flag still overrides the variable
-    assert run_cli(
-        "global", str(fw_path), "--assume-generic", "--threads", "1",
-        "--out", str(tmp_path / "g.json"),
-    ) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli("global", str(fw_path), "--threads", "2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    monkeypatch.setenv("POLYRIGID_THREADS", "abc")
+    assert global_meta(tmp_path, fw_path) == {"budget": None, "assume_generic": True, "strict": False}
+
+
+def test_edgeless_linf_frameworks_get_reports(tmp_path):
+    # the colour classes are read off the dimension, not the first edge:
+    # d empty classes, and an exact verdict from the rank
+    one = {"dim": 2, "norm": "linf", "vertices": ["a"], "edges": [], "positions": {"a": ["0", "0"]}}
+    two = dict(one, vertices=["a", "b"], positions={"a": ["0", "0"], "b": ["1", "2"]})
+    for doc, outcome in ((one, "GloballyRigid"), (two, "NotRigid")):
+        path, out = write(tmp_path / "fw.json", doc), tmp_path / "r.json"
+        assert run_cli("analyze", path, "--out", str(out)) == 0
+        classes = json.loads(out.read_text())["results"]["monochromatic_classes"]
+        assert [c["edges"] for c in classes] == [[], []]
+        assert run_cli("global", path, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["results"]["exact"]["outcome"] == outcome
 
 
 def test_budget_zero_cuts_at_the_first_colouring(tmp_path):
@@ -440,20 +431,3 @@ def test_budget_zero_cuts_at_the_first_colouring(tmp_path):
     assert exact["outcome"] == "BudgetExceeded"
     assert exact["certificate"]["colourings_examined"] == 1
     assert report["meta"]["budget"] == 0
-
-
-def test_cli_global_threads_flag(tmp_path):
-    fw_path = tmp_path / "k4.json"
-    run_cli(
-        "generate", "random", "--n", "4", "--d", "2", "--seed", "74",
-        "--denominator-bound", "100", "--out", str(fw_path),
-    )
-    report_path = tmp_path / "r.json"
-    assert run_cli(
-        "global", str(fw_path), "--threads", "2", "--out", str(report_path)
-    ) == 0
-    report = json.loads(report_path.read_text())
-    exact = report["results"]["exact"]
-    assert exact["outcome"] in ("NotGloballyRigid", "NotRigid")
-    if exact["outcome"] == "NotGloballyRigid":
-        assert exact["certificate"]["workers"] == 2

@@ -71,7 +71,7 @@ def test_k2d_exact_positions_d2():
 
 def test_k2d_d2_class_sizes():
     fw = build_k2d(2)
-    subs = monochromatic_subgraphs(fw.graph, induced_colouring(fw))
+    subs = monochromatic_subgraphs(fw.graph, induced_colouring(fw), fw.dim)
     assert sorted(len(s.edges) for s in subs) == [3, 3]
 
 
@@ -125,7 +125,7 @@ def test_octahedron_fixture(octahedron):
     assert octahedron.position("v2") == (1, Fraction(9, 5))
     assert octahedron.position("v3") == (0, Fraction(9, 5))
     assert is_well_positioned(octahedron)
-    subs = monochromatic_subgraphs(octahedron.graph, induced_colouring(octahedron))
+    subs = monochromatic_subgraphs(octahedron.graph, induced_colouring(octahedron), 2)
     assert all(is_2_connected(s) for s in subs)
 
 

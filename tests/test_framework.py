@@ -173,7 +173,7 @@ def test_infinitesimal_rigidity_examples(octahedron, linf2):
 
 def test_monochromatic_subgraphs_octahedron(octahedron):
     phi = induced_colouring(octahedron)
-    subs = monochromatic_subgraphs(octahedron.graph, phi)
+    subs = monochromatic_subgraphs(octahedron.graph, phi, 2)
     assert [len(s.edges) for s in subs] == [6, 6]
     assert set(subs[0].edges) | set(subs[1].edges) == set(octahedron.graph.edges)
 
@@ -181,16 +181,16 @@ def test_monochromatic_subgraphs_octahedron(octahedron):
 def test_monochromatic_subgraphs_one_colour(linf2):
     g = complete_graph(list("abc"))
     phi = [(Fraction(1), Fraction(0))] * 3
-    subs = monochromatic_subgraphs(g, phi)
+    subs = monochromatic_subgraphs(g, phi, 2)
     assert len(subs[0].edges) == 3 and len(subs[1].edges) == 0
 
 
 def test_monochromatic_subgraphs_reject_zero_and_general_faces():
     g = Graph(["a", "b"], [("a", "b")])
     with pytest.raises(ParameterError):
-        monochromatic_subgraphs(g, [(Fraction(0), Fraction(0))])
+        monochromatic_subgraphs(g, [(Fraction(0), Fraction(0))], 2)
     with pytest.raises(ParameterError):
-        monochromatic_subgraphs(g, [(Fraction(1), Fraction(1))])
+        monochromatic_subgraphs(g, [(Fraction(1), Fraction(1))], 2)
 
 
 def test_rigid_by_colour_examples(octahedron, linf2):
@@ -229,7 +229,7 @@ def test_linf_rank_formula_random_colourings():
         rows = colouring_matrix(g, phi, d)
         expected = sum(
             n - len(connected_components(sub))
-            for sub in monochromatic_subgraphs(g, phi)
+            for sub in monochromatic_subgraphs(g, phi, d)
         )
         assert rank_exact(rows) == expected
 
@@ -282,7 +282,7 @@ def test_redundantly_rigid_classes_are_2_edge_connected(octahedron):
     from polyrigid import is_2_edge_connected
 
     phi = induced_colouring(octahedron)
-    for sub in monochromatic_subgraphs(octahedron.graph, phi):
+    for sub in monochromatic_subgraphs(octahedron.graph, phi, 2):
         assert is_2_edge_connected(sub)
 
 

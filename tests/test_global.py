@@ -157,34 +157,16 @@ def test_decide_budget_exceeded(rigid_k5_linf2):
     assert verdict.certificate["colourings_examined"] >= 10
 
 
-def test_decide_threads_agree(rigid_k4_linf2):
-    _, fw = rigid_k4_linf2[1]
-    seq = decide_global_rigidity(fw)
-    par = decide_global_rigidity(fw, threads=2)
-    assert seq.outcome == par.outcome == NOT_GLOBALLY_RIGID
-    verify_witness(fw, par)
-
-
-def test_parallel_witness_colouring_is_faces(rigid_k4_linf2):
-    # workers return face indices; the certificate names faces, as serially
+def test_witness_colouring_is_faces(rigid_k4_linf2):
+    # the search works on face indices; the certificate names faces
     _, fw = rigid_k4_linf2[0]
-    seq = decide_global_rigidity(fw)
-    par = decide_global_rigidity(fw, threads=2)
-    assert seq.outcome == par.outcome == NOT_GLOBALLY_RIGID
-    verify_witness(fw, par)
-    phi = par.certificate["witness_colouring"]
+    verdict = decide_global_rigidity(fw)
+    assert verdict.outcome == NOT_GLOBALLY_RIGID
+    verify_witness(fw, verdict)
+    phi = verdict.certificate["witness_colouring"]
     assert len(phi) == len(fw.graph.edges)
     assert all(face in fw.norm.faces for face in phi)
-    assert all(f in fw.norm.faces for f in seq.certificate["witness_colouring"])
     assert equivalent_witness_lp(fw, phi) is not None
-
-
-def test_parallel_workers_capped_at_face_count(rigid_k4_linf2):
-    # linf2 has 4 faces: eight requested workers run as four, not serially
-    _, fw = rigid_k4_linf2[1]
-    verdict = decide_global_rigidity(fw, threads=8)
-    verify_witness(fw, verdict)
-    assert verdict.certificate["workers"] == 4
 
 
 def test_decide_flexible_construction(linf2):
@@ -199,7 +181,7 @@ def test_single_vertex_trivially_globally_rigid(linf2):
 
 def test_strong_colouring_linf_examples(octahedron):
     phi = induced_colouring(octahedron)
-    assert is_strong_colouring_linf(octahedron.graph, phi)
+    assert is_strong_colouring_linf(octahedron.graph, phi, 2)
     # K4: no colouring can have both classes 2-connected (that needs at
     # least 4 edges per class out of 6)
     g = complete_graph(list("abcd"))
@@ -207,13 +189,13 @@ def test_strong_colouring_linf_examples(octahedron):
     face = linf2.faces[0]
     other = linf2.faces[2]
     phi4 = (face, face, face, other, other, other)
-    assert not is_strong_colouring_linf(g, phi4)
+    assert not is_strong_colouring_linf(g, phi4, 2)
 
 
 def test_strong_colouring_k2d_classes_too_small():
     fw = build_k2d(2)
     phi = induced_colouring(fw)
-    assert not is_strong_colouring_linf(fw.graph, phi)
+    assert not is_strong_colouring_linf(fw.graph, phi, fw.dim)
 
 
 def test_strong_colouring_exhaustive_small(linf2):
@@ -235,7 +217,7 @@ def test_strong_colouring_exhaustive_matches_certificate_on_square(linf2):
     h = (Fraction(1), Fraction(0))
     v = (Fraction(0), Fraction(1))
     phi = (h, v, h, v)
-    assert not is_strong_colouring_linf(g, phi)
+    assert not is_strong_colouring_linf(g, phi, 2)
     assert not is_strong_colouring_exhaustive(g, phi, linf2, budget=100_000)
 
 
@@ -457,11 +439,11 @@ def test_deep_graph_gives_budget_exceeded_not_recursion_error():
 def recorded_search(fw, lookahead):
     """decide_global_rigidity, serially, with the look-ahead on or off:
     (verdict, the leaves the walk yields in order as face-index tuples,
-    the jobs given to ``_search_slice``, whose framework is in search edge
-    order)."""
+    the argument tuples given to ``_search``, whose framework is in search
+    edge order)."""
     from polyrigid import global_rigidity as gr
 
-    walk, search = gr._consistent_leaves, gr._search_slice
+    walk, search = gr._consistent_leaves, gr._search
     leaves, jobs = [], []
 
     def recording(system, options, on_cut, face_rows=None):
@@ -469,13 +451,13 @@ def recorded_search(fw, lookahead):
             leaves.append(phi)
             yield phi
 
-    def capturing(job):
+    def capturing(*job):
         jobs.append(job)
-        return search(job)
+        return search(*job)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gr, "_consistent_leaves", recording)
-        m.setattr(gr, "_search_slice", capturing)
+        m.setattr(gr, "_search", capturing)
         verdict = decide_global_rigidity(fw)
     return verdict, leaves, jobs
 
@@ -616,16 +598,13 @@ def octagon_k4s(count):
     return [fw for _, fw in rigid_random_realisations(complete_graph(list("abcd")), octagon, count, denominator_bound=100)]
 
 
-def test_orbit_cut_and_split_with_two_face_orbits():
-    # the octagon's two face orbits leave the first search edge two faces,
-    # and the workers split those two; every K4 here is refuted, by a
-    # witness each search re-verifies
+def test_orbit_cut_with_two_face_orbits():
+    # the octagon's two face orbits leave the first search edge two faces;
+    # every K4 here is refuted, by a witness the search re-verifies
     for fw in octagon_k4s(3):
-        verdict = decide_global_rigidity(fw)
-        parallel = decide_global_rigidity(fw, threads=8)
-        assert parallel.certificate["workers"] == 2
+        verdict, _, [(*_, first)] = recorded_search(fw, lookahead=True)
+        assert len(first) == 2
         verify_witness(fw, verdict)
-        verify_witness(fw, parallel)
 
 
 @settings(max_examples=40, deadline=None)
@@ -677,38 +656,3 @@ def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf
         outcomes.add(verdict.outcome)
     assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID}
     assert dropped > 0
-
-
-def test_worker_slices_sum_to_the_serial_counts(octahedron, rigid_k5_linf2):
-    # the look-ahead reads every face of the next edge, not only a slice's
-    # options, so the workers cut where the serial search does
-    from conftest import l1_image
-
-    _, k5 = rigid_k5_linf2[0]
-    for fw in (octahedron, k5, l1_image(k5)):
-        serial = decide_global_rigidity(fw)
-        assert serial.outcome == GLOBALLY_RIGID
-        for threads in (2, 4):
-            parallel = decide_global_rigidity(fw, threads=threads)
-            assert parallel.outcome == serial.outcome
-            assert parallel.certificate["workers"] == threads
-            assert search_counts(parallel) == search_counts(serial)
-
-
-def test_workers_stop_at_the_first_witness():
-    # slice 0 holds the serial search's witness on these golden K4s, so the
-    # 2-worker search stops there with the serial witness and counts; read
-    # to the end, both slices gave 186 and 188 colourings
-    from pathlib import Path
-
-    from polyrigid.fileformat import load_framework
-
-    for name, colourings in (("linf_k4_s125", 40), ("l1_k4_s125", 42)):
-        fw = load_framework(Path(__file__).parent / "data" / "golden" / f"{name}.json")
-        serial, parallel = decide_global_rigidity(fw), decide_global_rigidity(fw, threads=2)
-        assert serial.outcome == parallel.outcome == NOT_GLOBALLY_RIGID
-        assert serial.certificate["colourings_examined"] == colourings
-        assert search_counts(parallel) == search_counts(serial)
-        assert parallel.witness == serial.witness
-        assert parallel.certificate["witness_colouring"] == serial.certificate["witness_colouring"]
-        assert parallel.certificate["workers"] == 2
