@@ -137,11 +137,14 @@ def dumps(data):
 def _read_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise FrameworkFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FrameworkFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise FrameworkFileError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def load_framework(path):

@@ -130,6 +130,11 @@ def test_parse_errors_are_diagnostic(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert parse_framework_dict(dict(good, norm={"faces": faces})).norm.faces == preset("linf", 2).faces
+    path = write(tmp_path / "bad.json", 5)
+    for argv in (["analyze", path], ["sparsity", path, "--d", "2", "--k", "2"]):
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: expected a JSON object, got int\n"
 
 
 def run_cli(*argv):
