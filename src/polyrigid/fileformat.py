@@ -42,11 +42,11 @@ def _require(data, key, where):
     return data[key]
 
 
-def _as_list(value, where):
-    """value itself when it is a JSON array; a string is not a list of its
-    characters."""
-    if not isinstance(value, list):
-        raise FrameworkFileError(f"{where}: expected a list, got {type(value).__name__}")
+def _typed(value, kind, where):
+    """value itself when it is a ``kind`` (list: a JSON array, dict: an
+    object); a string is not a list of its characters."""
+    if not isinstance(value, kind):
+        raise FrameworkFileError(f"{where}: expected a {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -59,8 +59,8 @@ def parse_norm(spec, dim):
         return _shared_preset(spec, dim)
     if isinstance(spec, dict) and "faces" in spec:
         faces = [
-            [parse_rational(x, f"norm.faces[{i}]") for x in _as_list(face, f"norm.faces[{i}]")]
-            for i, face in enumerate(_as_list(spec["faces"], "norm.faces"))
+            [parse_rational(x, f"norm.faces[{i}]") for x in _typed(face, list, f"norm.faces[{i}]")]
+            for i, face in enumerate(_typed(spec["faces"], list, "norm.faces"))
         ]
         try:
             return PolytopeNorm(dim, faces)
@@ -76,7 +76,7 @@ def parse_graph_dict(data):
     edges = _require(data, "edges", "graph")
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise FrameworkFileError("vertices: expected a list of identifier strings")
-    edges = [tuple(_as_list(e, f"edges[{i}]")) for i, e in enumerate(_as_list(edges, "edges"))]
+    edges = [tuple(_typed(e, list, f"edges[{i}]")) for i, e in enumerate(_typed(edges, list, "edges"))]
     try:
         return Graph(vertices, edges)
     except Exception as exc:
@@ -89,14 +89,12 @@ def parse_framework_dict(data):
         raise FrameworkFileError(f"dim: expected a positive integer, got {dim!r}")
     graph = parse_graph_dict(data)
     norm = parse_norm(_require(data, "norm", "framework"), dim)
-    raw_positions = _require(data, "positions", "framework")
-    if not isinstance(raw_positions, dict):
-        raise FrameworkFileError(f"positions: expected an object of vertex coordinates, got {type(raw_positions).__name__}")
+    raw_positions = _typed(_require(data, "positions", "framework"), dict, "positions")
     positions = {}
     for v in graph.vertices:
         if v not in raw_positions:
             raise FrameworkFileError(f"positions: missing vertex {v!r}")
-        coords = _as_list(raw_positions[v], f"positions[{v!r}]")
+        coords = _typed(raw_positions[v], list, f"positions[{v!r}]")
         if len(coords) != dim:
             raise FrameworkFileError(
                 f"positions[{v!r}]: expected {dim} coordinates, got {len(coords)}"
@@ -142,9 +140,7 @@ def _read_json(path):
         raise FrameworkFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FrameworkFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise FrameworkFileError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    return data
+    return _typed(data, dict, path)
 
 
 def load_framework(path):

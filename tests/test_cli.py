@@ -134,7 +134,7 @@ def test_parse_errors_are_diagnostic(tmp_path, capsys):
     for argv in (["analyze", path], ["sparsity", path, "--d", "2", "--k", "2"]):
         capsys.readouterr()
         assert run_cli(*argv) == 2
-        assert capsys.readouterr().err == f"error: {path}: expected a JSON object, got int\n"
+        assert capsys.readouterr().err == f"error: {path}: expected a dict, got int\n"
 
 
 def run_cli(*argv):
