@@ -437,7 +437,7 @@ def test_deep_graph_gives_budget_exceeded_not_recursion_error():
 
 
 def recorded_search(fw, lookahead):
-    """decide_global_rigidity, serially, with the look-ahead on or off:
+    """decide_global_rigidity with the look-ahead on or off:
     (verdict, the leaves the walk yields in order as face-index tuples,
     the argument tuples given to ``_search``, whose framework is in search
     edge order)."""
