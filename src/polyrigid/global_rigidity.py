@@ -191,48 +191,94 @@ def _consistent_leaves(system, options, on_cut, faces=None):
     face indices while its rows are still pushed, so the caller can solve
     the system there.  An empty edge list yields nothing.
 
-    With ``faces``, each edge's rows for every face (coef . x <= rhs),
-    opening edge i reduces all of edge i's rows against the prefix (edge
-    0 opens plainly: no row is constant on the whole space).  A constant
-    row with a negative right-hand side is violated on the prefix's whole
-    affine set, so at every leaf below (``_settle_leaf`` rejects them
-    all): each option of edge i goes to ``on_cut`` instead.  Else the
-    options are pushed from their reduced rows.  Leaves keep their order,
-    so the first witness is unchanged; p's own colouring meets every row
-    and is never cut."""
+    With ``faces``, each edge's rows for every face (coef . x <= rhs), the
+    walk forward-checks all of them, for assigned and future edges alike.
+    Each row is kept as ``system.reduce`` gives it against the current
+    pivots (the system starts with none), in a watch list under its lead
+    column.  ``reduce`` stops at the first lead without a pivot and pivots
+    are never changed, so a push that adds a pivot at column c changes
+    exactly the rows watched at c: each is reduced once more and becomes a
+    constant or moves to its new lead; a pop undoes the moves from a
+    trail (watched literals, as in Chaff: Moskewicz et al., DAC 2001).
+    Options are pushed from their kept rows.  A constant row with a
+    negative right-hand side is violated on the prefix's whole affine set,
+    so the prefix is cut: one ``on_cut`` per option of the next edge, or
+    one for a full colouring.  This is complete:
 
-    def opened(i):
-        if faces is None:
-            return iter(options[i])
-        reduced = [system.reduce(row) for row in faces[i]]
-        if any(lead is None and row.get(rhs, 0) < 0 for lead, row in reduced):
-            for _ in options[i]:
-                on_cut()
-            return None
-        return iter([(j, reduced[j][1]) for j, _ in options[i]])
-
+    - every face row holds on every leaf's feasible set (an equivalent
+      realisation exceeds no face on any edge), so each leaf below a cut
+      prefix would settle to None in ``_settle_leaf``;
+    - the leaves that remain are yielded in the same order as without the
+      check, so the first witness is unchanged;
+    - p, and each of its isometric images moved back onto the pinned
+      vertex, meets every row, so the colourings in the skipped set are
+      never cut, and the orbit cut's argument, which maps witnesses to
+      witnesses, is untouched."""
     m, rhs = len(options), system.width - 1
+    reduce, trail = system.reduce, []
+    kept, at = [], []  # kept[at[i] + j]: edge i's row for face j, reduced
+    watch = [[] for _ in range(rhs)]  # lead column -> (index, kept row)
+    for per_face in faces or ():
+        at.append(len(kept))
+        for row in per_face:
+            watch[min(row)].append((len(kept), row))
+            kept.append(row)
+
+    def forward(c):
+        """Re-reduce the rows watched at c, a new pivot's column; False as
+        soon as one is a violated constant."""
+        moved, leads = watch[c], []
+        watch[c] = []
+        trail.append((c, moved, leads))
+        for r, row in moved:
+            lead, row = reduce(row)
+            kept[r] = row
+            if lead is not None:
+                watch[lead].append((r, row))
+                leads.append(lead)
+            elif row.get(rhs, 0) < 0:
+                return False
+        return True
+
+    def retract():
+        system.pop()
+        if undo := trail.pop():
+            c, moved, leads = undo
+            for lead in leads:
+                watch[lead].pop()
+            for r, row in moved:
+                kept[r] = row
+            watch[c] = moved
+
     assign = [None] * m
     stack = [iter(options[0])] if m else []
     while stack:
         i = len(stack) - 1
         for face, row in stack[-1]:
-            consistent, _ = system.push(row)
+            if faces is not None:
+                row = kept[at[i] + face]
+            consistent, added = system.push(row)
+            holds = forward(min(row)) if added and faces is not None else trail.append(None) or True
             if not consistent:
-                system.pop()
+                retract()
                 on_cut()
+                continue
+            if not holds:
+                retract()
+                for _ in options[i + 1] if i + 1 < m else [face]:
+                    on_cut()
                 continue
             assign[i] = face
             if i + 1 == m:
                 yield tuple(assign)
-            elif (below := opened(i + 1)) is not None:
-                stack.append(below)
+            else:
+                stack.append(iter(options[i + 1]))
                 break
-            system.pop()
+            retract()
         else:
             stack.pop()
             if stack:
-                system.pop()
+                retract()
 
 
 def _search(fw: Framework, iso_set, budget, first):

@@ -429,15 +429,20 @@ def test_deep_graph_gives_budget_exceeded_not_recursion_error():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        verdict = decide_global_rigidity(fw, budget=200)
+        cut = decide_global_rigidity(fw, budget=100)
+        full = decide_global_rigidity(fw)
     finally:
         sys.setrecursionlimit(old)
-    assert verdict.outcome == BUDGET_EXCEEDED
-    assert verdict.certificate["colourings_examined"] == 201
+    assert cut.outcome == BUDGET_EXCEEDED
+    assert cut.certificate["colourings_examined"] == 101
+    # the whole search is 152 colourings deep into a 118-level tree
+    verify_witness(fw, full)
+    assert full.certificate["colourings_examined"] == 152
 
 
 def recorded_search(fw, lookahead):
-    """decide_global_rigidity with the look-ahead on or off:
+    """decide_global_rigidity with the forward check on the face rows (the
+    look-ahead) on or off:
     (verdict, the leaves the walk yields in order as face-index tuples,
     the argument tuples given to ``_search``, whose framework is in search
     edge order)."""
@@ -476,9 +481,9 @@ def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
     _, k4 = rigid_k4_linf2[0]
     k4_l1 = l1_image(k4)
     pins = [
-        (k5, GLOBALLY_RIGID, (3145, 16, 3129, 2, 14), (11095, 32, 11063, 2, 30)),
-        (k4, NOT_GLOBALLY_RIGID, (167, 33, 134, 0, 33), (293, 89, 204, 0, 89)),
-        (k4_l1, NOT_GLOBALLY_RIGID, (199, 37, 162, 1, 36), (253, 85, 168, 1, 84)),
+        (k5, GLOBALLY_RIGID, (607, 2, 605, 2, 0), (11095, 32, 11063, 2, 30)),
+        (k4, NOT_GLOBALLY_RIGID, (119, 1, 118, 0, 1), (293, 89, 204, 0, 89)),
+        (k4_l1, NOT_GLOBALLY_RIGID, (133, 2, 131, 1, 1), (253, 85, 168, 1, 84)),
     ]
     for fw, outcome, lookahead, plain in pins:
         for verdict, counts in ((decide_global_rigidity(fw), lookahead), (decide_without_lookahead(fw), plain)):
@@ -523,7 +528,7 @@ def test_integer_leaves_agree_with_fraction_reference(
     corpus = [(fw, None) for _, fw in rigid_k4_linf2[:6]]
     corpus += [(l1_image(fw), None) for _, fw in rigid_k4_linf2[:6]]
     corpus += [(fw, None) for _, fw in rigid_k5_linf2[:3]]
-    corpus.append((octahedron, 2000))
+    corpus.append((octahedron, 1000))  # the whole proof is 1,408 colourings
     for n in (5, 6, 7):
         g = complete_graph([f"v{i}" for i in range(n)])
         positions = {v: (Fraction(i * i + i, 3),) for i, v in enumerate(g.vertices)}
@@ -630,9 +635,9 @@ def test_edge_order_does_not_change_the_verdict(rigid_k4_linf2, rigid_k5_linf2, 
 
 @pytest.mark.slow
 def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf2, rigid_k5_linf2):
-    # the look-ahead cuts a prefix on which some face of the next edge is
-    # exceeded everywhere: the leaves it drops must all settle to None by
-    # the plain Fraction route, and the rest keep their order and answer
+    # the forward check cuts a prefix on which some face row, of any edge,
+    # is exceeded everywhere: the leaves it drops must all settle to None
+    # by the plain Fraction route, and the rest keep their order and answer
     from conftest import l1_image
     from _oracles import reference_leaf_settlement
 
