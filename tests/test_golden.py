@@ -18,7 +18,7 @@ DATA = Path(__file__).parent / "data" / "golden"
 
 COMMANDS = {
     "analyze": lambda name: ["analyze"],
-    "global": lambda name: ["global"] + (["--budget", "500"] if name == "octahedron" else []),
+    "global": lambda name: ["global"],
     "sparsity": lambda name: ["sparsity", "--d", "2", "--k", "2"],
     "sparsity-d2k3": lambda name: ["sparsity", "--d", "2", "--k", "3"],
     "sparsity-d1k1": lambda name: ["sparsity", "--d", "1", "--k", "1"],
