@@ -424,6 +424,14 @@ def test_edgeless_linf_frameworks_get_reports(tmp_path):
         assert [c["edges"] for c in classes] == [[], []]
         assert run_cli("global", path, "--out", str(out)) == 0
         assert json.loads(out.read_text())["results"]["exact"]["outcome"] == outcome
+    # one vertex: the planar characterisation agrees with the exact verdict
+    for kind in ("linf", "l1"):
+        path, out = write(tmp_path / "fw.json", dict(one, norm=kind)), tmp_path / "r.json"
+        assert run_cli("global", path, "--out", str(out)) == 0
+        results = json.loads(out.read_text())["results"]
+        planar = [p for p in results["fast_paths"] if p["criterion"].startswith("planar")]
+        assert [p["generic_verdict"] for p in planar] == ["GloballyRigid"]
+        assert results["exact"]["outcome"] == "GloballyRigid"
 
 
 def test_budget_zero_cuts_at_the_first_colouring(tmp_path):
