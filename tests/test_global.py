@@ -495,6 +495,29 @@ def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
     assert decide_without_lookahead(k5).certificate["leaves"] * len(k5.norm.faces) == 128
 
 
+def random_k_linf3(n, seed):
+    g = complete_graph([f"v{i}" for i in range(n)])
+    return randomize_realisation(g, 3, preset("linf", 3), seed=seed, denominator_bound=100)
+
+
+def test_d3_refutation_is_pinned():
+    # K8 in linf3: a witness after 21,884 colourings, where the walk that
+    # checked only the next edge's faces stopped at a 2,000,000 budget
+    fw = random_k_linf3(8, 4798)
+    verdict = decide_global_rigidity(fw)
+    verify_witness(fw, verdict)
+    assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (21884, 2, 21882, 1, 1)))
+
+
+@pytest.mark.slow
+def test_d3_proof_is_pinned():
+    # K7 in linf3: globally rigid, where the walk that checked only the
+    # next edge's faces stopped at a 40,000,000 budget with no leaf
+    verdict = decide_global_rigidity(random_k_linf3(7, 7092))
+    assert verdict.outcome == GLOBALLY_RIGID
+    assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (696216, 8, 696208, 8, 0)))
+
+
 def decide_with_reference_leaves(fw, budget, monkeypatch):
     """decide_global_rigidity with every leaf settled by the plain Fraction
     route of ``reference_leaf_settlement`` instead of the integer one."""
