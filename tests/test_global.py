@@ -656,6 +656,39 @@ def test_edge_order_does_not_change_the_verdict(rigid_k4_linf2, rigid_k5_linf2, 
         verify_witness(shuffled, plain_again)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_outcome_is_invariant_under_isometry_reordering_and_scaling(rigid_k4_linf2, rigid_k5_linf2, data):
+    # a signed permutation plus an integer translation is an isometry of
+    # linf and l1; reordering the vertices moves the pinned vertex and the
+    # search order; a positive scaling scales every length.  None of them
+    # changes the answer, and every witness found on the way re-verifies
+    from conftest import l1_image
+
+    corpus = [fw for _, fw in rigid_k4_linf2[:4] + rigid_k5_linf2[:3]]
+    corpus += [l1_image(fw) for fw in corpus]
+    fw = data.draw(st.sampled_from(corpus))
+    outcome = decide_global_rigidity(fw).outcome
+    assert outcome in (GLOBALLY_RIGID, NOT_GLOBALLY_RIGID)
+
+    perm = data.draw(st.permutations(range(2)))
+    signs = data.draw(st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))))
+    shift = data.draw(st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    moved = {v: tuple(signs[k] * p[perm[k]] + shift[k] for k in range(2)) for v, p in fw.positions.items()}
+    vertices = data.draw(st.permutations(fw.graph.vertices))
+    scale = data.draw(st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50))
+    images = [
+        fw.with_positions(moved),
+        Framework(Graph(vertices, fw.graph.edges), fw.norm, fw.positions),
+        fw.with_positions({v: tuple(scale * x for x in p) for v, p in fw.positions.items()}),
+    ]
+    for image in images:
+        verdict = decide_global_rigidity(image)
+        assert verdict.outcome == outcome
+        if outcome == NOT_GLOBALLY_RIGID:
+            verify_witness(image, verdict)
+
+
 @pytest.mark.slow
 def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf2, rigid_k5_linf2):
     # the forward check cuts a prefix on which some face row, of any edge,
