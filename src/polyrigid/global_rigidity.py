@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
+from math import gcd
 
 from .errors import (
     BudgetExceededError,
@@ -117,16 +118,35 @@ def _settle_leaf(fw: Framework, rows, system):
     equivalent iff no face exceeds any length.  The particular solution
     X / D is tested in integers, as row . (X, -D) <= 0; then a violated
     row that annihilates the kernel is constant on the set and rules it
-    out; only then does the exact LP over the kernel coordinates run.
+    out; then an exact LP over integer kernel coordinates decides whether
+    the set holds a point.  Only a leaf that does is solved once more, by
+    the LP in the kernel coordinates of ``system.solve``, whose point is
+    the witness.
     """
     X, D = system.back_substitute()
     point = X + [-D]
-    if all(_level(row, point) <= 0 for row in rows):
+    levels = [_level(row, point) for row in rows]
+    if max(levels) <= 0:
         return unpin(fw, [Fraction(x, D) for x in X])
+    # the set is (X + sum_j w_j K_j) / D over the integer kernel vectors K_j,
+    # where a row reads key . w <= -level with key_j = row . K_j; keys are
+    # divided by their gcd, so parallel rows merge into the least bound
     kernel = [system.back_substitute(c)[0] + [0] for c in system.free_columns()]
-    if not kernel or any(
-        _level(row, point) > 0 and not any(_level(row, K) for K in kernel) for row in rows
-    ):
+    bounds = {}
+    for row, level in zip(rows, levels):
+        key = [_level(row, K) for K in kernel]
+        if not any(key):
+            if level > 0:
+                return None
+            continue
+        g = gcd(*key)
+        key, bound = tuple(k // g for k in key), Fraction(-level, g)
+        bounds[key] = min(bound, bounds.get(key, bound))
+    for key, bound in bounds.items():  # key.w <= b and -key.w <= b', b + b' < 0
+        opposite = bounds.get(tuple(-k for k in key))
+        if opposite is not None and bound + opposite < 0:
+            return None
+    if simplex.feasible_point(list(bounds), list(bounds.values())) is None:
         return None
 
     # q = q0 + sum_j t_j moves[j], where moves[j] is kernel vector j as a

@@ -518,6 +518,38 @@ def test_d3_proof_is_pinned():
     assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (696216, 8, 696208, 8, 0)))
 
 
+def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4_linf2, linf2):
+    # the leaves of the walk without the forward check, settled by the
+    # engine (integer LP, opposite-row test, then the Fraction LP for the
+    # point) and by the plain Fraction route; the flexible K4's leaves
+    # have kernels, and its LPs find points
+    from itertools import islice
+    from conftest import l1_image
+    from polyrigid import global_rigidity as gr
+    from polyrigid.framework import pinned_rows, pinned_system
+    from _oracles import reference_leaf_settlement
+
+    corpus = [fw for _, fw in rigid_k4_linf2[:3]]
+    corpus += [l1_image(fw) for fw in corpus] + [octahedron]
+    corpus.append(build_flexible_open(complete_graph(list("abcd")), linf2))
+    settled = {"particular": 0, "lp point": 0, "lp empty": 0}
+    for fw in corpus:
+        lengths = edge_lengths(fw)
+        faces = pinned_rows(fw, lengths)
+        rows = [row for per_face in faces for row in per_face]
+        system = pinned_system(fw, faces)
+        options = [list(enumerate(per_face)) for per_face in faces]
+        for phi in islice(gr._consistent_leaves(system, options, lambda: None), 250):
+            q = gr._settle_leaf(fw, rows, system)
+            assert q == reference_leaf_settlement(fw, lengths, [fw.norm.faces[j] for j in phi])
+            X, D = system.back_substitute()
+            if all(gr._level(row, X + [-D]) <= 0 for row in rows):
+                settled["particular"] += 1
+            elif system.free_columns():
+                settled["lp point" if q else "lp empty"] += 1
+    assert all(settled.values()), settled
+
+
 def decide_with_reference_leaves(fw, budget, monkeypatch):
     """decide_global_rigidity with every leaf settled by the plain Fraction
     route of ``reference_leaf_settlement`` instead of the integer one."""
