@@ -53,6 +53,7 @@ from .framework import (
     rigid_rank,
     unique_colouring,
     unpin,
+    with_edge_order,
     zero_vector,
 )
 from .graph import Graph, is_2_connected
@@ -401,7 +402,7 @@ def decide_global_rigidity(fw: Framework, budget=None):
     perms = fw.norm.face_permutations()
     cert["isometry_group_order"] = len(perms)
     order = _search_order(fw.graph)
-    search_fw = Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in order]), fw.norm, fw.positions)
+    search_fw = with_edge_order(fw, order)
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
     first = [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]
     found, counts, budget_hit = _search(search_fw, iso_set, budget, first)
