@@ -202,7 +202,7 @@ class _BudgetHit(Exception):
     pass
 
 
-def _consistent_leaves(system, options, on_cut, faces=None):
+def _consistent_leaves(system, options, on_cut, faces=None, opposite=None):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
     ``options[i]`` lists the (face index, integer row) choices for edge i.
@@ -234,9 +234,14 @@ def _consistent_leaves(system, options, on_cut, faces=None):
     - p, and each of its isometric images moved back onto the pinned
       vertex, meets every row, so the colourings in the skipped set are
       never cut, and the orbit cut's argument, which maps witnesses to
-      witnesses, is untouched."""
+      witnesses, is untouched.
+
+    ``opposite`` maps face j to the index of face -f_j, where the norm
+    has it, and spares two reductions per push: the pushed row would
+    reduce to zero and its edge's row for -f_j to 2 length(e) >= 0.
+    Neither is read before the pop, which finds them as they were."""
     m, rhs = len(options), system.width - 1
-    reduce, trail = system.reduce, []
+    reduce, trail, opposite = system.reduce, [], opposite or {}
     kept, at = [], []  # kept[at[i] + j]: edge i's row for face j, reduced
     watch = [[] for _ in range(rhs)]  # lead column -> (index, kept row)
     for per_face in faces or ():
@@ -245,13 +250,15 @@ def _consistent_leaves(system, options, on_cut, faces=None):
             watch[min(row)].append((len(kept), row))
             kept.append(row)
 
-    def forward(c):
+    def forward(c, spared):
         """Re-reduce the rows watched at c, a new pivot's column; False as
         soon as one is a violated constant."""
         moved, leads = watch[c], []
         watch[c] = []
         trail.append((c, moved, leads))
         for r, row in moved:
+            if r in spared:
+                continue
             lead, row = reduce(row)
             kept[r] = row
             if lead is not None:
@@ -260,6 +267,18 @@ def _consistent_leaves(system, options, on_cut, faces=None):
             elif row.get(rhs, 0) < 0:
                 return False
         return True
+
+    def push(i, face, row):
+        """Push an option of edge i: (consistent, no face row violated)."""
+        if faces is None:
+            trail.append(None)
+            return system.push(row)[0], True
+        r = at[i] + face
+        consistent, added = system.push(kept[r])
+        if not added:
+            trail.append(None)
+            return consistent, True
+        return True, forward(min(kept[r]), (r, at[i] + opposite.get(face, face)))
 
     def retract():
         system.pop()
@@ -276,10 +295,7 @@ def _consistent_leaves(system, options, on_cut, faces=None):
     while stack:
         i = len(stack) - 1
         for face, row in stack[-1]:
-            if faces is not None:
-                row = kept[at[i] + face]
-            consistent, added = system.push(row)
-            holds = forward(min(row)) if added and faces is not None else trail.append(None) or True
+            consistent, holds = push(i, face, row)
             if not consistent:
                 retract()
                 on_cut()
@@ -313,6 +329,8 @@ def _search(fw: Framework, iso_set, budget, first):
     faces = pinned_rows(fw, edge_lengths(fw))  # per edge, one row per face
     options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
     rows = [row for per_face in faces for row in per_face]
+    minus = {j: tuple(-x for x in f) for j, f in enumerate(fw.norm.faces)}
+    opposite = {j: fw.norm.face_index[f] for j, f in minus.items() if f in fw.norm.face_index}
 
     def check_budget():
         if budget is not None and counts["colourings_examined"] > budget:
@@ -325,7 +343,7 @@ def _search(fw: Framework, iso_set, budget, first):
 
     system = pinned_system(fw, faces)
     try:
-        for phi in _consistent_leaves(system, options, cut, faces):
+        for phi in _consistent_leaves(system, options, cut, faces, opposite):
             counts["leaves"] += 1
             counts["colourings_examined"] += 1
             if phi in iso_set:

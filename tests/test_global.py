@@ -451,8 +451,8 @@ def recorded_search(fw, lookahead):
     walk, search = gr._consistent_leaves, gr._search
     leaves, jobs = [], []
 
-    def recording(system, options, on_cut, face_rows=None):
-        for phi in walk(system, options, on_cut, face_rows if lookahead else None):
+    def recording(system, options, on_cut, face_rows=None, opposite=None):
+        for phi in walk(system, options, on_cut, face_rows if lookahead else None, opposite):
             leaves.append(phi)
             yield phi
 
@@ -518,6 +518,29 @@ def test_d3_proof_is_pinned():
     assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (696216, 8, 696208, 8, 0)))
 
 
+def test_sparing_opposite_rows_changes_no_leaf_or_cut(octahedron, rigid_k4_linf2):
+    # the forward check with and without the opposite-face map: the same
+    # leaves in the same order, and the same number of cuts
+    from conftest import l1_image
+    from polyrigid import global_rigidity as gr
+    from polyrigid.framework import pinned_rows, pinned_system
+
+    corpus = [fw for _, fw in rigid_k4_linf2[:3]]
+    corpus += [l1_image(fw) for fw in corpus] + [octahedron, line_framework(6)]
+    for fw in corpus:
+        faces = pinned_rows(fw, edge_lengths(fw))
+        options = [list(enumerate(per_face)) for per_face in faces]
+        minus = [tuple(-x for x in f) for f in fw.norm.faces]
+        opposite = {j: fw.norm.face_index[f] for j, f in enumerate(minus)}
+        walks = []
+        for spare in (opposite, None):
+            cuts = []
+            leaves = list(gr._consistent_leaves(pinned_system(fw, faces), options, lambda: cuts.append(1), faces, spare))
+            walks.append((leaves, len(cuts)))
+        assert walks[0] == walks[1]
+        assert walks[0][0] and walks[0][1]
+
+
 def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4_linf2, linf2):
     # the leaves of the walk without the forward check, settled by the
     # engine (integer LP, opposite-row test, then the Fraction LP for the
@@ -560,8 +583,8 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
     enumerate_leaves = gr._consistent_leaves
     faces = fw.norm.faces
 
-    def recording(system, options, on_cut, face_rows=None):
-        for phi in enumerate_leaves(system, options, on_cut, face_rows):
+    def recording(system, options, on_cut, face_rows=None, opposite=None):
+        for phi in enumerate_leaves(system, options, on_cut, face_rows, opposite):
             current["phi"] = tuple(faces[i] for i in phi)  # leaves come as face indices
             yield phi
 
