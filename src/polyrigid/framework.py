@@ -90,14 +90,6 @@ def edge_table(fw: Framework):
     return fw._table
 
 
-def with_edge_order(fw: Framework, order):
-    """The framework with its edges taken in ``order`` (input edge
-    indices), carrying fw's edge table permuted instead of a new pass."""
-    out = Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in order]), fw.norm, fw.positions)
-    out._table = tuple(tuple(x[i] for i in order) for x in edge_table(fw))
-    return out
-
-
 def unique_colouring(active):
     """The induced colouring as face indices, or None unless every edge has
     exactly one active face (the framework is well-positioned)."""

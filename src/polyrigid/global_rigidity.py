@@ -5,14 +5,13 @@ equivalent realisation q of (G, p) must satisfy M(G, phi) q = lengths(p)
 for some colouring phi of its own, plus the per-edge inequalities saying
 no face exceeds the prescribed length.  The engine enumerates zero-free
 colourings depth-first, pruning a branch once the partial affine system
-(one vertex pinned) is inconsistent or fixes a face of the next edge above
-its length, skipping the colourings obtained from the induced one by a
+(one vertex pinned) is inconsistent or fixes a face of any edge above its
+length, skipping the colourings obtained from the induced one by a
 linear isometry (they only give congruent copies), and settling the rest
-in integers: a fraction-free leaf solution and integer face inequalities.
-Only the exact LP, run when the leaf's kernel leaves room, and the final
-witness check use Fractions.  A feasible point is an explicit equivalent,
-non-congruent realisation; if the whole tree is exhausted without one,
-the framework is globally rigid - exactly, with no genericity caveat.
+in integers (leaf solution, face inequalities, LP); only the exact simplex
+and the final witness check use Fractions.  A feasible point is an explicit
+equivalent, non-congruent realisation; exhausting the tree without one
+proves global rigidity - exactly, with no genericity caveat.
 
 Alongside the exact engine live the certificate routes: strong directed
 colourings (all colour classes 2-connected certifies global rigidity of
@@ -25,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, count
 from math import gcd
 
 from .errors import (
@@ -53,7 +52,6 @@ from .framework import (
     rigid_rank,
     unique_colouring,
     unpin,
-    with_edge_order,
     zero_vector,
 )
 from .graph import Graph, is_2_connected
@@ -119,44 +117,35 @@ def _settle_leaf(fw: Framework, rows, system):
     equivalent iff no face exceeds any length.  The particular solution
     X / D is tested in integers, as row . (X, -D) <= 0; then a violated
     row that annihilates the kernel is constant on the set and rules it
-    out; then an exact LP over integer kernel coordinates decides whether
-    the set holds a point.  Only a leaf that does is solved once more, by
-    the LP in the kernel coordinates of ``system.solve``, whose point is
-    the witness.
+    out; then an LP over integer kernel coordinates decides emptiness,
+    and a set with a point runs the LP of ``system.solve``'s coordinates.
     """
     X, D = system.back_substitute()
     point = X + [-D]
     levels = [_level(row, point) for row in rows]
     if max(levels) <= 0:
         return unpin(fw, [Fraction(x, D) for x in X])
-    # the set is (X + sum_j w_j K_j) / D over the integer kernel vectors K_j,
-    # where a row reads key . w <= -level with key_j = row . K_j; keys are
-    # divided by their gcd, so parallel rows merge into the least bound
+    # the set is (X + sum_j w_j K_j) / D: rows read key . w <= -level
     kernel = [system.back_substitute(c)[0] + [0] for c in system.free_columns()]
     bounds = {}
     for row, level in zip(rows, levels):
-        key = [_level(row, K) for K in kernel]
-        if not any(key):
-            if level > 0:
-                return None
-            continue
-        g = gcd(*key)
-        key, bound = tuple(k // g for k in key), Fraction(-level, g)
-        bounds[key] = min(bound, bounds.get(key, bound))
-    for key, bound in bounds.items():  # key.w <= b and -key.w <= b', b + b' < 0
-        opposite = bounds.get(tuple(-k for k in key))
-        if opposite is not None and bound + opposite < 0:
+        if any(key := [_level(row, K) for K in kernel]):
+            g = gcd(*key)
+            key, bound = tuple(k // g for k in key), Fraction(-level, g)
+            bounds[key] = min(bound, bounds.get(key, bound))
+        elif level > 0:
             return None
+    # key . w <= b and -key . w <= b' leave nothing when b + b' < 0
+    if any(b + bounds.get(tuple(-k for k in key), -b) < 0 for key, b in bounds.items()):
+        return None
     if simplex.feasible_point(list(bounds), list(bounds.values())) is None:
         return None
 
-    # q = q0 + sum_j t_j moves[j], where moves[j] is kernel vector j as a
-    # displacement field (vertex 0 stays put); per edge and face the
-    # inequality reads  f.(q(v) - q(w)) <= length
+    # q = q0 + sum_j t_j moves[j], moves[j] kernel vector j as a displacement
+    # field (vertex 0 stays put); per edge and face, f.(q(v) - q(w)) <= length
     particular, kernel = system.solve()
     q0 = unpin(fw, particular)
-    origin = zero_vector(fw.dim)
-    moves = [unpin(fw, k, origin) for k in kernel]
+    moves = [unpin(fw, k, zero_vector(fw.dim)) for k in kernel]
     ineq = {}
     for (v, w), length in zip(fw.graph.edges, edge_lengths(fw)):
         base = [a - b for a, b in zip(q0[v], q0[w])]
@@ -166,9 +155,7 @@ def _settle_leaf(fw: Framework, rows, system):
             key = tuple(dot(face, step) for step in steps)
             if any(key) and (key not in ineq or bound < ineq[key]):
                 ineq[key] = bound
-    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))
-    if t is None:
-        return None
+    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))  # as above, not None
     return unpin(fw, affine_point(particular, kernel, t))
 
 
@@ -206,79 +193,54 @@ def _consistent_leaves(system, options, on_cut, faces=None, opposite=None):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
     ``options[i]`` lists the (face index, integer row) choices for edge i.
-    Each row is pushed onto the incremental system; an inconsistent push
-    cuts the whole subtree below that prefix and is reported to
-    ``on_cut``.  Every consistent full colouring is yielded as a tuple of
-    face indices while its rows are still pushed, so the caller can solve
-    the system there.  An empty edge list yields nothing.
+    A push that leaves the system inconsistent cuts its subtree, reported
+    to ``on_cut``; each consistent full colouring is yielded, as face
+    indices, while its rows are still pushed (no edge, no colouring).
 
-    With ``faces``, each edge's rows for every face (coef . x <= rhs), the
-    walk forward-checks all of them, for assigned and future edges alike.
-    Each row is kept as ``system.reduce`` gives it against the current
-    pivots (the system starts with none), in a watch list under its lead
-    column.  ``reduce`` stops at the first lead without a pivot and pivots
-    are never changed, so a push that adds a pivot at column c changes
-    exactly the rows watched at c: each is reduced once more and becomes a
-    constant or moves to its new lead; a pop undoes the moves from a
-    trail (watched literals, as in Chaff: Moskewicz et al., DAC 2001).
-    Options are pushed from their kept rows.  A constant row with a
-    negative right-hand side is violated on the prefix's whole affine set,
-    so the prefix is cut: one ``on_cut`` per option of the next edge, or
-    one for a full colouring.  This is complete:
-
-    - every face row holds on every leaf's feasible set (an equivalent
-      realisation exceeds no face on any edge), so each leaf below a cut
-      prefix would settle to None in ``_settle_leaf``;
-    - the leaves that remain are yielded in the same order as without the
-      check, so the first witness is unchanged;
-    - p, and each of its isometric images moved back onto the pinned
-      vertex, meets every row, so the colourings in the skipped set are
-      never cut, and the orbit cut's argument, which maps witnesses to
-      witnesses, is untouched.
-
-    ``opposite`` maps face j to the index of face -f_j, where the norm
-    has it, and spares two reductions per push: the pushed row would
-    reduce to zero and its edge's row for -f_j to 2 length(e) >= 0.
-    Neither is read before the pop, which finds them as they were."""
-    m, rhs = len(options), system.width - 1
-    reduce, trail, opposite = system.reduce, [], opposite or {}
-    kept, at = [], []  # kept[at[i] + j]: edge i's row for face j, reduced
+    With ``faces`` (per edge, a row coef . x <= rhs per face) every row is
+    forward-checked: kept as ``system.reduce`` gives it against the pivots,
+    watched under its lead.  As ``reduce`` stops at the first lead without
+    a pivot and pivots never change, a push adding a pivot at column c
+    re-reduces only the rows watched at c, and a pop undoes that from a
+    trail (watched literals: Moskewicz et al., "Chaff", DAC 2001).  Options
+    push their kept rows.  A kept constant with a negative right-hand side
+    is violated on the prefix's whole affine set: the prefix is cut, one
+    ``on_cut`` per option of the next edge (one for a full colouring).
+    Complete: every face row holds on every leaf's feasible set, so each
+    leaf below a cut would settle to None; the other leaves keep their
+    order, and so the first witness; p and its isometric images (moved
+    back onto the pinned vertex) meet every row, so the skipped set and
+    the orbit cut still hold.  ``opposite[j]`` is -f_j's index (else j): a
+    push leaves the pushed row (now zero) and its edge's -f_j row (now
+    2 length >= 0) unreduced, as nothing reads them before the pop."""
+    m, rhs, reduce, trail = len(options), system.width - 1, system.reduce, []
+    kept = [row for per_face in faces or () for row in per_face]  # reduced
+    at = list(accumulate(map(len, faces or ()), initial=0))  # edge i's first
     watch = [[] for _ in range(rhs)]  # lead column -> (index, kept row)
-    for per_face in faces or ():
-        at.append(len(kept))
-        for row in per_face:
-            watch[min(row)].append((len(kept), row))
-            kept.append(row)
-
-    def forward(c, spared):
-        """Re-reduce the rows watched at c, a new pivot's column; False as
-        soon as one is a violated constant."""
-        moved, leads = watch[c], []
-        watch[c] = []
-        trail.append((c, moved, leads))
-        for r, row in moved:
-            if r in spared:
-                continue
-            lead, row = reduce(row)
-            kept[r] = row
-            if lead is not None:
-                watch[lead].append((r, row))
-                leads.append(lead)
-            elif row.get(rhs, 0) < 0:
-                return False
-        return True
+    for r, row in enumerate(kept):
+        watch[min(row)].append((r, row))
 
     def push(i, face, row):
-        """Push an option of edge i: (consistent, no face row violated)."""
-        if faces is None:
-            trail.append(None)
-            return system.push(row)[0], True
-        r = at[i] + face
-        consistent, added = system.push(kept[r])
-        if not added:
+        """Push an option of edge i: (consistent, no kept row violated)."""
+        if faces is not None:
+            r = at[i] + face
+            row = kept[r]
+        consistent, added = system.push(row)
+        if faces is None or not added:
             trail.append(None)
             return consistent, True
-        return True, forward(min(kept[r]), (r, at[i] + opposite.get(face, face)))
+        c, spared = min(row), (r, at[i] + opposite[face])
+        moved, watch[c], leads = watch[c], [], []
+        trail.append((c, moved, leads))
+        for s, row in moved:
+            if s not in spared:
+                lead, kept[s] = reduce(row)
+                if lead is not None:
+                    watch[lead].append((s, kept[s]))
+                    leads.append(lead)
+                elif kept[s].get(rhs, 0) < 0:
+                    return True, False
+        return True, True
 
     def retract():
         system.pop()
@@ -296,13 +258,9 @@ def _consistent_leaves(system, options, on_cut, faces=None, opposite=None):
         i = len(stack) - 1
         for face, row in stack[-1]:
             consistent, holds = push(i, face, row)
-            if not consistent:
-                retract()
-                on_cut()
-                continue
-            if not holds:
-                retract()
-                for _ in options[i + 1] if i + 1 < m else [face]:
+            if not (consistent and holds):
+                retract()  # one cut for a failed push or a full colouring
+                for _ in options[i + 1] if consistent and i + 1 < m else [face]:
                     on_cut()
                 continue
             assign[i] = face
@@ -329,8 +287,7 @@ def _search(fw: Framework, iso_set, budget, first):
     faces = pinned_rows(fw, edge_lengths(fw))  # per edge, one row per face
     options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
     rows = [row for per_face in faces for row in per_face]
-    minus = {j: tuple(-x for x in f) for j, f in enumerate(fw.norm.faces)}
-    opposite = {j: fw.norm.face_index[f] for j, f in minus.items() if f in fw.norm.face_index}
+    opposite = [fw.norm.face_index.get(tuple(-x for x in f), j) for j, f in enumerate(fw.norm.faces)]
 
     def check_budget():
         if budget is not None and counts["colourings_examined"] > budget:
@@ -408,10 +365,8 @@ def decide_global_rigidity(fw: Framework, budget=None):
     phi_p = unique_colouring(edge_table(fw)[0])
     if phi_p is None:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
-    rank = rank_exact(index_matrix(fw, phi_p))
-    cert["rank"] = rank
-    cert["rank_required"] = rigid_rank(fw)
-    if rank < rigid_rank(fw):
+    cert["rank"], cert["rank_required"] = rank_exact(index_matrix(fw, phi_p)), rigid_rank(fw)
+    if cert["rank"] < cert["rank_required"]:
         return GlobalVerdict(NOT_RIGID, certificate=cert)
     if not fw.graph.edges:
         cert["note"] = "single vertex: trivially globally rigid"
@@ -420,7 +375,7 @@ def decide_global_rigidity(fw: Framework, budget=None):
     perms = fw.norm.face_permutations()
     cert["isometry_group_order"] = len(perms)
     order = _search_order(fw.graph)
-    search_fw = with_edge_order(fw, order)
+    search_fw = Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in order]), fw.norm, fw.positions)
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
     first = [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]
     found, counts, budget_hit = _search(search_fw, iso_set, budget, first)

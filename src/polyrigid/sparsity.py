@@ -237,9 +237,7 @@ def is_dd_redundant(g: Graph, d: int):
 
 def is_Mdd_connected(g: Graph, d: int):
     """Connectivity in the (d,d)-sparsity matroid: every edge pair shares a
-    circuit; equivalent to 2-connected plus (d,d)-redundant.  A single
-    vertex counts as connected: it has no edge pair, and it is globally
-    rigid, as the planar characterisation built on this test must say."""
+    circuit; equivalent to 2-connected plus (d,d)-redundant, or one vertex."""
     return len(g.vertices) == 1 or is_2_connected(g) and is_dd_redundant(g, d)
 
 

@@ -35,7 +35,6 @@ from polyrigid.framework import (
     edge_table,
     is_rigid_all_induced_colourings,
     pinned_rows,
-    with_edge_order,
 )
 from polyrigid.global_rigidity import apply_colouring
 from polyrigid.linalg import mat_vec
@@ -74,11 +73,6 @@ def test_edge_table_is_kept_and_a_moved_framework_gets_its_own(octahedron):
     moved = octahedron.with_positions({**octahedron.positions, v: (Fraction(3), Fraction(1, 7))})
     fresh = Framework(moved.graph, moved.norm, moved.positions)
     assert edge_table(moved) == edge_table(fresh) != table
-    # an edge reordering carries the table over, permuted
-    order = list(range(len(octahedron.graph.edges)))[::-1]
-    reordered = with_edge_order(octahedron, order)
-    assert reordered.graph.edges == octahedron.graph.edges[::-1]
-    assert edge_table(reordered) == edge_table(Framework(reordered.graph, octahedron.norm, octahedron.positions))
 
 
 def test_edge_lengths_zero_edge(linf2):

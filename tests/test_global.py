@@ -531,9 +531,9 @@ def test_sparing_opposite_rows_changes_no_leaf_or_cut(octahedron, rigid_k4_linf2
         faces = pinned_rows(fw, edge_lengths(fw))
         options = [list(enumerate(per_face)) for per_face in faces]
         minus = [tuple(-x for x in f) for f in fw.norm.faces]
-        opposite = {j: fw.norm.face_index[f] for j, f in enumerate(minus)}
+        opposite = [fw.norm.face_index[f] for f in minus]
         walks = []
-        for spare in (opposite, None):
+        for spare in (opposite, range(len(minus))):  # no twin: each face itself
             cuts = []
             leaves = list(gr._consistent_leaves(pinned_system(fw, faces), options, lambda: cuts.append(1), faces, spare))
             walks.append((leaves, len(cuts)))
