@@ -155,7 +155,7 @@ def _settle_leaf(fw: Framework, rows, system):
             key = tuple(dot(face, step) for step in steps)
             if any(key) and (key not in ineq or bound < ineq[key]):
                 ineq[key] = bound
-    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))  # not None: see above
+    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))  # not None: the integer LP has a point
     return unpin(fw, affine_point(particular, kernel, t))
 
 
