@@ -8,10 +8,11 @@ colourings depth-first, pruning a branch once the partial affine system
 (one vertex pinned) is inconsistent or fixes a face of any edge above its
 length, skipping the colourings obtained from the induced one by a
 linear isometry (they only give congruent copies), and settling the rest
-in integers (leaf solution, face inequalities, LP); only the exact simplex
-and the final witness check use Fractions.  A feasible point is an explicit
-equivalent, non-congruent realisation; exhausting the tree without one
-proves global rigidity - exactly, with no genericity caveat.
+in integers: a fraction-free leaf solution and integer face inequalities.
+Only the exact LP, run when the leaf's kernel leaves room, and the final
+witness check use Fractions.  A feasible point is an explicit equivalent,
+non-congruent realisation; if the whole tree is exhausted without one,
+the framework is globally rigid - exactly, with no genericity caveat.
 
 Alongside the exact engine live the certificate routes: strong directed
 colourings (all colour classes 2-connected certifies global rigidity of
@@ -117,8 +118,8 @@ def _settle_leaf(fw: Framework, rows, system):
     equivalent iff no face exceeds any length.  The particular solution
     X / D is tested in integers, as row . (X, -D) <= 0; then a violated
     row that annihilates the kernel is constant on the set and rules it
-    out; then an LP over integer kernel coordinates decides emptiness,
-    and a set with a point runs the LP of ``system.solve``'s coordinates.
+    out, as do two opposite rows whose bounds leave nothing between them;
+    only then does the exact LP over the kernel coordinates run.
     """
     X, D = system.back_substitute()
     point = X + [-D]
@@ -138,14 +139,14 @@ def _settle_leaf(fw: Framework, rows, system):
     # key . w <= b and -key . w <= b' leave nothing when b + b' < 0
     if any(b + bounds.get(tuple(-k for k in key), -b) < 0 for key, b in bounds.items()):
         return None
-    if simplex.feasible_point(list(bounds), list(bounds.values())) is None:
-        return None
 
-    # q = q0 + sum_j t_j moves[j], moves[j] kernel vector j as a displacement
-    # field (vertex 0 stays put); per edge and face, f.(q(v) - q(w)) <= length
+    # q = q0 + sum_j t_j moves[j], where moves[j] is kernel vector j as a
+    # displacement field (vertex 0 stays put); per edge and face the
+    # inequality reads  f.(q(v) - q(w)) <= length
     particular, kernel = system.solve()
     q0 = unpin(fw, particular)
-    moves = [unpin(fw, k, zero_vector(fw.dim)) for k in kernel]
+    origin = zero_vector(fw.dim)
+    moves = [unpin(fw, k, origin) for k in kernel]
     ineq = {}
     for (v, w), length in zip(fw.graph.edges, edge_lengths(fw)):
         base = [a - b for a, b in zip(q0[v], q0[w])]
@@ -155,7 +156,9 @@ def _settle_leaf(fw: Framework, rows, system):
             key = tuple(dot(face, step) for step in steps)
             if any(key) and (key not in ineq or bound < ineq[key]):
                 ineq[key] = bound
-    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))  # not None: the integer LP has a point
+    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))
+    if t is None:
+        return None
     return unpin(fw, affine_point(particular, kernel, t))
 
 
@@ -189,7 +192,7 @@ class _BudgetHit(Exception):
     pass
 
 
-def _consistent_leaves(system, options, on_cut, faces=None, opposite=None):
+def _consistent_leaves(system, options, on_cut, faces=None):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
     ``options[i]`` lists the (face index, integer row) choices for edge i.
@@ -197,22 +200,21 @@ def _consistent_leaves(system, options, on_cut, faces=None, opposite=None):
     to ``on_cut``; each consistent full colouring is yielded, as face
     indices, while its rows are still pushed (no edge, no colouring).
 
-    With ``faces`` (per edge, a row coef . x <= rhs per face) every row is
-    forward-checked: kept as ``system.reduce`` gives it against the pivots,
-    watched under its lead.  As ``reduce`` stops at the first lead without
-    a pivot and pivots never change, a push adding a pivot at column c
-    re-reduces only the rows watched at c, and a pop undoes that from a
-    trail (watched literals: Moskewicz et al., "Chaff", DAC 2001).  Options
-    push their kept rows.  A kept constant with a negative right-hand side
-    is violated on the prefix's whole affine set: the prefix is cut, one
-    ``on_cut`` per option of the next edge (one for a full colouring).
-    Complete: every face row holds on every leaf's feasible set, so each
-    leaf below a cut would settle to None; the other leaves keep their
-    order, and so the first witness; p and its isometric images (moved
-    back onto the pinned vertex) meet every row, so the skipped set and
-    the orbit cut still hold.  ``opposite[j]`` is -f_j's index (else j): a
-    push leaves the pushed row (now zero) and its edge's -f_j row (now
-    2 length >= 0) unreduced, as nothing reads them before the pop."""
+    With ``faces`` (per edge, a row coef . x <= rhs per face; ``options[i]``
+    then lists pairs (j, faces[i][j])) every row is forward-checked: kept
+    as ``system.reduce`` gives it against the pivots, watched under its
+    lead.  ``reduce`` stops at the first lead without a pivot and pivots
+    never change, so a push adding a pivot at column c re-reduces only the
+    rows watched at c, bar the pushed row (now zero, unread until the
+    pop), and a pop undoes that from a trail (watched literals: Moskewicz
+    et al., "Chaff", DAC 2001).  Options push their kept rows.  A kept
+    constant with a negative right-hand side is violated on the prefix's
+    whole affine set: the prefix is cut, one ``on_cut`` per option of the
+    next edge (one for a full colouring).  Complete: every face row holds
+    on every leaf's feasible set, so each leaf below a cut would settle to
+    None; the other leaves keep their order, and so the first witness; p
+    and its isometric images (moved back onto the pinned vertex) meet
+    every row, so the skipped set and the orbit cut still hold."""
     m, rhs, reduce, trail = len(options), system.width - 1, system.reduce, []
     kept = [row for per_face in faces or () for row in per_face]  # reduced
     at = list(accumulate(map(len, faces or ()), initial=0))  # edge i's first
@@ -229,11 +231,11 @@ def _consistent_leaves(system, options, on_cut, faces=None, opposite=None):
         if faces is None or not added:
             trail.append(None)
             return consistent, True
-        c, spared = min(row), (r, at[i] + opposite[face])
+        c = min(row)
         moved, watch[c], leads = watch[c], [], []
         trail.append((c, moved, leads))
         for s, row in moved:
-            if s not in spared:
+            if s != r:
                 lead, kept[s] = reduce(row)
                 if lead is not None:
                     watch[lead].append((s, kept[s]))
@@ -287,7 +289,6 @@ def _search(fw: Framework, iso_set, budget, first):
     faces = pinned_rows(fw, edge_lengths(fw))  # per edge, one row per face
     options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
     rows = [row for per_face in faces for row in per_face]
-    opposite = [fw.norm.face_index.get(tuple(-x for x in f), j) for j, f in enumerate(fw.norm.faces)]
 
     def check_budget():
         if budget is not None and counts["colourings_examined"] > budget:
@@ -300,7 +301,7 @@ def _search(fw: Framework, iso_set, budget, first):
 
     system = pinned_system(fw, faces)
     try:
-        for phi in _consistent_leaves(system, options, cut, faces, opposite):
+        for phi in _consistent_leaves(system, options, cut, faces):
             counts["leaves"] += 1
             counts["colourings_examined"] += 1
             if phi in iso_set:
@@ -365,8 +366,10 @@ def decide_global_rigidity(fw: Framework, budget=None):
     phi_p = unique_colouring(edge_table(fw)[0])
     if phi_p is None:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
-    cert["rank"], cert["rank_required"] = rank_exact(index_matrix(fw, phi_p)), rigid_rank(fw)
-    if cert["rank"] < cert["rank_required"]:
+    rank = rank_exact(index_matrix(fw, phi_p))
+    cert["rank"] = rank
+    cert["rank_required"] = rigid_rank(fw)
+    if rank < rigid_rank(fw):
         return GlobalVerdict(NOT_RIGID, certificate=cert)
     if not fw.graph.edges:
         cert["note"] = "single vertex: trivially globally rigid"

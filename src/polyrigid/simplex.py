@@ -162,7 +162,4 @@ def maximize(costs, ineq_rows, ineq_rhs):
 def feasible_point(ineq_rows, ineq_rhs, nvars=None):
     """A point of {x : A x <= b} with x free, or None when empty."""
     n = len(ineq_rows[0]) if ineq_rows else (nvars or 0)
-    status, x, _ = maximize([Fraction(0)] * n, ineq_rows, ineq_rhs)
-    if status == OPTIMAL:
-        return x
-    return None
+    return maximize([Fraction(0)] * n, ineq_rows, ineq_rhs)[1]  # None unless optimal

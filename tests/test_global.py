@@ -451,8 +451,8 @@ def recorded_search(fw, lookahead):
     walk, search = gr._consistent_leaves, gr._search
     leaves, jobs = [], []
 
-    def recording(system, options, on_cut, face_rows=None, opposite=None):
-        for phi in walk(system, options, on_cut, face_rows if lookahead else None, opposite):
+    def recording(system, options, on_cut, face_rows=None):
+        for phi in walk(system, options, on_cut, face_rows if lookahead else None):
             leaves.append(phi)
             yield phi
 
@@ -518,9 +518,38 @@ def test_d3_proof_is_pinned():
     assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (696216, 8, 696208, 8, 0)))
 
 
-def test_sparing_opposite_rows_changes_no_leaf_or_cut(octahedron, rigid_k4_linf2):
-    # the forward check with and without the opposite-face map: the same
-    # leaves in the same order, and the same number of cuts
+def from_scratch_forward_check(system, options, faces):
+    """(leaves, cuts) of the colouring tree when every node reduces every
+    face row from scratch against its pivots, and a violated constant cuts
+    the prefix: one cut per option of the next edge, or one at a leaf."""
+    rows = [row for per_face in faces for row in per_face]
+    rhs, m = system.width - 1, len(options)
+    leaves, cuts, assign = [], [], [None] * m
+
+    def violated():
+        return any(lead is None and row.get(rhs, 0) < 0 for lead, row in map(system.reduce, rows))
+
+    def walk(i):
+        for face, row in options[i]:
+            assign[i] = face
+            if not system.push(row)[0]:
+                cuts.append(1)
+            elif violated():
+                cuts.extend([1] * (len(options[i + 1]) if i + 1 < m else 1))
+            elif i + 1 == m:
+                leaves.append(tuple(assign))
+            else:
+                walk(i + 1)
+            system.pop()
+
+    walk(0)
+    return leaves, len(cuts)
+
+
+def test_watched_walk_matches_the_from_scratch_check(octahedron, rigid_k4_linf2):
+    # the forward check keeps only the rows watched at a new pivot up to
+    # date, and skips the pushed row: the same leaves in the same order
+    # and the same number of cuts as reducing every row at every node
     from conftest import l1_image
     from polyrigid import global_rigidity as gr
     from polyrigid.framework import pinned_rows, pinned_system
@@ -530,21 +559,16 @@ def test_sparing_opposite_rows_changes_no_leaf_or_cut(octahedron, rigid_k4_linf2
     for fw in corpus:
         faces = pinned_rows(fw, edge_lengths(fw))
         options = [list(enumerate(per_face)) for per_face in faces]
-        minus = [tuple(-x for x in f) for f in fw.norm.faces]
-        opposite = [fw.norm.face_index[f] for f in minus]
-        walks = []
-        for spare in (opposite, range(len(minus))):  # no twin: each face itself
-            cuts = []
-            leaves = list(gr._consistent_leaves(pinned_system(fw, faces), options, lambda: cuts.append(1), faces, spare))
-            walks.append((leaves, len(cuts)))
-        assert walks[0] == walks[1]
-        assert walks[0][0] and walks[0][1]
+        cuts = []
+        leaves = list(gr._consistent_leaves(pinned_system(fw, faces), options, lambda: cuts.append(1), faces))
+        assert (leaves, len(cuts)) == from_scratch_forward_check(pinned_system(fw, faces), options, faces)
+        assert leaves and cuts
 
 
 def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4_linf2, linf2):
     # the leaves of the walk without the forward check, settled by the
-    # engine (integer LP, opposite-row test, then the Fraction LP for the
-    # point) and by the plain Fraction route; the flexible K4's leaves
+    # engine (integer tests, the opposite-row test, then the Fraction LP)
+    # and by the plain Fraction route; the flexible K4's leaves
     # have kernels, and its LPs find points
     from itertools import islice
     from conftest import l1_image
@@ -583,8 +607,8 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
     enumerate_leaves = gr._consistent_leaves
     faces = fw.norm.faces
 
-    def recording(system, options, on_cut, face_rows=None, opposite=None):
-        for phi in enumerate_leaves(system, options, on_cut, face_rows, opposite):
+    def recording(system, options, on_cut, face_rows=None):
+        for phi in enumerate_leaves(system, options, on_cut, face_rows):
             current["phi"] = tuple(faces[i] for i in phi)  # leaves come as face indices
             yield phi
 
