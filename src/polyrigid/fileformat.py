@@ -74,9 +74,11 @@ def parse_norm(spec, dim):
 def parse_graph_dict(data):
     vertices = _require(data, "vertices", "graph")
     edges = _require(data, "edges", "graph")
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise FrameworkFileError("vertices: expected a list of identifier strings")
+    if not isinstance(vertices, list) or not vertices or not all(isinstance(v, str) for v in vertices):
+        raise FrameworkFileError("vertices: expected a non-empty list of identifier strings")
     edges = [tuple(_typed(e, list, f"edges[{i}]")) for i, e in enumerate(_typed(edges, list, "edges"))]
+    if bad := [i for i, e in enumerate(edges) if len(e) != 2]:
+        raise FrameworkFileError(f"edges[{bad[0]}]: expected two endpoints, got {len(edges[bad[0]])}")
     try:
         return Graph(vertices, edges)
     except Exception as exc:

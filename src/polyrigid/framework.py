@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .errors import BudgetExceededError, NotWellPositionedError, ParameterError
@@ -170,11 +170,12 @@ def pinned_rows(fw: Framework, lengths):
     """The one builder of pinned rows: rows[e][i] is the sparse augmented
     row (pinned coefficients, then the right-hand side at column
     d(|V| - 1)) of f_i.(q(v) - q(w)) = lengths[e] for the e-th edge vw and
-    face index i, with at most 2d + 1 entries.  The equation is
-    multiplied by D*M (the norm's denominator, and the common denominator
-    of vertex 0's position and the lengths) and divided by its gcd, a
-    positive factor: at a pinned point x, the coefficients . x <= the
-    right-hand side says the face does not exceed the length."""
+    face index i, with at most 2d + 1 entries.  All are multiplied by one
+    S = D*M > 0 (the norm's denominator, and the common denominator of
+    vertex 0's position and the lengths): at a pinned point x, coefficients
+    . x <= right-hand side says the face does not exceed the length.  One
+    S, no gcd per row, so a leaf's LP read off the rows pivots as the
+    Fraction LP does (see ``_settle_leaf``)."""
     d, graph = fw.dim, fw.graph
     p0 = fw.position(graph.vertices[0])
     scale = lcm(*(x.denominator for x in p0), *(x.denominator for x in lengths))
@@ -187,10 +188,9 @@ def pinned_rows(fw: Framework, lengths):
         per_face = []
         for f in fw.norm.int_faces:
             rhs = rhs0 - sum(sign * sum(map(mul, f, p0)) for i, sign in ends if i == 0)
-            g = gcd(scale * gcd(*f), rhs)
-            row = {d * i - d + k: sign * scale * x // g for i, sign in ends if i for k, x in enumerate(f) if x}
+            row = {d * i - d + k: sign * scale * x for i, sign in ends if i for k, x in enumerate(f) if x}
             if rhs:
-                row[last] = rhs // g
+                row[last] = rhs
             per_face.append(row)
         rows.append(per_face)
     return rows
@@ -207,12 +207,11 @@ def pinned_system(fw: Framework, rows, phi=()):
     return system
 
 
-def unpin(fw: Framework, vec, origin=None):
-    """The realisation with vertex i > 0 at the pinned coordinates
-    vec[d(i-1) : di] and vertex 0 at ``origin`` (default: its position)."""
+def unpin(fw: Framework, vec):
+    """The realisation with vertex 0 at its position, i > 0 at vec[d(i-1) : di]."""
     d = fw.dim
     v0, *others = fw.graph.vertices
-    q = {v0: fw.position(v0) if origin is None else origin}
+    q = {v0: fw.position(v0)}
     for i, u in enumerate(others):
         q[u] = tuple(vec[d * i:d * i + d])
     return q

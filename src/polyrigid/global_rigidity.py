@@ -56,7 +56,7 @@ from .framework import (
     zero_vector,
 )
 from .graph import Graph, is_2_connected
-from .linalg import IncrementalSystem, affine_point, dot, integerize_row, solve_affine
+from .linalg import IncrementalSystem, affine_point, integerize_row, primitive, solve_affine
 from .sparsity import is_Mdd_connected
 
 GLOBALLY_RIGID = "GloballyRigid"
@@ -114,52 +114,39 @@ def _settle_leaf(fw: Framework, rows, system):
     """An equivalent realisation on a consistent leaf's affine set, or None.
 
     ``system`` holds the leaf's pinned rows; ``rows`` are all (edge, face)
-    rows.  On the affine set phi(e).(q(v)-q(w)) = length(e), so q is
-    equivalent iff no face exceeds any length.  The particular solution
-    X / D is tested in integers, as row . (X, -D) <= 0; then a violated
-    row that annihilates the kernel is constant on the set and rules it
-    out, as do two opposite rows whose bounds leave nothing between them;
-    only then does the exact LP over the kernel coordinates run.
-    """
+    rows, with ``pinned_rows``' one scale S: a point of the set is
+    equivalent iff it meets them all.  The set is (X + sum_j w_j K_j) / D,
+    for the particular solution X / D and kernel basis K_j / D_j; a row
+    reads key . w <= -level, key_j = row . K_j, level = row . (X, -D).
+    w = 0 is tested first; a violated row with a zero key rules the set
+    out, as do two opposite rows (keys over their gcds) whose bounds leave
+    nothing between them; then the exact LP runs, equal keys merged to the
+    least bound: the Fraction LP over t_j = w_j D_j / D, each row scaled by
+    S*D and column j by D_j / D.  Two-phase Bland pivots by the sign of
+    reduced costs and the argmin of ratios in a column, and phase one's
+    objective only scales uniformly: the pivots, and so the point, agree."""
     X, D = system.back_substitute()
     point = X + [-D]
     levels = [_level(row, point) for row in rows]
     if max(levels) <= 0:
         return unpin(fw, [Fraction(x, D) for x in X])
-    # the set is (X + sum_j w_j K_j) / D: rows read key . w <= -level
     kernel = [system.back_substitute(c)[0] + [0] for c in system.free_columns()]
-    bounds = {}
+    bounds, least = {}, {}  # key -> least bound, and the same by direction
     for row, level in zip(rows, levels):
-        if any(key := [_level(row, K) for K in kernel]):
+        if any(key := tuple(_level(row, K) for K in kernel)):
+            bounds[key] = min(-level, bounds.get(key, -level))
             g = gcd(*key)
-            key, bound = tuple(k // g for k in key), Fraction(-level, g)
-            bounds[key] = min(bound, bounds.get(key, bound))
+            unit, bound = tuple(k // g for k in key), Fraction(-level, g)
+            least[unit] = min(bound, least.get(unit, bound))
         elif level > 0:
             return None
-    # key . w <= b and -key . w <= b' leave nothing when b + b' < 0
-    if any(b + bounds.get(tuple(-k for k in key), -b) < 0 for key, b in bounds.items()):
+    # unit . w <= b and -unit . w <= b' leave nothing when b + b' < 0
+    if any(b + least.get(tuple(-k for k in unit), -b) < 0 for unit, b in least.items()):
         return None
-
-    # q = q0 + sum_j t_j moves[j], where moves[j] is kernel vector j as a
-    # displacement field (vertex 0 stays put); per edge and face the
-    # inequality reads  f.(q(v) - q(w)) <= length
-    particular, kernel = system.solve()
-    q0 = unpin(fw, particular)
-    origin = zero_vector(fw.dim)
-    moves = [unpin(fw, k, origin) for k in kernel]
-    ineq = {}
-    for (v, w), length in zip(fw.graph.edges, edge_lengths(fw)):
-        base = [a - b for a, b in zip(q0[v], q0[w])]
-        steps = [[a - b for a, b in zip(m[v], m[w])] for m in moves]
-        for face in fw.norm.faces:
-            bound = length - dot(face, base)
-            key = tuple(dot(face, step) for step in steps)
-            if any(key) and (key not in ineq or bound < ineq[key]):
-                ineq[key] = bound
-    t = simplex.feasible_point([list(k) for k in ineq], list(ineq.values()))
+    t = simplex.feasible_point([list(k) for k in bounds], list(bounds.values()))
     if t is None:
         return None
-    return unpin(fw, affine_point(particular, kernel, t))
+    return unpin(fw, [Fraction(x, D) for x in affine_point(X, kernel, t)])
 
 
 def equivalent_witness_lp(fw: Framework, phi):
@@ -201,13 +188,14 @@ def _consistent_leaves(system, options, on_cut, faces=None):
     indices, while its rows are still pushed (no edge, no colouring).
 
     With ``faces`` (per edge, a row coef . x <= rhs per face; ``options[i]``
-    then lists pairs (j, faces[i][j])) every row is forward-checked: kept
-    as ``system.reduce`` gives it against the pivots, watched under its
-    lead.  ``reduce`` stops at the first lead without a pivot and pivots
-    never change, so a push adding a pivot at column c re-reduces only the
-    rows watched at c, bar the pushed row (now zero, unread until the
-    pop), and a pop undoes that from a trail (watched literals: Moskewicz
-    et al., "Chaff", DAC 2001).  Options push their kept rows.  A kept
+    then lists pairs (j, faces[i][j])) every row is forward-checked:
+    divided by its gcd once (small entries, cheap reductions), then kept as
+    ``system.reduce`` gives it against the pivots, watched under its lead.
+    ``reduce`` stops at the first lead without a pivot and pivots never
+    change, so a push adding a pivot at column c re-reduces only the rows
+    watched at c, bar the pushed row (now zero, unread until the pop), and
+    a pop undoes that from a trail (watched literals: Moskewicz et al.,
+    "Chaff", DAC 2001).  Options push their kept rows.  A kept
     constant with a negative right-hand side is violated on the prefix's
     whole affine set: the prefix is cut, one ``on_cut`` per option of the
     next edge (one for a full colouring).  Complete: every face row holds
@@ -216,7 +204,7 @@ def _consistent_leaves(system, options, on_cut, faces=None):
     and its isometric images (moved back onto the pinned vertex) meet
     every row, so the skipped set and the orbit cut still hold."""
     m, rhs, reduce, trail = len(options), system.width - 1, system.reduce, []
-    kept = [row for per_face in faces or () for row in per_face]  # reduced
+    kept = [primitive(row) for per_face in faces or () for row in per_face]  # reduced
     at = list(accumulate(map(len, faces or ()), initial=0))  # edge i's first
     watch = [[] for _ in range(rhs)]  # lead column -> (index, kept row)
     for r, row in enumerate(kept):
@@ -278,15 +266,16 @@ def _consistent_leaves(system, options, on_cut, faces=None):
                 retract()
 
 
-def _search(fw: Framework, iso_set, budget, first):
-    """Search the colouring tree with the first edge's faces restricted to
-    the face indices ``first``; returns (found, counts, budget_hit), found
-    being (colouring as face indices, witness realisation) or None.  A leaf
-    is settled (skipped as isometric, or solved) before the budget is
-    enforced, so a cut certificate keeps lp_runs = leaves - isometric_skipped.
-    """
+def _search(fw: Framework, order, iso_set, budget, first):
+    """Search the colouring tree, edges in ``order`` (input indices), with
+    the first one's faces restricted to the face indices ``first``; returns
+    (found, counts, budget_hit), found being (colouring as face indices, in
+    search order, and witness realisation) or None.  A leaf is settled
+    (skipped as isometric, or solved) before the budget is enforced, so a
+    cut certificate keeps lp_runs = leaves - isometric_skipped."""
     counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
-    faces = pinned_rows(fw, edge_lengths(fw))  # per edge, one row per face
+    table = pinned_rows(fw, edge_lengths(fw))
+    faces = [table[i] for i in order]  # per search edge, one row per face
     options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
     rows = [row for per_face in faces for row in per_face]
 
@@ -378,10 +367,9 @@ def decide_global_rigidity(fw: Framework, budget=None):
     perms = fw.norm.face_permutations()
     cert["isometry_group_order"] = len(perms)
     order = _search_order(fw.graph)
-    search_fw = Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in order]), fw.norm, fw.positions)
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
     first = [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]
-    found, counts, budget_hit = _search(search_fw, iso_set, budget, first)
+    found, counts, budget_hit = _search(fw, order, iso_set, budget, first)
     cert.update(counts)
 
     if found is not None:

@@ -23,9 +23,13 @@ def integerize_row(row):
     solution sets of homogeneous comparisons unchanged.  Zeros are dropped.
     """
     scale = lcm(*(x.denominator for x in row if x))
-    ints = {c: x.numerator * (scale // x.denominator) for c, x in enumerate(row) if x}
-    g = gcd(*ints.values())
-    return {c: v // g for c, v in ints.items()} if g > 1 else ints
+    return primitive({c: x.numerator * (scale // x.denominator) for c, x in enumerate(row) if x})
+
+
+def primitive(row):
+    """A sparse integer row divided by the gcd of its entries (sign kept)."""
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g > 1 else row
 
 
 def mat_rank(rows):

@@ -20,6 +20,7 @@ from itertools import chain
 from math import lcm
 from operator import mul, sub
 
+from .errors import ParameterError
 from .framework import Framework, edge_lengths, pinned_rows, pinned_system, unpin
 from .linalg import affine_point
 
@@ -149,16 +150,21 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
     float candidate below tolerance goes through exact reconstruction and
     is returned only when its edge lengths match exactly and the
     congruence test fails.  None means the budget ran out, nothing more.
+    A coordinate, length or face beyond the float range is a ParameterError.
     """
     graph, norm = fw.graph, fw.norm
     d = fw.dim
     if not graph.edges:
         return None
-    lengths_f = [float(x) for x in edge_lengths(fw)]
-    faces_f = [tuple(float(x) for x in f) for f in norm.faces]
+    try:
+        lengths_f = [float(x) for x in edge_lengths(fw)]
+        faces_f = [tuple(float(x) for x in f) for f in norm.faces]
+        p_float = {v: [float(x) for x in fw.position(v)] for v in graph.vertices}
+    except OverflowError:  # so the largest value is beyond the float range
+        far = max(chain(*fw.positions.values(), edge_lengths(fw), *norm.faces), key=abs)
+        raise ParameterError(f"value {far} is beyond the float range of the numeric search") from None
     v0 = graph.vertices[0]
     p0 = fw.position(v0)
-    p_float = {v: [float(x) for x in fw.position(v)] for v in graph.vertices}
     others = [v for v in graph.vertices if v != v0]
 
     span = max(max(lengths_f), 1e-9)  # the graph has an edge

@@ -116,6 +116,8 @@ def test_parse_errors_are_diagnostic(tmp_path, capsys):
         ({"norm": {"faces": faces[:3] + [5]}}, r"^norm\.faces\[3\]: "),
         ({"positions": {"a": "12", "b": ["1", "1/3"]}}, r"^positions\['a'\]: "),
         ({"edges": ["ab"]}, r"^edges\[0\]: "),
+        ({"edges": [["a", "b"], ["a", "b", "c"]]}, r"^edges\[1\]: "),
+        ({"vertices": []}, r"^vertices: "),
         ({"dim": True}, r"^dim: "),
         ({"positions": {"a": [True, "0"], "b": ["1", "1/3"]}}, r"^positions\['a'\]: "),
     ]
@@ -257,6 +259,22 @@ def test_cli_witness_path(tmp_path):
     assert report["results"]["witness_found"] is True
 
 
+def test_cli_witness_beyond_float_range_is_a_usage_error(tmp_path, capsys):
+    # the exact commands take any rational; the float search names the
+    # value it cannot use: a coordinate, or a length whose ends both fit
+    far = {"dim": 1, "norm": "linf", "vertices": ["a", "b"], "edges": [["a", "b"]], "positions": {"a": ["0"], "b": ["1e400"]}}
+    wide = dict(far, vertices=["a", "b", "c"], edges=[["a", "b"], ["b", "c"]],
+                positions={"a": ["0"], "b": ["1e308"], "c": ["-1e308"]})
+    out = str(tmp_path / "r.json")
+    for doc, value in ((far, "1" + "0" * 400), (wide, "2" + "0" * 308)):
+        path = write(tmp_path / "far.json", doc)
+        assert run_cli("analyze", path, "--out", out) == run_cli("global", path, "--out", out) == 0
+        capsys.readouterr()
+        assert run_cli("witness", path, "--restarts", "2", "--out", out) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"error: value {value} ") and err.count("\n") == 1
+
+
 def test_cli_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -341,16 +359,16 @@ def edge_tables_computed(argv):
 
 
 def test_each_framework_computes_its_edge_table_once(tmp_path):
-    # analyze reads one framework; global reads the input, the search's
-    # reordered copy and, when it finds one, the witness
+    # analyze reads one framework; global reads the input (the search
+    # permutes its rows) and, when it finds one, the witness
     from pathlib import Path
 
     golden = Path(__file__).parent / "data" / "golden"
     out = str(tmp_path / "r.json")
     octahedron, k4 = str(golden / "octahedron.json"), str(golden / "linf_k4_s125.json")
     assert edge_tables_computed(["analyze", octahedron, "--out", out]) == 1
-    assert edge_tables_computed(["global", octahedron, "--budget", "500", "--out", out]) == 2
-    assert edge_tables_computed(["global", k4, "--out", out]) == 3
+    assert edge_tables_computed(["global", octahedron, "--budget", "500", "--out", out]) == 1
+    assert edge_tables_computed(["global", k4, "--out", out]) == 2
 
 
 def test_cli_generate_k2d_eps(tmp_path):

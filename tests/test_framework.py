@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -39,7 +40,7 @@ from polyrigid.framework import (
 from polyrigid.global_rigidity import apply_colouring
 from polyrigid.linalg import mat_vec
 
-from _oracles import fraction_rank, reference_edge_table, reference_pinned_row, sparse_row
+from _oracles import fraction_pinned_row, fraction_rank, reference_edge_table, reference_pinned_row, sparse_row
 
 
 def single_edge_framework(norm, pa, pb):
@@ -353,6 +354,17 @@ def test_integer_edge_table_and_pinned_rows_match_fraction_references(fw, data):
 
     others = data.draw(st.lists(coordinate, min_size=len(reference), max_size=len(reference)))
     for lengths in (edge_lengths(fw), others):
-        rows = pinned_rows(fw, lengths)
+        # divided by its gcd, each row is the coprime reference row; as it
+        # is, it is S times the Fraction equation, with one S for all rows
+        rows, scales = pinned_rows(fw, lengths), set()
+        assert [len(per_face) for per_face in rows] == [len(faces)] * len(fw.graph.edges)
         for per_face, edge, length in zip(rows, fw.graph.edges, lengths):
-            assert per_face == [sparse_row(reference_pinned_row(fw, edge, face, length)) for face in faces]
+            for row, face in zip(per_face, faces):
+                g = gcd(*row.values())
+                assert {c: x // g for c, x in row.items()} == sparse_row(reference_pinned_row(fw, edge, face, length))
+                coefficients, rhs = fraction_pinned_row(fw, edge, face, length)
+                equation = sparse_row(coefficients + [rhs])
+                assert row.keys() == equation.keys()
+                scales |= {x / equation[c] for c, x in row.items()}
+        [scale] = scales
+        assert scale > 0

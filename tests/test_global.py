@@ -444,8 +444,7 @@ def recorded_search(fw, lookahead):
     """decide_global_rigidity with the forward check on the face rows (the
     look-ahead) on or off:
     (verdict, the leaves the walk yields in order as face-index tuples,
-    the argument tuples given to ``_search``, whose framework is in search
-    edge order)."""
+    the argument tuples given to ``_search``)."""
     from polyrigid import global_rigidity as gr
 
     walk, search = gr._consistent_leaves, gr._search
@@ -567,18 +566,23 @@ def test_watched_walk_matches_the_from_scratch_check(octahedron, rigid_k4_linf2)
 
 def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4_linf2, linf2):
     # the leaves of the walk without the forward check, settled by the
-    # engine (integer tests, the opposite-row test, then the Fraction LP)
-    # and by the plain Fraction route; the flexible K4's leaves
-    # have kernels, and its LPs find points
+    # engine (integer tests, the opposite-row test, then the LP read off
+    # the integer rows) and by the plain Fraction route: the same point,
+    # not just some point.  The flexible K4's and the octagon frameworks'
+    # leaves have kernels, and their LPs find points; in the octagon norm,
+    # rows scaled unevenly would make the LP pivot elsewhere
     from itertools import islice
     from conftest import l1_image
-    from polyrigid import global_rigidity as gr
+    from polyrigid import cycle_graph, global_rigidity as gr, path_graph
     from polyrigid.framework import pinned_rows, pinned_system
     from _oracles import reference_leaf_settlement
 
     corpus = [fw for _, fw in rigid_k4_linf2[:3]]
     corpus += [l1_image(fw) for fw in corpus] + [octahedron]
     corpus.append(build_flexible_open(complete_graph(list("abcd")), linf2))
+    vertices = [f"v{i}" for i in range(4)]
+    for graph, seed in ((path_graph(vertices), 0), (cycle_graph(vertices), 5)):
+        corpus.append(randomize_realisation(graph, 2, octagon_norm(), seed=seed, denominator_bound=50))
     settled = {"particular": 0, "lp point": 0, "lp empty": 0}
     for fw in corpus:
         lengths = edge_lengths(fw)
@@ -597,13 +601,20 @@ def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4
     assert all(settled.values()), settled
 
 
+def in_search_order(fw):
+    """The framework with its edges in the search's order, ``_search_order``."""
+    from polyrigid.global_rigidity import _search_order
+
+    return Framework(Graph(fw.graph.vertices, [fw.graph.edges[i] for i in _search_order(fw.graph)]), fw.norm, fw.positions)
+
+
 def decide_with_reference_leaves(fw, budget, monkeypatch):
     """decide_global_rigidity with every leaf settled by the plain Fraction
     route of ``reference_leaf_settlement`` instead of the integer one."""
     from polyrigid import global_rigidity as gr
     from _oracles import reference_leaf_settlement
 
-    current = {}
+    search_fw, current = in_search_order(fw), {}
     enumerate_leaves = gr._consistent_leaves
     faces = fw.norm.faces
 
@@ -616,7 +627,7 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
         m.setattr(gr, "_consistent_leaves", recording)
         m.setattr(
             gr, "_settle_leaf",
-            lambda fw, rows, system: reference_leaf_settlement(fw, edge_lengths(fw), current["phi"]),
+            lambda fw, rows, system: reference_leaf_settlement(search_fw, edge_lengths(search_fw), current["phi"]),
         )
         return decide_global_rigidity(fw, budget=budget)
 
@@ -694,15 +705,20 @@ def test_engine_agrees_with_plain_reference_enumeration(rigid_k4_linf2, rigid_k5
     assert outcomes == {GLOBALLY_RIGID, NOT_GLOBALLY_RIGID, NOT_RIGID}
 
 
-def octagon_k4s(count):
-    """Rigid K4s in an octagon norm: axis faces and diagonal faces form two
-    orbits of its isometry group."""
+def octagon_norm():
+    """An octagon norm: axis faces and diagonal faces form two orbits of
+    its isometry group."""
     from polyrigid import PolytopeNorm
-    from conftest import rigid_random_realisations
 
     c = Fraction(3, 4)
-    octagon = PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (c, c), (-c, -c), (c, -c), (-c, c)])
-    return [fw for _, fw in rigid_random_realisations(complete_graph(list("abcd")), octagon, count, denominator_bound=100)]
+    return PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (c, c), (-c, -c), (c, -c), (-c, c)])
+
+
+def octagon_k4s(count):
+    """Rigid K4s in the octagon norm."""
+    from conftest import rigid_random_realisations
+
+    return [fw for _, fw in rigid_random_realisations(complete_graph(list("abcd")), octagon_norm(), count, denominator_bound=100)]
 
 
 def test_orbit_cut_with_two_face_orbits():
@@ -781,14 +797,14 @@ def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf
     corpus += [line_framework(n) for n in (5, 6, 7)] + octagon_k4s(2)
     outcomes, dropped = set(), 0
     for fw in corpus:
-        verdict, leaves, [(search_fw, *_)] = recorded_search(fw, lookahead=True)
+        verdict, leaves, [_] = recorded_search(fw, lookahead=True)
         plain, plain_leaves, _ = recorded_search(fw, lookahead=False)
         assert verdict.outcome == plain.outcome
         assert verdict.witness == plain.witness
         assert verdict.certificate.get("witness_colouring") == plain.certificate.get("witness_colouring")
         walk = iter(plain_leaves)
         assert all(leaf in walk for leaf in leaves)  # an ordered subsequence
-        kept, faces = set(leaves), fw.norm.faces
+        kept, faces, search_fw = set(leaves), fw.norm.faces, in_search_order(fw)
         for leaf in plain_leaves:
             if leaf not in kept:
                 dropped += 1
