@@ -76,13 +76,17 @@ def parse_graph_dict(data):
     edges = _require(data, "edges", "graph")
     if not isinstance(vertices, list) or not vertices or not all(isinstance(v, str) for v in vertices):
         raise FrameworkFileError("vertices: expected a non-empty list of identifier strings")
+    if len(listed := set(vertices)) < len(vertices):
+        raise FrameworkFileError(f"vertices: duplicate identifier {next(v for v in vertices if vertices.count(v) > 1)!r}")
     edges = [tuple(_typed(e, list, f"edges[{i}]")) for i, e in enumerate(_typed(edges, list, "edges"))]
-    if bad := [i for i, e in enumerate(edges) if len(e) != 2]:
-        raise FrameworkFileError(f"edges[{bad[0]}]: expected two endpoints, got {len(edges[bad[0]])}")
-    try:
-        return Graph(vertices, edges)
-    except Exception as exc:
-        raise FrameworkFileError(f"edges: {exc}") from exc
+    for i, e in enumerate(edges):
+        if len(e) != 2:
+            raise FrameworkFileError(f"edges[{i}]: expected two endpoints, got {len(e)}")
+        if unknown := [x for x in e if not isinstance(x, str) or x not in listed]:
+            raise FrameworkFileError(f"edges[{i}]: unknown vertex {unknown[0]!r}")
+        if e[0] == e[1]:
+            raise FrameworkFileError(f"edges[{i}]: self-loop at {e[0]!r}")
+    return Graph(vertices, edges)
 
 
 def parse_framework_dict(data):

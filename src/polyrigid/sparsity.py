@@ -44,14 +44,20 @@ class SparsityParams:
 
 
 class _PebbleGame:
-    """Mutable pebble-game state for one run: a rank, a basis or circuits."""
+    """Mutable pebble-game state for one run: a rank, a basis or circuits.
 
-    def __init__(self, vertices, d, k):
-        self.d = d
-        self.k = k
-        self.order = {v: i for i, v in enumerate(vertices)}
-        self.pebbles = {v: d for v in vertices}
-        self.out = {v: set() for v in vertices}
+    Every vertex keeps pebbles(u) + outdeg(u) = d, so a vertex set S spans
+    d|S| - pebbles(S) - out(S) accepted edges, out(S) those leaving S.
+    ``tight[u]`` has bit i set when u is in the i-th recorded tight set."""
+
+    def __init__(self, g, d, k):
+        self.d, self.k = d, k
+        self.neighbours = g.neighbours
+        self.order = {v: i for i, v in enumerate(g.vertices)}
+        self.pebbles = {v: d for v in g.vertices}
+        self.out = {v: set() for v in g.vertices}
+        self.tight = {}
+        self.recorded = 0
 
     def _pull_pebble(self, start, forbidden):
         """Move one pebble to ``start`` along a reversed directed path.
@@ -60,10 +66,7 @@ class _PebbleGame:
         neighbours in canonical vertex order; the first pebbled vertex
         outside ``forbidden`` wins.  Returns True on success.
         """
-        prev = {start: None}
-        queue = [start]
-        head = 0
-        found = None
+        prev, queue, head, found = {start: None}, [start], 0, None
         while head < len(queue) and found is None:
             v = queue[head]
             head += 1
@@ -87,54 +90,89 @@ class _PebbleGame:
             w = v
         return True
 
-    def try_accept(self, v, w):
-        """Gather pebbles for edge vw and accept it if independent.
+    def _gather(self, v, w):
+        """Gather k+1 pebbles on v and w and accept edge vw, oriented away
+        from an end that pays a pebble; False if they cannot be gathered.
 
         Each successful pull strictly raises the pebble count on {v, w},
-        so the loop is bounded; rejection happens only when neither end
-        can reach a free pebble.
+        so the loop is bounded; it fails only when neither end can reach a
+        free pebble.
         """
-        need = self.k + 1
-        while self.pebbles[v] + self.pebbles[w] < need:
+        while self.pebbles[v] + self.pebbles[w] <= self.k:
             if self.pebbles[v] < self.d and self._pull_pebble(v, (v, w)):
                 continue
             if self.pebbles[w] < self.d and self._pull_pebble(w, (v, w)):
                 continue
             return False
-        if self.pebbles[v] > 0:
-            tail, head = v, w
-        else:
-            tail, head = w, v
+        tail, head = (v, w) if self.pebbles[v] else (w, v)
         self.pebbles[tail] -= 1
         self.out[tail].add(head)
         return True
 
-    def circuit(self, v, w, accepted):
-        """Try vw: if it is accepted, append it to ``accepted`` (the edges
-        accepted so far) and return None; otherwise return the unique
-        circuit of accepted + vw: vw and the accepted edges inside R, the
-        vertices reachable from v or w along accepted-edge directions.
-
-        The game keeps pebbles(u) + outdeg(u) = d at every vertex, and no
-        edge leaves R.  After a failed ``try_accept`` no vertex of R but v
-        and w has a free pebble, and v and w hold at most k, so R spans at
-        least d|R| - k accepted edges, hence exactly that many (the accepted
-        edges are sparse).  A vertex set S containing v and w that spans
-        d|S| - k accepted edges holds k pebbles on v and w, so none of its
-        edges leaves it and S contains R.  The circuit C of accepted + vw
-        lies in the d|R| - k + 1 dependent edges on R, and its vertex set
-        spans |C| - 1 = d|S| - k accepted edges, so S = R and C takes every
-        accepted edge inside R.  A rejected edge stays dependent, so it may
-        be queried again once the game has ended.
-        """
-        if self.try_accept(v, w):
-            accepted.append((v, w))
-            return None
+    def _reach(self, v, w):
+        """The vertices reachable from v or w along accepted-edge directions."""
         reach, stack = {v, w}, [v, w]
         while stack:
             new = self.out[stack.pop()] - reach
             reach |= new
             stack.extend(new)
+        return reach
+
+    def _tight_set(self, v, w):
+        """After a failed gather on vw: R = ``_reach(v, w)``, where a pull
+        found no free pebble but those on v and w, and each pebble-free
+        vertex whose out-edges all end in the set so far (so none leaves
+        it), by a reverse search over the graph's neighbours."""
+        tight = self._reach(v, w)
+        stack = list(tight)
+        while stack:
+            for u in self.neighbours(stack.pop()):
+                if u not in tight and not self.pebbles[u] and self.out[u] <= tight:
+                    tight.add(u)
+                    stack.append(u)
+        return tight
+
+    def try_accept(self, v, w):
+        """Accept edge vw if it is independent of the accepted edges.
+
+        A failed gather records T = ``_tight_set(v, w)``; a later edge with
+        both ends in one recorded T is rejected without a search.  Sound:
+        no edge leaves T and its only free pebbles are the at most k on v
+        and w, so T spans at least d|T| - k accepted edges, and edges are
+        only added; k+1 pebbles in T would leave it at most d|T| - k - 1.
+        Not conversely (for k = 0 an unrecorded pebble-free set can make an
+        edge dependent), so every other edge gathers.
+        """
+        tight = self.tight
+        if tight and tight.get(v, 0) & tight.get(w, 0):
+            return False
+        if self._gather(v, w):
+            return True
+        bit, self.recorded = 1 << self.recorded, self.recorded + 1
+        for u in self._tight_set(v, w):
+            tight[u] = tight.get(u, 0) | bit
+        return False
+
+    def circuit(self, v, w, accepted):
+        """Try vw: if it is accepted, append it to ``accepted`` (the edges
+        accepted so far) and return None; otherwise return the unique
+        circuit of accepted + vw: vw and the accepted edges inside R =
+        ``_reach(v, w)``.  It always gathers and records nothing.
+
+        No edge leaves R, and after a failed gather its only free pebbles
+        are the at most k on v and w, so R spans d|R| - k accepted edges (no
+        more: they are sparse).  A vertex set S containing v and w that
+        spans d|S| - k accepted edges holds k pebbles on v and w, so no edge
+        leaves it and S contains R.  The circuit C of accepted + vw lies in
+        the d|R| - k + 1 dependent edges on R, and its vertex set spans
+        |C| - 1 = d|S| - k accepted edges, so S = R and C takes every
+        accepted edge inside R.  A rejected edge stays dependent, so it may
+        be queried again once the game has ended.
+        """
+        if self._gather(v, w):
+            accepted.append((v, w))
+            return None
+        reach = self._reach(v, w)
         return [(v, w)] + [e for e in accepted if reach.issuperset(e)]
 
 
@@ -203,7 +241,7 @@ def max_sparse_subset(g: Graph, params: SparsityParams):
     """A maximum sparse edge subset (a basis of E in the matroid range)."""
     if not params.matroidal:
         raise ParameterError("bases are only well defined for k <= 2d-1")
-    game = _PebbleGame(g.vertices, params.d, params.k)
+    game = _PebbleGame(g, params.d, params.k)
     return tuple(e for e in g.edges if game.try_accept(*e))
 
 
@@ -224,7 +262,7 @@ def edges_in_circuits(g: Graph, params: SparsityParams):
     circuits (basis exchange)."""
     if not params.matroidal:
         raise ParameterError("circuits are only well defined for k <= 2d-1")
-    game, accepted, inside = _PebbleGame(g.vertices, params.d, params.k), [], set()
+    game, accepted, inside = _PebbleGame(g, params.d, params.k), [], set()
     for v, w in g.edges:
         inside.update(game.circuit(v, w, accepted) or ())
     return [e in inside for e in g.edges]
@@ -250,12 +288,10 @@ def fundamental_circuit(g: Graph, params: SparsityParams, edge):
     """
     if not params.matroidal:
         raise ParameterError("circuits are only well defined for k <= 2d-1")
-    v, w = edge
-    if g.index(v) > g.index(w):
-        v, w = w, v
+    v, w = sorted(edge, key=g.index)
     if not g.has_edge(v, w):
         raise ParameterError(f"edge {edge!r} not in graph")
-    game = _PebbleGame(g.vertices, params.d, params.k)
+    game = _PebbleGame(g, params.d, params.k)
     basis = [e for e in g.edges if e != (v, w) and game.try_accept(*e)]
     circuit = game.circuit(v, w, basis)
     return None if circuit is None else tuple(sorted(circuit, key=g.edges.index))

@@ -11,6 +11,9 @@ exact LP; only the simplex is the library's, so that witnesses can be
 compared), congruence by the Fraction loop over the group matrices, the
 whole decision by enumerating every colouring in input order, and the
 greedy search order by its definition.  Slow and simple on purpose.
+The one algorithm kept here is the plain (d,k) pebble game, in which every
+edge gathers pebbles: it is the reference for the library's game, which
+rejects some edges from recorded tight sets without a search.
 """
 
 from fractions import Fraction
@@ -340,3 +343,83 @@ def reference_search_order(graph):
         order.append(best)
         touched.update(graph.edges[best])
     return order
+
+
+class PlainPebbleGame:
+    """The (d,k) pebble game without recorded tight sets: every edge
+    gathers k+1 pebbles on its ends or is rejected, and a rejected edge's
+    circuit is the edge and the accepted edges inside the vertices its
+    ends reach."""
+
+    def __init__(self, vertices, d, k):
+        self.d, self.k = d, k
+        self.order = {v: i for i, v in enumerate(vertices)}
+        self.pebbles = {v: d for v in vertices}
+        self.out = {v: set() for v in vertices}
+
+    def pull_pebble(self, start, forbidden):
+        prev, queue, head, found = {start: None}, [start], 0, None
+        while head < len(queue) and found is None:
+            v = queue[head]
+            head += 1
+            for w in sorted(self.out[v], key=self.order.get):
+                if w in prev:
+                    continue
+                prev[w] = v
+                if self.pebbles[w] > 0 and w not in forbidden:
+                    found = w
+                    break
+                queue.append(w)
+        if found is None:
+            return False
+        self.pebbles[found] -= 1
+        self.pebbles[start] += 1
+        w = found
+        while prev[w] is not None:
+            v = prev[w]
+            self.out[v].discard(w)
+            self.out[w].add(v)
+            w = v
+        return True
+
+    def try_accept(self, v, w):
+        while self.pebbles[v] + self.pebbles[w] < self.k + 1:
+            if self.pebbles[v] < self.d and self.pull_pebble(v, (v, w)):
+                continue
+            if self.pebbles[w] < self.d and self.pull_pebble(w, (v, w)):
+                continue
+            return False
+        tail, head = (v, w) if self.pebbles[v] > 0 else (w, v)
+        self.pebbles[tail] -= 1
+        self.out[tail].add(head)
+        return True
+
+    def circuit(self, v, w, accepted):
+        if self.try_accept(v, w):
+            accepted.append((v, w))
+            return None
+        reach, stack = {v, w}, [v, w]
+        while stack:
+            new = self.out[stack.pop()] - reach
+            reach |= new
+            stack.extend(new)
+        return [(v, w)] + [e for e in accepted if reach.issuperset(e)]
+
+
+def plain_max_sparse_subset(graph, d, k):
+    game = PlainPebbleGame(graph.vertices, d, k)
+    return tuple(e for e in graph.edges if game.try_accept(*e))
+
+
+def plain_edges_in_circuits(graph, d, k):
+    game, accepted, inside = PlainPebbleGame(graph.vertices, d, k), [], set()
+    for v, w in graph.edges:
+        inside.update(game.circuit(v, w, accepted) or ())
+    return [e in inside for e in graph.edges]
+
+
+def plain_fundamental_circuit(graph, d, k, edge):
+    game = PlainPebbleGame(graph.vertices, d, k)
+    basis = [e for e in graph.edges if e != edge and game.try_accept(*e)]
+    circuit = game.circuit(*edge, basis)
+    return None if circuit is None else tuple(sorted(circuit, key=graph.edges.index))

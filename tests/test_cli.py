@@ -118,6 +118,10 @@ def test_parse_errors_are_diagnostic(tmp_path, capsys):
         ({"edges": ["ab"]}, r"^edges\[0\]: "),
         ({"edges": [["a", "b"], ["a", "b", "c"]]}, r"^edges\[1\]: "),
         ({"vertices": []}, r"^vertices: "),
+        ({"vertices": ["a", "b", "a"]}, r"^vertices: duplicate identifier 'a'$"),
+        ({"edges": [["a", "z"]]}, r"^edges\[0\]: unknown vertex 'z'$"),
+        ({"edges": [["a", "b"], ["a", "a"]]}, r"^edges\[1\]: self-loop at 'a'$"),
+        ({"edges": [[["a"], "b"]]}, r"^edges\[0\]: unknown vertex \['a'\]$"),
         ({"dim": True}, r"^dim: "),
         ({"positions": {"a": [True, "0"], "b": ["1", "1/3"]}}, r"^positions\['a'\]: "),
     ]

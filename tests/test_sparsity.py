@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import polyrigid.sparsity as sparsity
 from polyrigid import (
     Graph,
     ParameterError,
@@ -12,12 +13,20 @@ from polyrigid import (
     is_2_connected,
     is_Mdd_connected,
     is_dd_redundant,
+    is_sparse,
     is_tight,
     max_sparse_subset,
     pebble_rank,
 )
 
-from _oracles import brute_force_max_sparse, edge_masks_of, sparse_by_counting
+from _oracles import (
+    brute_force_max_sparse,
+    edge_masks_of,
+    plain_edges_in_circuits,
+    plain_fundamental_circuit,
+    plain_max_sparse_subset,
+    sparse_by_counting,
+)
 
 
 def double_banana():
@@ -298,3 +307,82 @@ def test_brute_force_oracle_against_naive_enumeration():
                     break
             assert brute_force_max_sparse(g, d, k) == naive
             assert pebble_rank(g, SparsityParams(d, k)) == naive
+
+
+ALL_MATROIDAL = tuple((d, k) for d in (1, 2, 3) for k in range(2 * d))
+
+
+def two_k8s_joined():
+    a, b = [f"a{i}" for i in range(8)], [f"b{i}" for i in range(8)]
+    edges = [(x, y) for block in (a, b) for i, x in enumerate(block) for y in block[i + 1:]]
+    return Graph(a + b, edges + [(a[0], b[0])])
+
+
+def random_pebble_graphs():
+    """Seeded random graphs on 1 to 13 vertices, edges in shuffled order."""
+    rng = random.Random(1515)
+    graphs = []
+    for n in range(1, 14):
+        vertices = [f"v{i}" for i in range(n)]
+        for _ in range(6):
+            p = rng.uniform(0.1, 1.0)
+            edges = [(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1:] if rng.random() < p]
+            rng.shuffle(edges)
+            graphs.append(Graph(vertices, edges))
+    return graphs
+
+
+def test_pebble_game_matches_the_plain_game():
+    # rejecting edges inside recorded tight sets without a search changes
+    # no answer: bases are the same tuples, and ranks, sparsity, tightness
+    # and circuits agree with the game in which every edge gathers
+    named = [complete_graph([f"v{i}" for i in range(n)]) for n in (30, 60)]
+    named += [double_banana(), two_k8s_joined()]
+    rng = random.Random(15)
+    for g in random_pebble_graphs() + named:
+        for d, k in ALL_MATROIDAL:
+            params = SparsityParams(d, k)
+            basis = plain_max_sparse_subset(g, d, k)
+            assert max_sparse_subset(g, params) == basis, (g.edges, d, k)
+            assert pebble_rank(g, params) == len(basis)
+            assert is_sparse(g, params) == (len(basis) == len(g.edges))
+            assert is_tight(g, params) == (len(basis) == len(g.edges) == d * len(g.vertices) - k)
+            assert edges_in_circuits(g, params) == plain_edges_in_circuits(g, d, k), (g.edges, d, k)
+            for e in rng.sample(g.edges, min(3, len(g.edges))):
+                assert fundamental_circuit(g, params, e) == plain_fundamental_circuit(g, d, k, e)
+
+
+def test_recorded_tight_sets_span_d_times_size_minus_k(monkeypatch):
+    # each recorded set T, read off the game's state as it is recorded:
+    # no accepted edge leaves T, its free pebbles are k, and it spans
+    # exactly d|T| - k accepted edges
+    recorded = []
+    tight_set = sparsity._PebbleGame._tight_set
+
+    def checked(game, v, w):
+        t = tight_set(game, v, w)
+        assert {v, w} <= t and all(game.out[u] <= t for u in t)
+        assert sum(game.pebbles[u] for u in t) == game.pebbles[v] + game.pebbles[w] == game.k
+        assert sum(len(game.out[u]) for u in t) == game.d * len(t) - game.k
+        recorded.append(len(t))
+        return t
+
+    monkeypatch.setattr(sparsity._PebbleGame, "_tight_set", checked)
+    for g in random_pebble_graphs() + [two_k8s_joined()]:
+        for d, k in ALL_MATROIDAL:
+            max_sparse_subset(g, SparsityParams(d, k))
+    assert len(recorded) > 100
+
+
+def test_pebble_rank_k30_pulls_few_pebbles(monkeypatch):
+    # one tight set recorded at the first rejected edge covers K30, so the
+    # pulls are those of the accepted edges (487 and 510 when every edge
+    # gathers); the search order is canonical, so the counts repeat
+    pulls = []
+    pull = sparsity._PebbleGame._pull_pebble
+    monkeypatch.setattr(sparsity._PebbleGame, "_pull_pebble", lambda game, *a: pulls.append(a) or pull(game, *a))
+    k30 = complete_graph([f"v{i}" for i in range(30)])
+    for (d, k), most in (((2, 2), 60), ((3, 3), 90)):
+        pulls.clear()
+        assert pebble_rank(k30, SparsityParams(d, k)) == 30 * d - k
+        assert len(pulls) <= most, (d, k, len(pulls))
