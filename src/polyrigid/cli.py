@@ -20,7 +20,6 @@ from . import fileformat as ff
 from .framework import (
     edge_lengths,
     induced_colourings,
-    is_infinitesimally_rigid,
     is_redundantly_rigid,
     is_well_positioned,
     induced_colouring,
@@ -34,6 +33,7 @@ from .global_rigidity import (
     BUDGET_EXCEEDED,
     GLOBALLY_RIGID,
     certify_generic_global,
+    decide_generic_global_linf2,
     decide_global_rigidity,
 )
 from .norm import preset
@@ -122,15 +122,14 @@ def cmd_global(args):
             }
         )
     if fw.dim == 2 and (fw.norm.is_linf or fw.norm.is_l1) and wp:
-        rigid = is_infinitesimally_rigid(fw)
-        mdd = is_Mdd_connected(fw.graph, 2)
+        holds = decide_generic_global_linf2(fw.graph, fw)
         fast_paths.append(
             {
                 "criterion": "planar matroid-connectivity characterisation "
                 "(rigid + (2,2)-sparsity-matroid connected)",
-                "holds": rigid and mdd,
+                "holds": holds,
                 "generic_caveat": True,
-                "generic_verdict": GLOBALLY_RIGID if (rigid and mdd) else "NotGloballyRigid",
+                "generic_verdict": GLOBALLY_RIGID if holds else "NotGloballyRigid",
                 "note": "exact for generic realisations; this input is rational, "
                 "so read it with the generic caveat",
             }

@@ -149,9 +149,10 @@ class NpGadget:
 
 
 def build_np_gadget(spec: GadgetSpec):
-    """The dimension-lift construction: a 1-dimensional framework becomes
-    a framework in the d-dimensional hypercube-ball norm that is globally
-    rigid exactly when the seed is.
+    """The dimension-lift construction: a 1-dimensional framework becomes a
+    framework in the d-dimensional hypercube-ball norm, to which a seed's
+    witness lifts (``NpGadget.lift_witness``).  Not conversely, as
+    ``test_k3_seed_gadget_is_not_globally_rigid`` shows.
 
     The seed is normalised so its reference edge runs from 1 to 1 + lam
     (lam > 0) and contracted about 1 until every vertex is within

@@ -470,12 +470,13 @@ def decide_generic_global_linf2(graph: Graph, rigidity_hint: Framework | None = 
     Graph level: the graph has a generic globally rigid realisation iff
     it is connected in the (2,2)-sparsity matroid.  With a well-positioned
     planar framework as a hint, its infinitesimal rigidity joins the
-    criterion (the characterisation for generic frameworks).
+    criterion (the characterisation for generic frameworks).  The planar
+    l1 norm is a linear image of this one, so an l1 hint reads the same.
     """
     if rigidity_hint is None:
         return is_Mdd_connected(graph, 2)
     if rigidity_hint.graph != graph:
         raise ParameterError("rigidity hint is on a different graph")
-    if rigidity_hint.dim != 2 or not rigidity_hint.norm.is_linf:
-        raise ParameterError("rigidity hint must be a 2-dimensional linf framework")
+    if rigidity_hint.dim != 2 or not (rigidity_hint.norm.is_linf or rigidity_hint.norm.is_l1):
+        raise ParameterError("rigidity hint must be a 2-dimensional linf or l1 framework")
     return is_infinitesimally_rigid(rigidity_hint) and is_Mdd_connected(graph, 2)

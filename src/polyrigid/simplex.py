@@ -159,7 +159,6 @@ def maximize(costs, ineq_rows, ineq_rhs):
     return OPTIMAL, x, tab.obj[-1]
 
 
-def feasible_point(ineq_rows, ineq_rhs, nvars=None):
-    """A point of {x : A x <= b} with x free, or None when empty."""
-    n = len(ineq_rows[0]) if ineq_rows else (nvars or 0)
-    return maximize([Fraction(0)] * n, ineq_rows, ineq_rhs)[1]  # None unless optimal
+def feasible_point(ineq_rows, ineq_rhs):
+    """A point of {x : A x <= b} with x free (A has rows), or None when empty."""
+    return maximize([Fraction(0)] * len(ineq_rows[0]), ineq_rows, ineq_rhs)[1]  # None unless optimal

@@ -48,14 +48,15 @@ class _PebbleGame:
 
     Every vertex keeps pebbles(u) + outdeg(u) = d, so a vertex set S spans
     d|S| - pebbles(S) - out(S) accepted edges, out(S) those leaving S.
-    ``tight[u]`` has bit i set when u is in the i-th recorded tight set."""
+    ``out[u]`` maps the head of each edge oriented away from u to the
+    edge's name, in insertion order.  ``tight[u]`` has bit i set when u is
+    in the i-th recorded tight set."""
 
     def __init__(self, g, d, k):
         self.d, self.k = d, k
         self.neighbours = g.neighbours
-        self.order = {v: i for i, v in enumerate(g.vertices)}
         self.pebbles = {v: d for v in g.vertices}
-        self.out = {v: set() for v in g.vertices}
+        self.out = {v: {} for v in g.vertices}
         self.tight = {}
         self.recorded = 0
 
@@ -63,14 +64,15 @@ class _PebbleGame:
         """Move one pebble to ``start`` along a reversed directed path.
 
         Breadth-first search along accepted-edge directions, expanding
-        neighbours in canonical vertex order; the first pebbled vertex
-        outside ``forbidden`` wins.  Returns True on success.
+        out-edges in insertion order, so runs on one input repeat; the first
+        pebbled vertex outside ``forbidden`` wins.  A reversed edge's entry
+        moves, name and all, to its new tail.  Returns True on success.
         """
         prev, queue, head, found = {start: None}, [start], 0, None
         while head < len(queue) and found is None:
             v = queue[head]
             head += 1
-            for w in sorted(self.out[v], key=self.order.get):
+            for w in self.out[v]:
                 if w in prev:
                     continue
                 prev[w] = v
@@ -85,8 +87,7 @@ class _PebbleGame:
         w = found
         while prev[w] is not None:
             v = prev[w]
-            self.out[v].discard(w)
-            self.out[w].add(v)
+            self.out[w][v] = self.out[v].pop(w)
             w = v
         return True
 
@@ -106,14 +107,14 @@ class _PebbleGame:
             return False
         tail, head = (v, w) if self.pebbles[v] else (w, v)
         self.pebbles[tail] -= 1
-        self.out[tail].add(head)
+        self.out[tail][head] = (v, w)
         return True
 
     def _reach(self, v, w):
         """The vertices reachable from v or w along accepted-edge directions."""
         reach, stack = {v, w}, [v, w]
         while stack:
-            new = self.out[stack.pop()] - reach
+            new = self.out[stack.pop()].keys() - reach
             reach |= new
             stack.extend(new)
         return reach
@@ -127,7 +128,7 @@ class _PebbleGame:
         stack = list(tight)
         while stack:
             for u in self.neighbours(stack.pop()):
-                if u not in tight and not self.pebbles[u] and self.out[u] <= tight:
+                if u not in tight and not self.pebbles[u] and self.out[u].keys() <= tight:
                     tight.add(u)
                     stack.append(u)
         return tight
@@ -153,10 +154,9 @@ class _PebbleGame:
             tight[u] = tight.get(u, 0) | bit
         return False
 
-    def circuit(self, v, w, accepted):
-        """Try vw: if it is accepted, append it to ``accepted`` (the edges
-        accepted so far) and return None; otherwise return the unique
-        circuit of accepted + vw: vw and the accepted edges inside R =
+    def circuit(self, v, w):
+        """Try vw: None if it is accepted, else the unique circuit of the
+        accepted edges + vw: vw and the accepted edges inside R =
         ``_reach(v, w)``.  It always gathers and records nothing.
 
         No edge leaves R, and after a failed gather its only free pebbles
@@ -166,14 +166,13 @@ class _PebbleGame:
         leaves it and S contains R.  The circuit C of accepted + vw lies in
         the d|R| - k + 1 dependent edges on R, and its vertex set spans
         |C| - 1 = d|S| - k accepted edges, so S = R and C takes every
-        accepted edge inside R.  A rejected edge stays dependent, so it may
-        be queried again once the game has ended.
+        accepted edge inside R.  Since R is closed under out-edges, those
+        are exactly the out-edges of its vertices.  A rejected edge stays
+        dependent, so it may be queried again once the game has ended.
         """
         if self._gather(v, w):
-            accepted.append((v, w))
             return None
-        reach = self._reach(v, w)
-        return [(v, w)] + [e for e in accepted if reach.issuperset(e)]
+        return [(v, w), *(e for u in self._reach(v, w) for e in self.out[u].values())]
 
 
 def _is_sparse_by_counting(g: Graph, params: SparsityParams):
@@ -262,9 +261,8 @@ def edges_in_circuits(g: Graph, params: SparsityParams):
     circuits (basis exchange)."""
     if not params.matroidal:
         raise ParameterError("circuits are only well defined for k <= 2d-1")
-    game, accepted, inside = _PebbleGame(g, params.d, params.k), [], set()
-    for v, w in g.edges:
-        inside.update(game.circuit(v, w, accepted) or ())
+    game = _PebbleGame(g, params.d, params.k)
+    inside = {e for vw in g.edges for e in game.circuit(*vw) or ()}
     return [e in inside for e in g.edges]
 
 
@@ -292,6 +290,8 @@ def fundamental_circuit(g: Graph, params: SparsityParams, edge):
     if not g.has_edge(v, w):
         raise ParameterError(f"edge {edge!r} not in graph")
     game = _PebbleGame(g, params.d, params.k)
-    basis = [e for e in g.edges if e != (v, w) and game.try_accept(*e)]
-    circuit = game.circuit(v, w, basis)
+    for e in g.edges:
+        if e != (v, w):
+            game.try_accept(*e)
+    circuit = game.circuit(v, w)
     return None if circuit is None else tuple(sorted(circuit, key=g.edges.index))

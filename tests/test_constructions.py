@@ -33,6 +33,9 @@ from polyrigid import (
     rigidity_matrix,
 )
 from polyrigid.framework import is_rigid_all_induced_colourings
+from polyrigid.oracle import is_witness
+
+from _oracles import reference_congruence_check, reference_edge_table
 
 
 def colour_axis(face):
@@ -185,6 +188,24 @@ def test_np_gadget_lifted_witness():
     fw = gadget.framework
     assert edge_lengths(fw.with_positions(lifted)) == edge_lengths(fw)
     assert not congruence_check(fw, lifted)
+
+
+def test_k3_seed_gadget_is_not_globally_rigid():
+    # the generic triangle is globally rigid on the line, yet its gadget in
+    # d = 2 is not: v1 and v2 reflect about v0 = 1, s-- and s-+ each move
+    # to the other's mirror image across x = 1, and v0, s+- and s++ stay
+    seed = Framework(
+        complete_graph(["v0", "v1", "v2"]),
+        preset("linf", 1),
+        {"v0": (0,), "v1": (Fraction(5, 17),), "v2": (Fraction(9, 11),)},
+    )
+    fw = build_np_gadget(GadgetSpec(seed, 2)).framework
+    q = dict(fw.positions)
+    q.update({"v1": (Fraction(1781, 1836), 0), "v2": (Fraction(11, 12), 0), "s--": (3, 1), "s-+": (3, -1)})
+    assert is_witness(fw, q)
+    lengths = [length for length, _ in reference_edge_table(fw)]
+    assert [length for length, _ in reference_edge_table(fw.with_positions(q))] == lengths
+    assert not reference_congruence_check(fw, q)
 
 
 def test_np_gadget_rejects_bad_seeds():

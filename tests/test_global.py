@@ -292,6 +292,17 @@ def test_decide_generic_global_linf2(octahedron, rigid_k5_linf2):
     assert decide_generic_global_linf2(k5.graph, rigidity_hint=k5)
 
 
+def test_decide_generic_global_linf2_reads_l1_hints(rigid_k4_linf2, rigid_k5_linf2):
+    # the planar l1 norm is a linear image of linf2: an l1 image keeps its
+    # preimage's infinitesimal rigidity, so the criterion's answer
+    from conftest import l1_image
+
+    for rigid, expect in ((rigid_k4_linf2, False), (rigid_k5_linf2, True)):
+        for _, fw in rigid:
+            image = l1_image(fw)
+            assert decide_generic_global_linf2(image.graph, rigidity_hint=image) == expect
+
+
 def test_decide_generic_global_linf2_rejects_bad_hint(octahedron):
     with pytest.raises(Exception):
         decide_generic_global_linf2(complete_graph(list("abcd")), rigidity_hint=octahedron)

@@ -15,7 +15,7 @@ def test_trivial_feasible():
 
 
 def test_empty_constraints():
-    assert simplex.feasible_point([], [], nvars=3) == [0, 0, 0]
+    assert simplex.maximize([0, 0, 0], [], []) == (simplex.OPTIMAL, [0, 0, 0], 0)
 
 
 def test_infeasible_pair():

@@ -1,6 +1,9 @@
-"""Checks on the package's own source text."""
+"""Checks on the package's own source text, and on the names that the
+benchmark's tracer looks up in it."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import polyrigid
@@ -32,3 +35,27 @@ def test_no_module_keeps_an_unused_import():
             if names := unused_imports(ast.parse(path.read_text(), str(path))):
                 found[path.name] = sorted(names)
     assert found == {}
+
+
+def test_every_traced_name_resolves():
+    # bench/spans.py wraps each (module, attribute) of TARGETS by name: a
+    # function of the module, or a method in its class's __dict__; read as
+    # text, so nothing under bench/ runs
+    spans = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    tree = ast.parse(spans.read_text(), str(spans))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    missing = []
+    for module_name, attr, _ in targets:
+        module = importlib.import_module(f"polyrigid.{module_name}")
+        cls_name, _, method = attr.rpartition(".")
+        if cls_name:
+            found = inspect.isclass(cls := getattr(module, cls_name, None)) and method in vars(cls)
+        else:
+            found = inspect.isfunction(getattr(module, attr, None))
+        if not found:
+            missing.append((module_name, attr))
+    assert targets and missing == []

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,7 +365,7 @@ def test_recorded_tight_sets_span_d_times_size_minus_k(monkeypatch):
 
     def checked(game, v, w):
         t = tight_set(game, v, w)
-        assert {v, w} <= t and all(game.out[u] <= t for u in t)
+        assert {v, w} <= t and all(game.out[u].keys() <= t for u in t)
         assert sum(game.pebbles[u] for u in t) == game.pebbles[v] + game.pebbles[w] == game.k
         assert sum(len(game.out[u]) for u in t) == game.d * len(t) - game.k
         recorded.append(len(t))
@@ -377,7 +381,8 @@ def test_recorded_tight_sets_span_d_times_size_minus_k(monkeypatch):
 def test_pebble_rank_k30_pulls_few_pebbles(monkeypatch):
     # one tight set recorded at the first rejected edge covers K30, so the
     # pulls are those of the accepted edges (487 and 510 when every edge
-    # gathers); the search order is canonical, so the counts repeat
+    # gathers); out-edges are expanded in insertion order, so the counts
+    # repeat (test_pull_sequence_does_not_depend_on_the_hash_seed)
     pulls = []
     pull = sparsity._PebbleGame._pull_pebble
     monkeypatch.setattr(sparsity._PebbleGame, "_pull_pebble", lambda game, *a: pulls.append(a) or pull(game, *a))
@@ -386,3 +391,50 @@ def test_pebble_rank_k30_pulls_few_pebbles(monkeypatch):
         pulls.clear()
         assert pebble_rank(k30, SparsityParams(d, k)) == 30 * d - k
         assert len(pulls) <= most, (d, k, len(pulls))
+
+
+PULL_SEQUENCE = """
+import random
+import polyrigid.sparsity as sparsity
+from polyrigid import Graph, SparsityParams, complete_graph, edges_in_circuits, pebble_rank
+
+pulls, pull = [], sparsity._PebbleGame._pull_pebble
+
+
+def logged(game, *args):
+    pulls.append((args, pull(game, *args)))
+    return pulls[-1][1]
+
+
+sparsity._PebbleGame._pull_pebble = logged
+k30 = complete_graph([f"v{i}" for i in range(30)])
+pebble_rank(k30, SparsityParams(2, 2))
+pebble_rank(k30, SparsityParams(3, 3))
+rng, vertices, pairs = random.Random(16), [f"u{i}" for i in range(60)], {}
+while len(pairs) < 200:
+    a, b = sorted(rng.sample(range(60), 2))
+    pairs[vertices[a], vertices[b]] = None
+g = Graph(vertices, list(pairs))
+pebble_rank(g, SparsityParams(2, 3))
+edges_in_circuits(g, SparsityParams(2, 3))
+print(len(pulls), pulls)
+"""
+
+
+def test_pull_sequence_does_not_depend_on_the_hash_seed():
+    # string hashes change with PYTHONHASHSEED, so a search that expanded
+    # out-edges in set order would pull along other paths under another seed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", PULL_SEQUENCE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            timeout=120,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert int(runs[0].split()[0]) > 200 and runs[0] == runs[1]
