@@ -198,6 +198,8 @@ def cmd_generate(args):
     elif kind in ("flexible", "random"):
         if args.n is None:
             raise ParameterError(f"{kind} needs --n (for the complete graph K_n)")
+        if args.n < 1:
+            raise ParameterError(f"--n must be at least 1, got {args.n}")
         graph = complete_graph([f"v{i}" for i in range(1, args.n + 1)])
         norm = preset(args.norm, args.d)
         if kind == "flexible":

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate, count
+from itertools import accumulate
 from math import gcd
 
 from .errors import (
@@ -41,7 +41,6 @@ from .framework import (
     colouring_row,
     edge_lengths,
     edge_table,
-    index_matrix,
     induced_colouring,
     is_infinitesimally_rigid,
     is_redundantly_rigid,
@@ -49,7 +48,6 @@ from .framework import (
     monochromatic_subgraphs,
     pinned_rows,
     pinned_system,
-    rank_exact,
     rigid_rank,
     unique_colouring,
     unpin,
@@ -57,6 +55,7 @@ from .framework import (
 )
 from .graph import Graph, is_2_connected
 from .linalg import IncrementalSystem, affine_point, integerize_row, primitive, solve_affine
+from .oracle import is_witness
 from .sparsity import is_Mdd_connected
 
 GLOBALLY_RIGID = "GloballyRigid"
@@ -128,7 +127,7 @@ def _settle_leaf(fw: Framework, rows, system):
     X, D = system.back_substitute()
     point = X + [-D]
     levels = [_level(row, point) for row in rows]
-    if max(levels) <= 0:
+    if max(levels, default=0) <= 0:
         return unpin(fw, [Fraction(x, D) for x in X])
     kernel = [system.back_substitute(c)[0] + [0] for c in system.free_columns()]
     bounds, least = {}, {}  # key -> least bound, and the same by direction
@@ -175,17 +174,14 @@ def equivalent_witness_lp(fw: Framework, phi):
     return _settle_leaf(fw, [row for per_face in rows for row in per_face], system)
 
 
-class _BudgetHit(Exception):
-    pass
-
-
-def _consistent_leaves(system, options, on_cut, faces=None):
+def _consistent_leaves(system, options, faces=None):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
     ``options[i]`` lists the (face index, integer row) choices for edge i.
-    A push that leaves the system inconsistent cuts its subtree, reported
-    to ``on_cut``; each consistent full colouring is yielded, as face
-    indices, while its rows are still pushed (no edge, no colouring).
+    The walk yields one event per colouring examined: None for a cut, and
+    each consistent full colouring, as face indices, while its rows are
+    still pushed (no edge, no colouring).  A push that leaves the system
+    inconsistent cuts its subtree.
 
     With ``faces`` (per edge, a row coef . x <= rhs per face; ``options[i]``
     then lists pairs (j, faces[i][j])) every row is forward-checked:
@@ -197,8 +193,8 @@ def _consistent_leaves(system, options, on_cut, faces=None):
     a pop undoes that from a trail (watched literals: Moskewicz et al.,
     "Chaff", DAC 2001).  Options push their kept rows.  A kept
     constant with a negative right-hand side is violated on the prefix's
-    whole affine set: the prefix is cut, one ``on_cut`` per option of the
-    next edge (one for a full colouring).  Complete: every face row holds
+    whole affine set: the prefix is cut, one None per option of the next
+    edge (one for a full colouring).  Complete: every face row holds
     on every leaf's feasible set, so each leaf below a cut would settle to
     None; the other leaves keep their order, and so the first witness; p
     and its isometric images (moved back onto the pinned vertex) meet
@@ -251,7 +247,7 @@ def _consistent_leaves(system, options, on_cut, faces=None):
             if not (consistent and holds):
                 retract()  # one cut for a failed push or a full colouring
                 for _ in options[i + 1] if consistent and i + 1 < m else [face]:
-                    on_cut()
+                    yield None
                 continue
             assign[i] = face
             if i + 1 == m:
@@ -264,46 +260,6 @@ def _consistent_leaves(system, options, on_cut, faces=None):
             stack.pop()
             if stack:
                 retract()
-
-
-def _search(fw: Framework, order, iso_set, budget, first):
-    """Search the colouring tree, edges in ``order`` (input indices), with
-    the first one's faces restricted to the face indices ``first``; returns
-    (found, counts, budget_hit), found being (colouring as face indices, in
-    search order, and witness realisation) or None.  A leaf is settled
-    (skipped as isometric, or solved) before the budget is enforced, so a
-    cut certificate keeps lp_runs = leaves - isometric_skipped."""
-    counts = dict.fromkeys(("colourings_examined", "leaves", "pruned_subtrees", "isometric_skipped", "lp_runs"), 0)
-    table = pinned_rows(fw, edge_lengths(fw))
-    faces = [table[i] for i in order]  # per search edge, one row per face
-    options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
-    rows = [row for per_face in faces for row in per_face]
-
-    def check_budget():
-        if budget is not None and counts["colourings_examined"] > budget:
-            raise _BudgetHit()
-
-    def cut():
-        counts["pruned_subtrees"] += 1
-        counts["colourings_examined"] += 1
-        check_budget()
-
-    system = pinned_system(fw, faces)
-    try:
-        for phi in _consistent_leaves(system, options, cut, faces):
-            counts["leaves"] += 1
-            counts["colourings_examined"] += 1
-            if phi in iso_set:
-                counts["isometric_skipped"] += 1
-            else:
-                counts["lp_runs"] += 1
-                q = _settle_leaf(fw, rows, system)
-                if q is not None:
-                    return (phi, q), counts, False
-            check_budget()
-    except _BudgetHit:
-        return None, counts, True
-    return None, counts, False
 
 
 def _search_order(graph: Graph):
@@ -340,8 +296,11 @@ def decide_global_rigidity(fw: Framework, budget=None):
     otherwise the colouring tree is searched and the answer is either
     NotGloballyRigid with a verified witness realisation or GloballyRigid
     after exhausting the tree.  ``budget`` bounds the number of colourings
-    examined (leaves plus pruned branches); exceeding it yields a
-    BudgetExceeded verdict carrying the progress counters.
+    examined (leaves plus cuts, each one event of the walk); exceeding it
+    yields a BudgetExceeded verdict carrying the progress counters.  A
+    leaf is settled (skipped as isometric, or solved) before the budget is
+    enforced, so a witness on the event past the budget wins, and a cut
+    certificate keeps lp_runs = leaves - isometric_skipped.
 
     The search takes the edges in ``_search_order`` (only
     ``witness_colouring`` is mapped back to the input order) and gives the
@@ -355,8 +314,9 @@ def decide_global_rigidity(fw: Framework, budget=None):
     phi_p = unique_colouring(edge_table(fw)[0])
     if phi_p is None:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
-    rank = rank_exact(index_matrix(fw, phi_p))
-    cert["rank"] = rank
+    table = pinned_rows(fw, edge_lengths(fw))
+    # vertex 0's columns are minus the sum of the others', so pinning keeps the rank
+    cert["rank"] = rank = len(pinned_system(fw, table, phi_p).pivots)
     cert["rank_required"] = rigid_rank(fw)
     if rank < rigid_rank(fw):
         return GlobalVerdict(NOT_RIGID, certificate=cert)
@@ -369,20 +329,30 @@ def decide_global_rigidity(fw: Framework, budget=None):
     order = _search_order(fw.graph)
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
     first = [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]
-    found, counts, budget_hit = _search(fw, order, iso_set, budget, first)
-    cert.update(counts)
-
-    if found is not None:
-        phi, q = found
-        from .oracle import is_witness
-
+    faces = [table[i] for i in order]  # per search edge, one row per face
+    options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
+    rows = [row for per_face in faces for row in per_face]
+    system = pinned_system(fw, faces)
+    outcome, q, examined, leaves, skipped = GLOBALLY_RIGID, None, 0, 0, 0
+    for phi in _consistent_leaves(system, options, faces):
+        examined += 1
+        if phi is not None:
+            leaves += 1
+            if phi in iso_set:
+                skipped += 1
+            elif (q := _settle_leaf(fw, rows, system)) is not None:
+                outcome = NOT_GLOBALLY_RIGID
+                break
+        if budget is not None and examined > budget:
+            outcome = BUDGET_EXCEEDED
+            break
+    cert.update(colourings_examined=examined, leaves=leaves, pruned_subtrees=examined - leaves,
+                isometric_skipped=skipped, lp_runs=leaves - skipped)
+    if q is not None:
         if not is_witness(fw, q):
             raise AssertionError("witness failed exact verification")
         cert["witness_colouring"] = tuple(fw.norm.faces[f] for _, f in sorted(zip(order, phi)))
-        return GlobalVerdict(NOT_GLOBALLY_RIGID, witness=q, certificate=cert)
-    if budget_hit:
-        return GlobalVerdict(BUDGET_EXCEEDED, certificate=cert)
-    return GlobalVerdict(GLOBALLY_RIGID, certificate=cert)
+    return GlobalVerdict(outcome, witness=q, certificate=cert)
 
 
 # -- certificate routes ------------------------------------------------
@@ -428,17 +398,12 @@ def is_strong_colouring_exhaustive(graph: Graph, phi, norm, budget=2_000_000):
         for e, phi_row in zip(graph.edges, phi_rows)
     ]
 
-    examined = count(1)
-
-    def tick():
-        if next(examined) > budget:
-            raise BudgetExceededError("strongness enumeration budget exhausted")
-
     system = IncrementalSystem(2 * d * n, keylen=d * n)
-    for psi in _consistent_leaves(system, paired, tick):
-        if psi not in iso_set:
+    for examined, psi in enumerate(_consistent_leaves(system, paired), 1):
+        if psi is not None and psi not in iso_set:
             return False  # containment held all the way down: not isometric
-        tick()
+        if examined > budget:
+            raise BudgetExceededError("strongness enumeration budget exhausted")
     return True
 
 

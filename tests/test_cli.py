@@ -341,6 +341,16 @@ def test_cli_generate_flexible_and_random(tmp_path):
     assert rand_path.read_text() == again.read_text()
 
 
+@pytest.mark.parametrize("kind", ["random", "flexible"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_generate_without_vertices_is_a_usage_error(tmp_path, capsys, kind, n):
+    out = tmp_path / "k.json"
+    assert run_cli("generate", kind, "--n", n, "--d", "2", "--out", str(out)) == 2
+    _, err = capsys.readouterr()
+    assert err == f"error: --n must be at least 1, got {n}\n"
+    assert not out.exists()
+
+
 def edge_tables_computed(argv):
     """How many edge tables ``main(argv)`` computes: the calls of
     ``framework.edge_table``, under every name the package binds it to,

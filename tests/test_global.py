@@ -9,6 +9,7 @@ from polyrigid import (
     NOT_GLOBALLY_RIGID,
     NOT_RIGID,
     NOT_WELL_POSITIONED,
+    BudgetExceededError,
     Framework,
     Graph,
     InconsistentSystemError,
@@ -116,6 +117,13 @@ def test_witness_lp_finds_noncongruent_witness(rigid_k4_linf2):
     assert not congruence_check(fw, q)
 
 
+def test_witness_lp_on_one_vertex_returns_the_input():
+    # no edge, no row: the particular solution is the pinned vertex itself
+    for norm in (preset("linf", 2), preset("l1", 2)):
+        fw = Framework(Graph(["a"], []), norm, {"a": (0, 0)})
+        assert equivalent_witness_lp(fw, []) == {"a": fw.position("a")}
+
+
 def test_witness_lp_inconsistent_colouring_raises(rigid_k4_linf2):
     _, fw = rigid_k4_linf2[0]
     face = fw.norm.faces[0]
@@ -219,6 +227,18 @@ def test_strong_colouring_exhaustive_matches_certificate_on_square(linf2):
     phi = (h, v, h, v)
     assert not is_strong_colouring_linf(g, phi, 2)
     assert not is_strong_colouring_exhaustive(g, phi, linf2, budget=100_000)
+
+
+def test_strongness_budgets_are_pinned():
+    # K_n on the line: every cut and every leaf of the enumeration counts
+    # against the budget, so the least budget that returns is the count
+    line = preset("linf", 1)
+    for n, least in ((3, 15), (4, 43), (5, 99)):
+        fw = line_framework(n)
+        phi = induced_colouring(fw)
+        assert is_strong_colouring_exhaustive(fw.graph, phi, line, budget=least)
+        with pytest.raises(BudgetExceededError):
+            is_strong_colouring_exhaustive(fw.graph, phi, line, budget=least - 1)
 
 
 def test_strong_colouring_zero_entry_false(linf2):
@@ -432,6 +452,38 @@ def test_budget_cut_settles_the_leaf_first(octahedron):
     assert c["lp_runs"] == c["leaves"] - c["isometric_skipped"]
 
 
+def test_every_budget_cuts_after_its_events(rigid_k4_linf2, rigid_k5_linf2):
+    # each leaf and each cut is one event of the walk: a budget b stops
+    # the search on event b + 1, with the tallies of the first b + 1
+    # events, unless that event is the last or a leaf with a witness
+    from polyrigid import global_rigidity as gr
+
+    walk = gr._consistent_leaves
+    for fw in (rigid_k4_linf2[0][1], rigid_k5_linf2[0][1]):
+        events = []
+
+        def recording(*args):
+            for phi in walk(*args):
+                events.append(phi)
+                yield phi
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(gr, "_consistent_leaves", recording)
+            full = decide_global_rigidity(fw)
+        last = len(events) - (full.outcome == NOT_GLOBALLY_RIGID)  # the least budget that does not cut
+        assert last > 100
+        for budget in range(len(events) + 1):
+            verdict = decide_global_rigidity(fw, budget=budget)
+            if budget >= last:
+                assert (verdict.outcome, verdict.witness, verdict.certificate) == (full.outcome, full.witness, full.certificate)
+                continue
+            c, leaves = verdict.certificate, sum(phi is not None for phi in events[:budget + 1])
+            assert verdict.outcome == BUDGET_EXCEEDED and verdict.witness is None
+            assert c["colourings_examined"] == budget + 1
+            assert (c["leaves"], c["pruned_subtrees"]) == (leaves, budget + 1 - leaves)
+            assert c["lp_runs"] == leaves - c["isometric_skipped"]
+
+
 def test_deep_graph_gives_budget_exceeded_not_recursion_error():
     import inspect
     import sys
@@ -455,26 +507,23 @@ def recorded_search(fw, lookahead):
     """decide_global_rigidity with the forward check on the face rows (the
     look-ahead) on or off:
     (verdict, the leaves the walk yields in order as face-index tuples,
-    the argument tuples given to ``_search``)."""
+    per walk the face indices its first edge may take)."""
     from polyrigid import global_rigidity as gr
 
-    walk, search = gr._consistent_leaves, gr._search
-    leaves, jobs = [], []
+    walk = gr._consistent_leaves
+    leaves, firsts = [], []
 
-    def recording(system, options, on_cut, face_rows=None):
-        for phi in walk(system, options, on_cut, face_rows if lookahead else None):
-            leaves.append(phi)
+    def recording(system, options, face_rows=None):
+        firsts.append([face for face, _ in options[0]])
+        for phi in walk(system, options, face_rows if lookahead else None):
+            if phi is not None:
+                leaves.append(phi)
             yield phi
-
-    def capturing(*job):
-        jobs.append(job)
-        return search(*job)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(gr, "_consistent_leaves", recording)
-        m.setattr(gr, "_search", capturing)
         verdict = decide_global_rigidity(fw)
-    return verdict, leaves, jobs
+    return verdict, leaves, firsts
 
 
 def decide_without_lookahead(fw):
@@ -569,9 +618,9 @@ def test_watched_walk_matches_the_from_scratch_check(octahedron, rigid_k4_linf2)
     for fw in corpus:
         faces = pinned_rows(fw, edge_lengths(fw))
         options = [list(enumerate(per_face)) for per_face in faces]
-        cuts = []
-        leaves = list(gr._consistent_leaves(pinned_system(fw, faces), options, lambda: cuts.append(1), faces))
-        assert (leaves, len(cuts)) == from_scratch_forward_check(pinned_system(fw, faces), options, faces)
+        events = list(gr._consistent_leaves(pinned_system(fw, faces), options, faces))
+        leaves, cuts = [phi for phi in events if phi is not None], events.count(None)
+        assert (leaves, cuts) == from_scratch_forward_check(pinned_system(fw, faces), options, faces)
         assert leaves and cuts
 
 
@@ -601,7 +650,7 @@ def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4
         rows = [row for per_face in faces for row in per_face]
         system = pinned_system(fw, faces)
         options = [list(enumerate(per_face)) for per_face in faces]
-        for phi in islice(gr._consistent_leaves(system, options, lambda: None), 250):
+        for phi in islice(filter(None, gr._consistent_leaves(system, options)), 250):
             q = gr._settle_leaf(fw, rows, system)
             assert q == reference_leaf_settlement(fw, lengths, [fw.norm.faces[j] for j in phi])
             X, D = system.back_substitute()
@@ -629,9 +678,10 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
     enumerate_leaves = gr._consistent_leaves
     faces = fw.norm.faces
 
-    def recording(system, options, on_cut, face_rows=None):
-        for phi in enumerate_leaves(system, options, on_cut, face_rows):
-            current["phi"] = tuple(faces[i] for i in phi)  # leaves come as face indices
+    def recording(system, options, face_rows=None):
+        for phi in enumerate_leaves(system, options, face_rows):
+            if phi is not None:
+                current["phi"] = tuple(faces[i] for i in phi)  # leaves come as face indices
             yield phi
 
     with monkeypatch.context() as m:
@@ -736,7 +786,7 @@ def test_orbit_cut_with_two_face_orbits():
     # the octagon's two face orbits leave the first search edge two faces;
     # every K4 here is refuted, by a witness the search re-verifies
     for fw in octagon_k4s(3):
-        verdict, _, [(*_, first)] = recorded_search(fw, lookahead=True)
+        verdict, _, [first] = recorded_search(fw, lookahead=True)
         assert len(first) == 2
         verify_witness(fw, verdict)
 

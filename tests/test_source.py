@@ -21,6 +21,18 @@ def unused_imports(tree):
     return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def function_imports(tree):
+    """The line numbers of the imports inside function bodies: ones that
+    ``unused_imports`` does not see, and that hide an import cycle."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted({
+        node.lineno
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
 def test_unused_imports_are_caught():
     tree = ast.parse("from math import gcd, lcm\nimport os.path\nimport sys as system\nlcm(system.argv)\n")
     assert unused_imports(tree) == {"gcd", "os"}
@@ -34,6 +46,20 @@ def test_no_module_keeps_an_unused_import():
         if path.name != "__init__.py":
             if names := unused_imports(ast.parse(path.read_text(), str(path))):
                 found[path.name] = sorted(names)
+    assert found == {}
+
+
+def test_function_imports_are_caught():
+    tree = ast.parse("import os\ndef f():\n    def g():\n        from math import gcd\n    import sys\n")
+    assert function_imports(tree) == [4, 5]
+
+
+def test_no_module_imports_inside_a_function():
+    package = Path(polyrigid.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if lines := function_imports(ast.parse(path.read_text(), str(path))):
+            found[path.name] = lines
     assert found == {}
 
 
