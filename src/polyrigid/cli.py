@@ -214,10 +214,10 @@ def cmd_generate(args):
 
 
 def cmd_witness(args):
-    fw = ff.load_framework(args.file)
     params = SearchParams(
         restarts=args.restarts, steps=args.steps, seed=args.seed
     )
+    fw = ff.load_framework(args.file)
     t0 = time.perf_counter()
     witness = numeric_witness_search(fw, params)
     results = {

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import isfinite, lcm
 from operator import mul, sub
 
 from .errors import ParameterError
@@ -31,13 +31,21 @@ class SearchParams:
 
     ``tolerance`` is the relative squared-mismatch level at which a float
     iterate is handed to exact reconstruction; it can be generous, since
-    only exactly verified witnesses are ever returned.
+    only exactly verified witnesses are ever returned.  Negative counts and
+    a tolerance that is not a finite positive number are ParameterErrors.
     """
 
     restarts: int = 200
     steps: int = 120
     tolerance: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("restarts", "steps"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be at least 0, got {getattr(self, name)}")
+        if not (self.tolerance > 0 and isfinite(self.tolerance)):
+            raise ParameterError(f"tolerance must be a finite positive number, got {self.tolerance}")
 
 
 def congruence_check(fw: Framework, q) -> bool:
@@ -75,21 +83,27 @@ def is_witness(fw: Framework, q) -> bool:
     return edge_lengths(fw.with_positions(q)) == edge_lengths(fw) and not congruence_check(fw, q)
 
 
-def _float_norm_and_face(faces_f, delta):
-    """The largest f.delta over the faces, and the first face attaining it."""
-    vals = [sum(map(mul, f, delta)) for f in faces_f]
-    best = max(vals)
-    return best, faces_f[vals.index(best)]
+def _face_values(pairs, faces_f, cols):
+    """Per edge (i, j), in order: the largest f.(q_i - q_j) over the float
+    faces and the index of the first face attaining it, for q given as
+    coordinate columns.  f.delta adds one coordinate at a time from 0, by
+    plain float addition (sum() compensates from Python 3.12 on)."""
+    deltas = [[c[i] - c[j] for i, j in pairs] for c in cols]
+    per_face = []
+    for f in faces_f:
+        row = [0.0 + f[0] * x for x in deltas[0]]
+        for fk, dk in zip(f[1:], deltas[1:]):
+            row = [a + fk * x for a, x in zip(row, dk)]
+        per_face.append(row)
+    values = list(zip(*per_face))
+    best = list(map(max, values))
+    return best, list(map(tuple.index, values, best))
 
 
-def _snap_positions(q_float, vertices, v0, p0):
-    snapped = {v0: p0}
-    for v in vertices:
-        if v == v0:
-            continue
-        snapped[v] = tuple(
-            Fraction(x).limit_denominator(10**6) for x in q_float[v]
-        )
+def _snap_positions(fw, q_float):
+    v0, *others = fw.graph.vertices
+    snapped = {v0: fw.position(v0)}
+    snapped.update((v, tuple(Fraction(x).limit_denominator(10**6) for x in q_float[v])) for v in others)
     return snapped
 
 
@@ -101,13 +115,10 @@ def _exactify_via_colouring(fw, q_float):
     is then solved exactly and the kernel component fitted to the float
     point (coefficients snapped to small rationals).
     """
-    graph, norm = fw.graph, fw.norm
-    faces_f = [tuple(float(x) for x in f) for f in norm.faces]
-    phi = []
-    for v, w in graph.edges:
-        delta = [a - b for a, b in zip(q_float[v], q_float[w])]
-        _, face_f = _float_norm_and_face(faces_f, delta)
-        phi.append(faces_f.index(face_f))
+    graph = fw.graph
+    pairs = [(graph.index(v), graph.index(w)) for v, w in graph.edges]
+    faces_f = [tuple(map(float, f)) for f in fw.norm.faces]
+    _, phi = _face_values(pairs, faces_f, list(zip(*map(q_float.get, graph.vertices))))
     system = pinned_system(fw, pinned_rows(fw, edge_lengths(fw)), phi)
     if system is None:
         return None
@@ -143,6 +154,58 @@ def _lstsq(columns_as_rows, resid):
     return [aug[i][k] for i in range(k)]
 
 
+def _restart_endpoints(fw: Framework, params: SearchParams):
+    """Yield (mismatch, q) at the end of each restart's descent: the same
+    floats for a given seed on one Python version.  Vertex 0 is index 0 and
+    stays put; q is held as d coordinate columns, and each gradient entry
+    adds its edges' terms in edge order."""
+    graph = fw.graph
+    if not graph.edges:
+        return
+    try:
+        lengths_f = [float(x) for x in edge_lengths(fw)]
+        faces_f = [tuple(float(x) for x in f) for f in fw.norm.faces]
+        p0 = [float(x) for x in fw.position(graph.vertices[0])]
+    except OverflowError:  # so the largest value is beyond the float range
+        far = max(chain(*fw.positions.values(), edge_lengths(fw), *fw.norm.faces), key=abs)
+        raise ParameterError(f"value {far} is beyond the float range of the numeric search") from None
+    pairs = [(graph.index(v), graph.index(w)) for v, w in graph.edges]
+    n = len(graph.vertices)
+    span = max(max(lengths_f), 1e-9)  # the graph has an edge
+    scale2 = sum(x * x for x in lengths_f) or 1.0
+    rng = random.Random(params.seed)
+
+    def mismatch(cols):
+        """Relative squared length mismatch, the residuals and the faces."""
+        best, phi = _face_values(pairs, faces_f, cols)
+        res = list(map(sub, best, lengths_f))
+        total = 0.0
+        for r in res:
+            total += r * r
+        return total / scale2, res, phi
+
+    for _ in range(params.restarts):
+        starts = [[x + rng.uniform(-2.5 * span, 2.5 * span) for x in p0] for _ in range(n - 1)]
+        cols = [list(c) for c in zip(p0, *starts)]
+        for it in range(params.steps):
+            total, res, phi = mismatch(cols)
+            if total < params.tolerance:
+                break
+            steps = [2.0 * r for r in res]
+            step = 0.5 / (1.0 + it) ** 0.5
+            for k, col in enumerate(cols):
+                grad = [0.0] * n
+                for (i, j), s, x in zip(pairs, steps, phi):
+                    term = s * faces_f[x][k]
+                    grad[i] += term
+                    grad[j] -= term
+                grad[0] = 0.0
+                cols[k] = [x - step * g for x, g in zip(col, grad)]
+        else:
+            total = mismatch(cols)[0]
+        yield total, dict(zip(graph.vertices, map(list, zip(*cols))))
+
+
 def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams()):
     """Look for an equivalent, non-congruent realisation numerically.
 
@@ -152,66 +215,10 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
     congruence test fails.  None means the budget ran out, nothing more.
     A coordinate, length or face beyond the float range is a ParameterError.
     """
-    graph, norm = fw.graph, fw.norm
-    d = fw.dim
-    if not graph.edges:
-        return None
-    try:
-        lengths_f = [float(x) for x in edge_lengths(fw)]
-        faces_f = [tuple(float(x) for x in f) for f in norm.faces]
-        p_float = {v: [float(x) for x in fw.position(v)] for v in graph.vertices}
-    except OverflowError:  # so the largest value is beyond the float range
-        far = max(chain(*fw.positions.values(), edge_lengths(fw), *norm.faces), key=abs)
-        raise ParameterError(f"value {far} is beyond the float range of the numeric search") from None
-    v0 = graph.vertices[0]
-    p0 = fw.position(v0)
-    others = [v for v in graph.vertices if v != v0]
-
-    span = max(max(lengths_f), 1e-9)  # the graph has an edge
-    scale2 = sum(x * x for x in lengths_f) or 1.0
-    rng = random.Random(params.seed)
-
-    def mismatch_and_gradient(q):
-        """Relative squared length mismatch at q, and its subgradient."""
-        grad = {v: [0.0] * d for v in others}
-        total = 0.0
-        for (v, w), length in zip(graph.edges, lengths_f):
-            val, face = _float_norm_and_face(faces_f, list(map(sub, q[v], q[w])))
-            res = val - length
-            total += res * res
-            step = 2.0 * res
-            if v in grad:
-                grad[v] = [g + step * x for g, x in zip(grad[v], face)]
-            if w in grad:
-                grad[w] = [g - step * x for g, x in zip(grad[w], face)]
-        return total / scale2, grad
-
-    for _ in range(params.restarts):
-        q = {v0: p_float[v0][:]}
-        for v in others:
-            q[v] = [
-                p_float[v0][i] + rng.uniform(-2.5 * span, 2.5 * span)
-                for i in range(d)
-            ]
-        for it in range(params.steps):
-            mismatch, grad = mismatch_and_gradient(q)
-            if mismatch < params.tolerance:
-                break
-            step = 0.5 / (1.0 + it) ** 0.5
-            for v in others:
-                qv = q[v]
-                gv = grad[v]
-                for i in range(d):
-                    qv[i] -= step * gv[i]
-        else:
-            mismatch, _ = mismatch_and_gradient(q)
+    for mismatch, q in _restart_endpoints(fw, params):
         if mismatch >= params.tolerance:
             continue
-
-        for candidate in (
-            _snap_positions(q, graph.vertices, v0, p0),
-            _exactify_via_colouring(fw, q),
-        ):
+        for candidate in (_snap_positions(fw, q), _exactify_via_colouring(fw, q)):
             if candidate is not None and is_witness(fw, candidate):
                 return candidate
     return None

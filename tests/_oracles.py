@@ -13,11 +13,17 @@ whole decision by enumerating every colouring in input order, and the
 greedy search order by its definition.  Slow and simple on purpose.
 The one algorithm kept here is the plain (d,k) pebble game, in which every
 edge gathers pebbles: it is the reference for the library's game, which
-rejects some edges from recorded tight sets without a search.
+rejects some edges from recorded tight sets without a search.  The
+numeric falsifier is kept too, in its per-vertex-dict form, as the
+reference for the descent over coordinate columns: both must produce the
+same floats.
 """
 
+import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import add, mul, sub
 
 
 def sparse_by_counting(n_vertices, edge_masks, d, k):
@@ -423,3 +429,116 @@ def plain_fundamental_circuit(graph, d, k, edge):
     basis = [e for e in graph.edges if e != edge and game.try_accept(*e)]
     circuit = game.circuit(*edge, basis)
     return None if circuit is None else tuple(sorted(circuit, key=graph.edges.index))
+
+
+# -- the numeric falsifier with per-vertex dicts and per-edge face calls ----
+
+
+def _reference_norm_and_face(faces_f, delta):
+    """The largest f.delta over the faces, and the first face attaining it.
+    Each f.delta is the left fold from 0 that sum() computes up to Python
+    3.11; sum() compensates from 3.12 on, so the fold is spelled out."""
+    vals = [reduce(add, map(mul, f, delta), 0) for f in faces_f]
+    best = max(vals)
+    return best, faces_f[vals.index(best)]
+
+
+def reference_restart_endpoints(fw, params):
+    """Yield (mismatch, q) at the end of each restart of the falsifier's
+    descent, q as a dict of float lists: subgradient descent on per-vertex
+    dicts, one face evaluation per edge (no float-range check)."""
+    from polyrigid.framework import edge_lengths
+
+    graph, norm = fw.graph, fw.norm
+    d = fw.dim
+    if not graph.edges:
+        return
+    lengths_f = [float(x) for x in edge_lengths(fw)]
+    faces_f = [tuple(float(x) for x in f) for f in norm.faces]
+    p_float = {v: [float(x) for x in fw.position(v)] for v in graph.vertices}
+    v0 = graph.vertices[0]
+    others = [v for v in graph.vertices if v != v0]
+
+    span = max(max(lengths_f), 1e-9)  # the graph has an edge
+    scale2 = sum(x * x for x in lengths_f) or 1.0
+    rng = random.Random(params.seed)
+
+    def mismatch_and_gradient(q):
+        """Relative squared length mismatch at q, and its subgradient."""
+        grad = {v: [0.0] * d for v in others}
+        total = 0.0
+        for (v, w), length in zip(graph.edges, lengths_f):
+            val, face = _reference_norm_and_face(faces_f, list(map(sub, q[v], q[w])))
+            res = val - length
+            total += res * res
+            step = 2.0 * res
+            if v in grad:
+                grad[v] = [g + step * x for g, x in zip(grad[v], face)]
+            if w in grad:
+                grad[w] = [g - step * x for g, x in zip(grad[w], face)]
+        return total / scale2, grad
+
+    for _ in range(params.restarts):
+        q = {v0: p_float[v0][:]}
+        for v in others:
+            q[v] = [
+                p_float[v0][i] + rng.uniform(-2.5 * span, 2.5 * span)
+                for i in range(d)
+            ]
+        for it in range(params.steps):
+            mismatch, grad = mismatch_and_gradient(q)
+            if mismatch < params.tolerance:
+                break
+            step = 0.5 / (1.0 + it) ** 0.5
+            for v in others:
+                qv = q[v]
+                gv = grad[v]
+                for i in range(d):
+                    qv[i] -= step * gv[i]
+        else:
+            mismatch, _ = mismatch_and_gradient(q)
+        yield mismatch, q
+
+
+def reference_exactify_via_colouring(fw, q_float):
+    """The exact point of the colouring read off q_float edge by edge with
+    ``_reference_norm_and_face``, its kernel part fitted to q_float."""
+    from polyrigid.framework import edge_lengths, pinned_rows, pinned_system, unpin
+    from polyrigid.linalg import affine_point
+    from polyrigid.oracle import _lstsq
+
+    graph = fw.graph
+    faces_f = [tuple(float(x) for x in f) for f in fw.norm.faces]
+    phi = []
+    for v, w in graph.edges:
+        delta = [a - b for a, b in zip(q_float[v], q_float[w])]
+        _, face_f = _reference_norm_and_face(faces_f, delta)
+        phi.append(faces_f.index(face_f))
+    system = pinned_system(fw, pinned_rows(fw, edge_lengths(fw)), phi)
+    if system is None:
+        return None
+    particular, kernel = system.solve()
+    target = [x for v in graph.vertices[1:] for x in q_float[v]]
+    resid = [t - float(x) for t, x in zip(target, particular)]
+    coeffs = _lstsq([[float(x) for x in k] for k in kernel], resid)
+    if coeffs is None:
+        return None
+    t = [Fraction(c).limit_denominator(10**4) for c in coeffs]
+    return unpin(fw, affine_point(particular, kernel, t))
+
+
+def reference_numeric_witness_search(fw, params):
+    """The first reference endpoint below tolerance whose snapped point, or
+    else the exact point of its colouring, is a verified witness."""
+    from polyrigid.oracle import is_witness
+
+    v0 = fw.graph.vertices[0]
+    for mismatch, q in reference_restart_endpoints(fw, params):
+        if mismatch >= params.tolerance:
+            continue
+        snapped = {v: tuple(Fraction(x).limit_denominator(10**6) for x in q[v]) for v in fw.graph.vertices}
+        snapped[v0] = fw.position(v0)
+        for candidate in (snapped, reference_exactify_via_colouring(fw, q)):
+            if candidate is not None and is_witness(fw, candidate):
+                return candidate
+    return None

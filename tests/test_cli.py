@@ -263,6 +263,17 @@ def test_cli_witness_path(tmp_path):
     assert report["results"]["witness_found"] is True
 
 
+@pytest.mark.parametrize("flag, field, value", [("--restarts", "restarts", "-3"), ("--steps", "steps", "-5")])
+def test_cli_witness_negative_count_is_a_usage_error(tmp_path, capsys, flag, field, value):
+    path = tmp_path / "oct.json"
+    assert run_cli("generate", "octahedron", "--out", str(path)) == 0
+    out = tmp_path / "r.json"
+    capsys.readouterr()
+    assert run_cli("witness", str(path), flag, value, "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: {field} must be at least 0, got {value}\n")
+    assert not out.exists()
+
+
 def test_cli_witness_beyond_float_range_is_a_usage_error(tmp_path, capsys):
     # the exact commands take any rational; the float search names the
     # value it cannot use: a coordinate, or a length whose ends both fit

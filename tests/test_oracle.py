@@ -1,13 +1,19 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyrigid import (
     Framework,
     GLOBALLY_RIGID,
+    GadgetSpec,
     Graph,
+    ParameterError,
     PolytopeNorm,
     SearchParams,
+    build_k2d,
+    build_np_gadget,
+    complete_graph,
     congruence_check,
     decide_global_rigidity,
     edge_lengths,
@@ -16,8 +22,14 @@ from polyrigid import (
     preset,
 )
 from polyrigid.framework import apply_isometry, translate
+from polyrigid.oracle import _restart_endpoints
 
-from _oracles import reference_congruence_check
+from _oracles import (
+    reference_congruence_check,
+    reference_numeric_witness_search,
+    reference_restart_endpoints,
+)
+from conftest import l1_image
 
 
 def test_congruence_translation(octahedron):
@@ -76,6 +88,61 @@ def test_numeric_search_no_edges(linf2):
 
     fw = Framework(Graph(["a"]), linf2, {"a": (0, 0)})
     assert numeric_witness_search(fw, SearchParams(restarts=3, steps=3, seed=1)) is None
+
+
+@pytest.mark.parametrize("field, value", [("restarts", -3), ("steps", -5)])
+def test_search_params_reject_negative_counts(field, value):
+    with pytest.raises(ParameterError, match=f"^{field} must be at least 0, got {value}$"):
+        SearchParams(**{field: value})
+    assert getattr(SearchParams(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("tolerance", [0, -1e-3, float("inf"), float("nan")])
+def test_search_params_reject_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(ParameterError, match="^tolerance must be a finite positive number"):
+        SearchParams(tolerance=tolerance)
+
+
+# -- the column descent against the per-vertex-dict reference -------------
+
+def hexed(endpoints):
+    """Per-restart (mismatch, positions), every float as float.hex."""
+    return [
+        (mismatch.hex(), {v: tuple(x.hex() for x in p) for v, p in q.items()})
+        for mismatch, q in endpoints
+    ]
+
+
+def test_column_descent_matches_the_reference_bit_for_bit(linf1, octahedron, rigid_k4_linf2):
+    # restart endpoints, converged (the path, some octahedron restarts) or
+    # not, in linf1, linf2 and its l1 image, and linf3
+    triangle = Framework(
+        complete_graph(["v0", "v1", "v2"]),
+        linf1,
+        {"v0": (0,), "v1": (Fraction(5, 17),), "v2": (Fraction(9, 11),)},
+    )
+    path = Framework(path_graph(["v0", "v1", "v2"]), linf1, {"v0": (0,), "v1": (1,), "v2": (3,)})
+    planar = [octahedron, build_np_gadget(GadgetSpec(triangle, 2)).framework, rigid_k4_linf2[0][1]]
+    cases = [(path, SearchParams(restarts=20, steps=80, seed=3))]
+    cases += [(fw, SearchParams(restarts=6, steps=60, seed=5)) for fw in planar + [l1_image(fw) for fw in planar]]
+    cases += [(build_k2d(3), SearchParams(restarts=3, steps=40, tolerance=1e-7, seed=99))]
+    converged = 0
+    for fw, params in cases:
+        ours = hexed(_restart_endpoints(fw, params))
+        assert ours == hexed(reference_restart_endpoints(fw, params))
+        assert len(ours) == params.restarts
+        converged += sum(float.fromhex(m) < params.tolerance for m, _ in ours)
+    assert converged > 20
+
+
+def test_witnesses_match_the_reference_search(linf1, rigid_k4_linf2):
+    # the inputs of the path-reflection and K4 tests above
+    path = Framework(path_graph(["v0", "v1", "v2"]), linf1, {"v0": (0,), "v1": (1,), "v2": (3,)})
+    _, k4 = rigid_k4_linf2[0]
+    for fw, params in [(path, SearchParams(restarts=60, steps=80, seed=3)),
+                       (k4, SearchParams(restarts=400, steps=150, seed=7))]:
+        witness = numeric_witness_search(fw, params)
+        assert witness is not None and witness == reference_numeric_witness_search(fw, params)
 
 
 # -- the integer congruence check against the Fraction loop ---------------

@@ -63,6 +63,32 @@ def test_no_module_imports_inside_a_function():
     assert found == {}
 
 
+def float_lines(tree):
+    """The line numbers of the float literals in a parsed module, and of
+    the places that name ``float``."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Name) and node.id == "float"
+    })
+
+
+def test_float_uses_are_caught():
+    tree = ast.parse("x = 1\ny = 2.5\nz = float(x)\nw = 3e0\nv = x.float\nu = 10**6\n")
+    assert float_lines(tree) == [2, 3, 4]
+
+
+def test_floats_stay_in_the_falsifier():
+    # every verdict is exact: only the numeric falsifier computes in floats
+    package = Path(polyrigid.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if lines := float_lines(ast.parse(path.read_text(), str(path))):
+            found[path.name] = lines
+    assert set(found) == {"oracle.py"}
+
+
 def test_every_traced_name_resolves():
     # bench/spans.py wraps each (module, attribute) of TARGETS by name: a
     # function of the module, or a method in its class's __dict__; read as
