@@ -195,8 +195,8 @@ def _restart_endpoints(fw: Framework, params: SearchParams):
             step = 0.5 / (1.0 + it) ** 0.5
             for k, col in enumerate(cols):
                 grad = [0.0] * n
-                for (i, j), s, x in zip(pairs, steps, phi):
-                    term = s * faces_f[x][k]
+                for (i, j), s, face in zip(pairs, steps, phi):
+                    term = s * faces_f[face][k]
                     grad[i] += term
                     grad[j] -= term
                 grad[0] = 0.0
