@@ -20,13 +20,12 @@ from . import fileformat as ff
 from .framework import (
     edge_lengths,
     induced_colourings,
+    induced_rank,
     is_redundantly_rigid,
     is_well_positioned,
     induced_colouring,
     monochromatic_subgraphs,
-    rank_exact,
     rigid_rank,
-    rigidity_matrix,
 )
 from .graph import connected_components, is_2_connected, complete_graph
 from .global_rigidity import (
@@ -64,13 +63,9 @@ def cmd_analyze(args):
     }
     if wp:
         phi = induced_colouring(fw)
-        rank = rank_exact(rigidity_matrix(fw))
-        needed = rigid_rank(fw)
-        results["induced_colouring"] = _faces_to_json(phi)
-        results["rank"] = rank
-        results["rank_required"] = needed
-        results["infinitesimally_rigid"] = rank == needed
-        results["redundantly_rigid"] = is_redundantly_rigid(fw)
+        rank, needed = induced_rank(fw), rigid_rank(fw)
+        results.update(induced_colouring=_faces_to_json(phi), rank=rank, rank_required=needed,
+                       infinitesimally_rigid=rank == needed, redundantly_rigid=is_redundantly_rigid(fw))
         if fw.norm.is_linf:
             subs = monochromatic_subgraphs(fw.graph, phi, fw.dim)
             results["monochromatic_classes"] = [

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from functools import cache
 
-from .errors import FrameworkFileError
+from .errors import FrameworkFileError, PolyrigidError
 from .framework import Framework
 from .graph import Graph
 from .norm import PolytopeNorm, preset
@@ -64,7 +64,7 @@ def parse_norm(spec, dim):
         ]
         try:
             return PolytopeNorm(dim, faces)
-        except Exception as exc:
+        except PolyrigidError as exc:
             raise FrameworkFileError(f"norm.faces: {exc}") from exc
     raise FrameworkFileError(
         f"norm: expected 'linf', 'l1' or {{'faces': [...]}}, got {spec!r}"

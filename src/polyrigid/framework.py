@@ -5,10 +5,7 @@ vertex.  Each edge of a well-positioned framework selects exactly one face
 normal of the norm (the unique face active on the endpoint difference);
 that assignment is the framework's directed colouring, and the matrix it
 induces is the Jacobian of the edge-length map.  Rigidity then becomes a
-rank question over the rationals.
-
-Sign convention: the row of edge vw (v before w in the vertex order)
-carries the face vector on v's coordinate block and its negation on w's.
+rank question over the rationals.  ``colouring_row`` builds every row.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from operator import mul
 
 from .errors import BudgetExceededError, NotWellPositionedError, ParameterError
 from .graph import Graph, connected_components
-from .linalg import IncrementalSystem, left_kernel_basis, mat_rank
+from .linalg import IncrementalSystem, mat_rank
 from .norm import PolytopeNorm, as_vector, linf_axis
 
 
@@ -131,67 +128,63 @@ def induced_colouring(fw: Framework):
     return tuple(fw.norm.faces[i] for i in _induced_indices(fw))
 
 
-def colouring_row(graph: Graph, dim, edge, face):
-    """Row of the edge vw in a colouring matrix: face on v's block, -face
-    on w's block; columns run through vertices in canonical order, d
-    coordinates per vertex."""
-    vi, wi = graph.index(edge[0]), graph.index(edge[1])
-    row = [0] * (dim * len(graph.vertices))
-    for i, x in enumerate(face):
-        row[dim * vi + i] = x
-        row[dim * wi + i] = -x
-    return row
-
-
-def colouring_matrix(graph: Graph, phi, dim):
-    """The |E| x d|V| matrix of a directed colouring, one colouring_row per edge."""
+def check_colouring(graph: Graph, phi, dim):
+    """Raise ParameterError unless phi gives every edge a face of length dim."""
     if len(phi) != len(graph.edges):
         raise ParameterError("colouring does not match the edge list")
     if any(len(face) != dim for face in phi):
         raise ParameterError("face vector has wrong dimension")
-    return [colouring_row(graph, dim, e, face) for e, face in zip(graph.edges, phi)]
 
 
-def index_matrix(fw: Framework, phi):
-    """The colouring matrix of the face indices phi, from the integer faces
-    (so scaled by the norm's denominator: same rank, same left kernel)."""
-    faces = fw.norm.int_faces
-    return [colouring_row(fw.graph, fw.dim, e, faces[i]) for e, i in zip(fw.graph.edges, phi)]
+def colouring_row(graph: Graph, dim, edge, face):
+    """The one colouring-row builder: edge vw's row as {column: nonzero
+    entry}, face on v's block and -face on w's, d columns per vertex in
+    vertex order.  With unit tags, a colouring's dependent rows leave tag
+    vectors spanning the left kernel (``induced_elimination``)."""
+    ends = (dim * graph.index(edge[0]), 1), (dim * graph.index(edge[1]), -1)
+    return {b + k: sign * x for b, sign in ends for k, x in enumerate(face) if x}
+
+
+def colouring_matrix(graph: Graph, phi, dim):
+    """The |E| x d|V| matrix of a directed colouring: the dense view of
+    one colouring_row per edge."""
+    check_colouring(graph, phi, dim)
+    cols = range(dim * len(graph.vertices))
+    return [[row.get(c, 0) for c in cols] for row in (colouring_row(graph, dim, e, f) for e, f in zip(graph.edges, phi))]
 
 
 # -- the pinned system ---------------------------------------------------
 #
 # Equivalent realisations are sought with vertex 0 held at its position.
-# Its block of a colouring row is row[:d] and moves to the right-hand side;
-# vertex i > 0 owns the pinned columns d(i-1) ... d(i-1)+d-1.
+# Colouring rows are laid out with vertex 0 moved last: vertex i > 0 owns
+# the pinned columns d(i-1) ... d(i-1)+d-1, and vertex 0's block starts at
+# column d(|V| - 1), the right-hand side's, to which it moves.
 
 
-def pinned_rows(fw: Framework, lengths):
-    """The one builder of pinned rows: rows[e][i] is the sparse augmented
-    row (pinned coefficients, then the right-hand side at column
-    d(|V| - 1)) of f_i.(q(v) - q(w)) = lengths[e] for the e-th edge vw and
-    face index i, with at most 2d + 1 entries.  All are multiplied by one
-    S = D*M > 0 (the norm's denominator, and the common denominator of
-    vertex 0's position and the lengths): at a pinned point x, coefficients
-    . x <= right-hand side says the face does not exceed the length.  One
-    S, no gcd per row, so a leaf's LP read off the rows pivots as the
-    Fraction LP does (see ``_settle_leaf``)."""
-    d, graph = fw.dim, fw.graph
-    p0 = fw.position(graph.vertices[0])
-    scale = lcm(*(x.denominator for x in p0), *(x.denominator for x in lengths))
-    p0 = [int(x * scale) for x in p0]
-    last = d * (len(graph.vertices) - 1)
+def pinned_rows(fw: Framework):
+    """The one builder of pinned rows: rows[e][i] is the sparse augmented row
+    (pinned coefficients, then the right-hand side at column d(|V| - 1)) of
+    f_i.(q(v) - q(w)) = length(e) for the e-th edge vw and face index i: its
+    ``colouring_row`` with vertex 0's block moved to the right-hand side, at
+    most 2d + 1 entries.  All are multiplied by one S = D*M > 0 (the norm's
+    denominator, and the common denominator of vertex 0's position and the
+    lengths): at a pinned point x, coefficients . x <= right-hand side says
+    the face does not exceed the length.  One S, no gcd per row, so a leaf's
+    LP read off the rows pivots as the Fraction LP does (``_settle_leaf``)."""
+    d, graph, lengths = fw.dim, fw.graph, edge_lengths(fw)
+    v0, *others = graph.vertices
+    scale = lcm(*(x.denominator for x in fw.position(v0)), *(x.denominator for x in lengths))
+    p0 = [int(x * scale) for x in fw.position(v0)]
+    faces = [[scale * x for x in f] for f in fw.norm.int_faces]
+    pinned, last = Graph(others + [v0]), d * len(others)
     rows = []
-    for (v, w), length in zip(graph.edges, lengths):
-        ends = [(graph.index(v), 1), (graph.index(w), -1)]
+    for edge, length in zip(graph.edges, lengths):
         rhs0 = int(length * scale) * fw.norm.denominator
-        per_face = []
-        for f in fw.norm.int_faces:
-            rhs = rhs0 - sum(sign * sum(map(mul, f, p0)) for i, sign in ends if i == 0)
-            row = {d * i - d + k: sign * scale * x for i, sign in ends if i for k, x in enumerate(f) if x}
+        per_face = [colouring_row(pinned, d, edge, f) for f in faces]
+        for row in per_face:
+            rhs = rhs0 - sum(row.pop(last + k, 0) * x for k, x in enumerate(p0)) // scale if v0 in edge else rhs0
             if rhs:
                 row[last] = rhs
-            per_face.append(row)
         rows.append(per_face)
     return rows
 
@@ -232,29 +225,56 @@ def rigid_rank(fw: Framework):
     return fw.dim * len(fw.graph.vertices) - fw.dim
 
 
-def is_infinitesimally_rigid(fw: Framework):
-    """Rank of the induced colouring matrix reaches d|V| - d.
+def induced_elimination(fw: Framework):
+    """One sparse integer elimination over the induced colouring's rows (of
+    the integer faces: same rank, same left kernel), in edge order.  Row e
+    has a unit tag at column d|V| + e, past ``keylen``.  Yields (rank so
+    far, tags) per row: None when the row adds a pivot, else the tag vector
+    z = {e': z_e'} left when the rest reduces to zero, a left-kernel vector
+    with z_e > 0 and nothing after e; these |E| - rank vectors span the left
+    kernel.  The rank never exceeds d|V| - d (translations are in the
+    kernel), so a rank-only caller may stop there.  Well-positioned only."""
+    graph, d, faces = fw.graph, fw.dim, fw.norm.int_faces
+    width = d * len(graph.vertices)
+    system = IncrementalSystem(width + len(graph.edges), keylen=width)
+    for e, (edge, i) in enumerate(zip(graph.edges, _induced_indices(fw))):
+        lead, row = system.reduce({**colouring_row(graph, d, edge, faces[i]), width + e: 1})
+        if lead is not None:
+            system.pivots[lead] = row
+        yield len(system.pivots), None if lead is not None else {c - width: x for c, x in row.items()}
 
-    Requires a well-positioned framework.
-    """
-    return rank_exact(index_matrix(fw, _induced_indices(fw))) == rigid_rank(fw)
+
+def induced_rank(fw: Framework):
+    """Rank of the induced colouring matrix, read off ``induced_elimination``
+    until it reaches d|V| - d.  Requires a well-positioned framework."""
+    rank, full = 0, rigid_rank(fw)
+    for rank, _ in induced_elimination(fw):
+        if rank == full:
+            break
+    return rank
+
+
+def is_infinitesimally_rigid(fw: Framework):
+    """Rank of the induced colouring matrix reaches d|V| - d (well-positioned only)."""
+    return induced_rank(fw) == rigid_rank(fw)
 
 
 def is_redundantly_rigid(fw: Framework):
     """Still infinitesimally rigid after deleting any single edge.
 
-    Deleting edge e removes one row of the matrix.  The matrix must have
-    rank d|V| - d, and removing row e keeps that rank exactly when row e
-    is a combination of the others, i.e. when some left-kernel vector is
-    nonzero on e.  The left kernel has dimension |E| - rank, so one
-    left-kernel basis gives the rank too; with |E| = d|V| - d no edge can
-    go.
+    The matrix must have rank d|V| - d, and deleting edge e's row keeps it
+    exactly when some left-kernel vector is nonzero on e.  The dependent
+    rows' tag vectors in ``induced_elimination`` span the left kernel, so
+    that holds exactly when some tag vector names e.  With |E| <= d|V| - d
+    no edge can go, and nothing is eliminated.
     """
-    rows = index_matrix(fw, _induced_indices(fw))
-    if not rows:
-        return rigid_rank(fw) == 0
-    left = left_kernel_basis(rows)
-    return len(rows) - len(left) == rigid_rank(fw) and all(any(z[e] for z in left) for e in range(len(rows)))
+    m, full = len(_induced_indices(fw)), rigid_rank(fw)
+    if m <= full:
+        return m == full == 0  # a single vertex: no edge to delete
+    rank, named = 0, set()
+    for rank, tags in induced_elimination(fw):
+        named.update(tags or ())
+    return rank == full and len(named) == m
 
 
 def monochromatic_subgraphs(graph: Graph, phi, dim):

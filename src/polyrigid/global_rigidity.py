@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BudgetExceededError,
@@ -37,9 +37,8 @@ from .errors import (
 from . import simplex
 from .framework import (
     Framework,
-    colouring_matrix,
+    check_colouring,
     colouring_row,
-    edge_lengths,
     edge_table,
     induced_colouring,
     is_infinitesimally_rigid,
@@ -54,7 +53,7 @@ from .framework import (
     zero_vector,
 )
 from .graph import Graph, is_2_connected
-from .linalg import IncrementalSystem, affine_point, integerize_row, primitive, solve_affine
+from .linalg import IncrementalSystem, affine_point, primitive, solve_affine
 from .oracle import is_witness
 from .sparsity import is_Mdd_connected
 
@@ -167,7 +166,7 @@ def equivalent_witness_lp(fw: Framework, phi):
         raise NotWellPositionedError("witness search needs a well-positioned framework")
     if not is_infinitesimally_rigid(fw):
         raise ParameterError("witness search is only meaningful for rigid frameworks")
-    rows = pinned_rows(fw, edge_lengths(fw))
+    rows = pinned_rows(fw)
     system = pinned_system(fw, rows, phi)
     if system is None:
         raise InconsistentSystemError("affine system of the colouring has no solution")
@@ -314,7 +313,7 @@ def decide_global_rigidity(fw: Framework, budget=None):
     phi_p = unique_colouring(edge_table(fw)[0])
     if phi_p is None:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
-    table = pinned_rows(fw, edge_lengths(fw))
+    table = pinned_rows(fw)
     # vertex 0's columns are minus the sum of the others', so pinning keeps the rank
     cert["rank"] = rank = len(pinned_system(fw, table, phi_p).pivots)
     cert["rank_required"] = rigid_rank(fw)
@@ -387,16 +386,16 @@ def is_strong_colouring_exhaustive(graph: Graph, phi, norm, budget=2_000_000):
     phi_index = [norm.face_index.get(tuple(f)) for f in phi]  # None: not a face, no image
     perms = norm.face_permutations() if None not in phi_index else ()
     iso_set = {tuple(perm[i] for i in phi_index) for perm in perms}
+    check_colouring(graph, phi, d)
     n = len(graph.vertices)
-    phi_rows = colouring_matrix(graph, phi, d)
-    cand_faces = list(norm.faces) + [zero]  # the zero face has index |F|
-
-    # paired integer rows, one per (edge, candidate face): candidate row
-    # as the key part, the corresponding row of phi as the check part
-    paired = [
-        [(i, integerize_row(colouring_row(graph, d, e, face) + phi_row)) for i, face in enumerate(cand_faces)]
-        for e, phi_row in zip(graph.edges, phi_rows)
-    ]
+    # paired rows, one per (edge, candidate face): the candidate's row as the
+    # key part, phi's as the check part, both times one S making faces integral
+    scale = lcm(*(x.denominator for f in (*norm.faces, *phi) for x in f))
+    cand_faces = [[int(x * scale) for x in f] for f in (*norm.faces, zero)]  # the zero face has index |F|
+    paired = []
+    for e, f in zip(graph.edges, phi):
+        check = {c + d * n: x for c, x in colouring_row(graph, d, e, [int(x * scale) for x in f]).items()}
+        paired.append([(i, primitive({**colouring_row(graph, d, e, face), **check})) for i, face in enumerate(cand_faces)])
 
     system = IncrementalSystem(2 * d * n, keylen=d * n)
     for examined, psi in enumerate(_consistent_leaves(system, paired), 1):

@@ -45,21 +45,6 @@ def mat_rank(rows):
     return len(system.pivots)
 
 
-def kernel_basis(rows, ncols=None):
-    """Basis of the right null space {x : A x = 0} of a rational matrix."""
-    if rows:
-        return solve_affine(rows, [0] * len(rows))[1]
-    return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols or 0)]
-
-
-def left_kernel_basis(rows):
-    """Basis of {z : z^T A = 0}, i.e. the null space of the transpose."""
-    if not rows:
-        return []
-    transpose = [list(col) for col in zip(*rows)]
-    return kernel_basis(transpose, ncols=len(rows))
-
-
 def solve_affine(rows, rhs):
     """Solve A x = b exactly.
 
@@ -137,7 +122,7 @@ class IncrementalSystem:
             a = piv[lead]
             if a < 0:  # scale by |a|: the input's multiplier stays positive
                 a, b = -a, -b
-            row = {c: a * x for c, x in row.items()}
+            row = {c: a * x for c, x in row.items()} if a != 1 else row.copy()
             for c, y in piv.items():
                 v = row.get(c, 0) - b * y
                 if v:

@@ -119,7 +119,7 @@ def _exactify_via_colouring(fw, q_float):
     pairs = [(graph.index(v), graph.index(w)) for v, w in graph.edges]
     faces_f = [tuple(map(float, f)) for f in fw.norm.faces]
     _, phi = _face_values(pairs, faces_f, list(zip(*map(q_float.get, graph.vertices))))
-    system = pinned_system(fw, pinned_rows(fw, edge_lengths(fw)), phi)
+    system = pinned_system(fw, pinned_rows(fw), phi)
     if system is None:
         return None
     particular, kernel = system.solve()

@@ -503,7 +503,7 @@ def reference_restart_endpoints(fw, params):
 def reference_exactify_via_colouring(fw, q_float):
     """The exact point of the colouring read off q_float edge by edge with
     ``_reference_norm_and_face``, its kernel part fitted to q_float."""
-    from polyrigid.framework import edge_lengths, pinned_rows, pinned_system, unpin
+    from polyrigid.framework import pinned_rows, pinned_system, unpin
     from polyrigid.linalg import affine_point
     from polyrigid.oracle import _lstsq
 
@@ -514,7 +514,7 @@ def reference_exactify_via_colouring(fw, q_float):
         delta = [a - b for a, b in zip(q_float[v], q_float[w])]
         _, face_f = _reference_norm_and_face(faces_f, delta)
         phi.append(faces_f.index(face_f))
-    system = pinned_system(fw, pinned_rows(fw, edge_lengths(fw)), phi)
+    system = pinned_system(fw, pinned_rows(fw), phi)
     if system is None:
         return None
     particular, kernel = system.solve()

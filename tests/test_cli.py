@@ -91,6 +91,47 @@ def test_invalid_custom_norm_fails_on_every_load(tmp_path):
             load_framework(path)
 
 
+SQUARE = [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]
+BAD_FACES = {
+    "duplicate": SQUARE + [["1", "0"]],
+    "zero": SQUARE + [["0", "0"]],
+    "unmatched": SQUARE[:3],
+    "not spanning": SQUARE[:2],
+    "empty": [],
+    "redundant": SQUARE + [["1/2", "1/2"], ["-1/2", "-1/2"]],
+    "wrong length": SQUARE[:2] + [["0", "1", "0"], ["0", "-1", "0"]],
+}
+
+
+@pytest.mark.parametrize("faces", BAD_FACES.values(), ids=BAD_FACES.keys())
+def test_each_invalid_custom_norm_is_a_file_error(tmp_path, capsys, faces):
+    # the norm's own validation errors become file errors naming the field,
+    # and the command exits 2 with one error line
+    doc = serialize_framework(build_octahedron())
+    doc["norm"] = {"faces": faces}
+    path = write(tmp_path / "bad.json", doc)
+    with pytest.raises(FrameworkFileError, match=r"^norm\.faces: "):
+        load_framework(path)
+    capsys.readouterr()
+    assert main(["analyze", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: norm.faces: ") and err.count("\n") == 1
+
+
+def test_norm_programming_errors_are_not_file_errors(tmp_path, monkeypatch):
+    # only the package's own errors are a bad file; anything else propagates
+    import polyrigid.fileformat as ff
+
+    def broken(dim, faces):
+        raise TypeError("a bug, not a bad file")
+
+    monkeypatch.setattr(ff, "PolytopeNorm", broken)
+    doc = serialize_framework(build_octahedron())
+    doc["norm"] = {"faces": SQUARE}
+    with pytest.raises(TypeError, match="a bug"):
+        load_framework(write(tmp_path / "square.json", doc))
+
+
 def test_parse_errors_are_diagnostic(tmp_path, capsys):
     with pytest.raises(FrameworkFileError, match="missing field"):
         parse_framework_dict({"dim": 2})

@@ -1,6 +1,8 @@
 """Smoke tests: every script in ``demos/`` and every command of the
-README's CLI block run to completion."""
+README's CLI block run to completion, and the README's Python blocks
+show what they say."""
 
+import ast
 import json
 import os
 import re
@@ -48,3 +50,25 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     assert {argv[0] for argv in commands} == {"generate", "analyze", "global", "sparsity", "witness"}
     for argv in commands:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+# a comment that starts with a Python literal states the line's value
+LITERAL = re.compile(r"#\s*(True|False|None|'[^']*'|\"[^\"]*\"|-?\d+)(?!\w)")
+
+
+def test_readme_python_blocks_hold():
+    # the blocks run in one namespace, statement by statement; an
+    # expression whose line comment starts with a literal must equal it
+    text = (ROOT / "README.md").read_text()
+    namespace, checked = {}, []
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S):
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            said = LITERAL.search(lines[stmt.end_lineno - 1])
+            if isinstance(stmt, ast.Expr) and said:
+                code = ast.get_source_segment(block, stmt)
+                assert eval(code, namespace) == ast.literal_eval(said.group(1)), code
+                checked.append(code)
+            else:
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert len(checked) == 6, checked

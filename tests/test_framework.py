@@ -10,6 +10,7 @@ from polyrigid import (
     Graph,
     NotWellPositionedError,
     ParameterError,
+    build_flexible_open,
     build_hypercube,
     build_k2d,
     colouring_matrix,
@@ -277,6 +278,72 @@ def test_redundant_rigidity_matches_per_edge_definition(octahedron):
                 assert not is_redundantly_rigid(fw)
 
 
+def elimination_corpus(octahedron, rigid_k4_linf2, rigid_k5_linf2):
+    from conftest import l1_image
+
+    planar = [fw for _, fw in rigid_k4_linf2[:3] + rigid_k5_linf2[:3]]
+    corpus = planar + [l1_image(fw) for fw in planar] + [octahedron, l1_image(octahedron)]
+    for v, shift in (("v2", (Fraction(1, 997), 0)), ("v-1", (0, Fraction(-1, 50)))):
+        pos = dict(octahedron.positions)
+        pos[v] = (pos[v][0] + shift[0], pos[v][1] + shift[1])
+        corpus.append(octahedron.with_positions(pos))
+    k7 = complete_graph([f"v{i}" for i in range(7)])
+    corpus.append(build_k2d(3))
+    corpus += [randomize_realisation(k7, 3, preset(kind, 3), seed=s, denominator_bound=100)
+               for kind in ("linf", "l1") for s in (1, 2)]
+    linf2 = preset("linf", 2)
+    corpus.append(build_flexible_open(complete_graph(list("abcd")), linf2))  # short rank, circuits
+    corpus.append(single_edge_framework(linf2, (0, 0), (1, Fraction(1, 3))))
+    corpus.append(Framework(Graph(["a"]), linf2, {"a": (1, 2)}))
+    corpus.append(build_k2d(2, n=40))  # |E| = d|V| - d: no edge can go
+    return corpus
+
+
+def test_tagged_elimination_matches_per_edge_ranks(octahedron, rigid_k4_linf2, rigid_k5_linf2):
+    # the elimination's rank, and the edges its tag vectors name, against a
+    # Fraction rank of the matrix and of the matrix without each edge
+    from polyrigid.framework import induced_elimination
+
+    seen = set()
+    for fw in elimination_corpus(octahedron, rigid_k4_linf2, rigid_k5_linf2):
+        rows = rigidity_matrix(fw)
+        rank = fraction_rank(rows)
+        # independent rows lie in no circuit; otherwise one rank per deleted edge
+        in_circuits = set() if rank == len(rows) else {
+            e for e in range(len(rows)) if fraction_rank(rows[:e] + rows[e + 1:]) == rank}
+        ranks, named = [0], set()
+        for e, (r, tags) in enumerate(induced_elimination(fw)):
+            assert r == ranks[-1] + (tags is None)
+            ranks.append(r)
+            if tags is not None:  # a left-kernel vector ending at row e
+                assert max(tags) == e and tags[e] > 0
+                assert all(sum(z * rows[i][c] for i, z in tags.items()) == 0 for c in range(len(rows[0])))
+                named |= tags.keys()
+        assert (ranks[-1], named) == (rank, in_circuits), fw
+        full = fw.dim * len(fw.graph.vertices) - fw.dim
+        assert is_infinitesimally_rigid(fw) == (rank == full)
+        assert is_redundantly_rigid(fw) == (rank == full and len(in_circuits) == len(rows))
+        if len(rows) <= full:
+            seen.add("no edge can go")
+        elif rank == full:
+            seen.add("redundant" if len(in_circuits) == len(rows) else "rigid")
+        else:
+            seen.add("flexible with circuits" if in_circuits else "flexible")
+    assert seen == {"no edge can go", "redundant", "rigid", "flexible with circuits"}
+
+
+def test_rank_stops_reading_rows_at_full_rank(octahedron, monkeypatch):
+    # rank d|V| - d is reached at the octahedron's 11th row of 12, and the
+    # rank cannot grow past it: the 12th row is never built
+    from polyrigid import framework
+
+    built = []
+    row = framework.colouring_row
+    monkeypatch.setattr(framework, "colouring_row", lambda *args: built.append(args[2]) or row(*args))
+    assert framework.induced_rank(octahedron) == 10 and is_infinitesimally_rigid(octahedron)
+    assert built == list(octahedron.graph.edges[:11]) * 2
+
+
 def test_redundantly_rigid_classes_are_2_edge_connected(octahedron):
     # deleting one edge must keep every colour class connected, so the
     # classes of a redundantly rigid framework are bridgeless
@@ -352,13 +419,15 @@ def test_integer_edge_table_and_pinned_rows_match_fraction_references(fw, data):
     assert induced_colourings(fw) == [act or (zero,) for _, act in reference]
     assert is_well_positioned(fw) == all(len(act) == 1 for _, act in reference)
 
-    others = data.draw(st.lists(coordinate, min_size=len(reference), max_size=len(reference)))
-    for lengths in (edge_lengths(fw), others):
+    # the same graph and norm at other positions, so other lengths and
+    # another position of vertex 0
+    moved = fw.with_positions({v: data.draw(st.tuples(*[coordinate] * fw.dim)) for v in fw.graph.vertices})
+    for fw in (fw, moved):
         # divided by its gcd, each row is the coprime reference row; as it
         # is, it is S times the Fraction equation, with one S for all rows
-        rows, scales = pinned_rows(fw, lengths), set()
+        rows, scales = pinned_rows(fw), set()
         assert [len(per_face) for per_face in rows] == [len(faces)] * len(fw.graph.edges)
-        for per_face, edge, length in zip(rows, fw.graph.edges, lengths):
+        for per_face, edge, length in zip(rows, fw.graph.edges, edge_lengths(fw)):
             for row, face in zip(per_face, faces):
                 g = gcd(*row.values())
                 assert {c: x // g for c, x in row.items()} == sparse_row(reference_pinned_row(fw, edge, face, length))

@@ -13,6 +13,7 @@ from polyrigid import (
     Framework,
     Graph,
     InconsistentSystemError,
+    ParameterError,
     build_flexible_open,
     build_hypercube,
     build_k2d,
@@ -248,6 +249,18 @@ def test_strong_colouring_zero_entry_false(linf2):
     )
 
 
+def test_strongness_rejects_malformed_colourings(linf2):
+    # a colouring must give each edge one face of the norm's dimension
+    g = complete_graph(list("abc"))
+    e1 = (Fraction(1), Fraction(0))
+    with pytest.raises(ParameterError, match="does not match the edge list"):
+        is_strong_colouring_exhaustive(g, (e1, e1), linf2)
+    with pytest.raises(ParameterError, match="wrong dimension"):
+        is_strong_colouring_exhaustive(g, (e1, e1, (Fraction(1),)), linf2)
+    with pytest.raises(ParameterError, match="wrong dimension"):
+        is_strong_colouring_exhaustive(g, (e1, e1, (1, 0, 0)), linf2)
+
+
 def brute_force_strong(graph, phi, norm):
     """Strongness straight from the definition: enumerate every colouring,
     test column-space containment by rank comparison of stacked blocks."""
@@ -284,6 +297,17 @@ def test_strong_colouring_exhaustive_matches_brute_force(linf2, linf1):
             is_strong_colouring_exhaustive(graph, phi, norm, budget=100_000)
             == expected
         ), (graph, phi)
+
+
+def test_strong_colouring_with_faces_outside_the_norm_matches_brute_force(linf2, linf1):
+    # phi's faces need not be the norm's, nor share its denominator: the
+    # paired rows take one scale for both
+    g2 = complete_graph(list("abc"))
+    h, slant = (Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(-2, 7))
+    g3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    cases = [(g2, (h, slant, h), linf2), (g2, (slant,) * 3, linf2), (g3, ((Fraction(5, 3),), (Fraction(-1, 2),)), linf1)]
+    for graph, phi, norm in cases:
+        assert is_strong_colouring_exhaustive(graph, phi, norm, budget=100_000) == brute_force_strong(graph, phi, norm), phi
 
 
 @pytest.mark.slow
@@ -616,7 +640,7 @@ def test_watched_walk_matches_the_from_scratch_check(octahedron, rigid_k4_linf2)
     corpus = [fw for _, fw in rigid_k4_linf2[:3]]
     corpus += [l1_image(fw) for fw in corpus] + [octahedron, line_framework(6)]
     for fw in corpus:
-        faces = pinned_rows(fw, edge_lengths(fw))
+        faces = pinned_rows(fw)
         options = [list(enumerate(per_face)) for per_face in faces]
         events = list(gr._consistent_leaves(pinned_system(fw, faces), options, faces))
         leaves, cuts = [phi for phi in events if phi is not None], events.count(None)
@@ -646,7 +670,7 @@ def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4
     settled = {"particular": 0, "lp point": 0, "lp empty": 0}
     for fw in corpus:
         lengths = edge_lengths(fw)
-        faces = pinned_rows(fw, lengths)
+        faces = pinned_rows(fw)
         rows = [row for per_face in faces for row in per_face]
         system = pinned_system(fw, faces)
         options = [list(enumerate(per_face)) for per_face in faces]
