@@ -279,6 +279,8 @@ def test_redundant_rigidity_matches_per_edge_definition(octahedron):
 
 
 def elimination_corpus(octahedron, rigid_k4_linf2, rigid_k5_linf2):
+    """Frameworks for the tagged elimination: rigid, redundant, flexible and
+    edge-poor ones, in linf and l1, d = 2 and 3."""
     from conftest import l1_image
 
     planar = [fw for _, fw in rigid_k4_linf2[:3] + rigid_k5_linf2[:3]]
