@@ -20,14 +20,13 @@ from . import fileformat as ff
 from .framework import (
     edge_lengths,
     induced_colourings,
-    induced_rank,
-    is_redundantly_rigid,
     is_well_positioned,
     induced_colouring,
     monochromatic_subgraphs,
+    rank_and_redundancy,
     rigid_rank,
 )
-from .graph import connected_components, is_2_connected, complete_graph
+from .graph import complete_graph, is_2_connected, is_connected
 from .global_rigidity import (
     BUDGET_EXCEEDED,
     GLOBALLY_RIGID,
@@ -63,18 +62,14 @@ def cmd_analyze(args):
     }
     if wp:
         phi = induced_colouring(fw)
-        rank, needed = induced_rank(fw), rigid_rank(fw)
+        (rank, redundant), needed = rank_and_redundancy(fw), rigid_rank(fw)
         results.update(induced_colouring=_faces_to_json(phi), rank=rank, rank_required=needed,
-                       infinitesimally_rigid=rank == needed, redundantly_rigid=is_redundantly_rigid(fw))
+                       infinitesimally_rigid=rank == needed, redundantly_rigid=redundant)
         if fw.norm.is_linf:
-            subs = monochromatic_subgraphs(fw.graph, phi, fw.dim)
             results["monochromatic_classes"] = [
-                {
-                    "edges": [[v, w] for v, w in sub.edges],
-                    "connected": len(connected_components(sub)) == 1,
-                    "two_connected": is_2_connected(sub),
-                }
-                for sub in subs
+                {"edges": [[v, w] for v, w in sub.edges], "connected": is_connected(sub),
+                 "two_connected": is_2_connected(sub)}
+                for sub in monochromatic_subgraphs(fw.graph, phi, fw.dim)
             ]
     results["elapsed_seconds"] = round(time.perf_counter() - t0, 6)
     return _report("analyze", ff.serialize_framework(fw), results)
@@ -105,30 +100,23 @@ def cmd_global(args):
     wp = is_well_positioned(fw)
     if fw.norm.is_linf and wp:
         strong = certify_generic_global(fw)
-        fast_paths.append(
-            {
-                "criterion": "strong colouring certificate "
-                "(all colour classes 2-connected)",
-                "holds": strong,
-                "generic_caveat": True,
-                "generic_verdict": GLOBALLY_RIGID if strong else None,
-                "note": "certifies global rigidity of generic realisations "
-                "sharing this colouring; silent about the converse",
-            }
-        )
+        fast_paths.append({
+            "criterion": "strong colouring certificate (all colour classes 2-connected)",
+            "holds": strong,
+            "generic_caveat": True,
+            "generic_verdict": GLOBALLY_RIGID if strong else None,
+            "note": "certifies global rigidity of generic realisations sharing this colouring; "
+            "silent about the converse",
+        })
     if fw.dim == 2 and (fw.norm.is_linf or fw.norm.is_l1) and wp:
         holds = decide_generic_global_linf2(fw.graph, fw)
-        fast_paths.append(
-            {
-                "criterion": "planar matroid-connectivity characterisation "
-                "(rigid + (2,2)-sparsity-matroid connected)",
-                "holds": holds,
-                "generic_caveat": True,
-                "generic_verdict": GLOBALLY_RIGID if holds else "NotGloballyRigid",
-                "note": "exact for generic realisations; this input is rational, "
-                "so read it with the generic caveat",
-            }
-        )
+        fast_paths.append({
+            "criterion": "planar matroid-connectivity characterisation (rigid + (2,2)-sparsity-matroid connected)",
+            "holds": holds,
+            "generic_caveat": True,
+            "generic_verdict": GLOBALLY_RIGID if holds else "NotGloballyRigid",
+            "note": "exact for generic realisations; this input is rational, so read it with the generic caveat",
+        })
     results = {"fast_paths": fast_paths}
     budget_hit = False
     if args.assume_generic:

@@ -116,16 +116,17 @@ def is_well_positioned(fw: Framework):
     return unique_colouring(edge_table(fw)[0]) is not None
 
 
-def _induced_indices(fw: Framework):
+def _induced(fw: Framework, faces):
+    """faces[i] for each edge's face index i in the induced colouring."""
     phi = unique_colouring(edge_table(fw)[0])
     if phi is None:
         raise NotWellPositionedError("framework is not well-positioned")
-    return phi
+    return [faces[i] for i in phi]
 
 
 def induced_colouring(fw: Framework):
     """The unique directed colouring of a well-positioned framework."""
-    return tuple(fw.norm.faces[i] for i in _induced_indices(fw))
+    return tuple(_induced(fw, fw.norm.faces))
 
 
 def check_colouring(graph: Graph, phi, dim):
@@ -225,33 +226,42 @@ def rigid_rank(fw: Framework):
     return fw.dim * len(fw.graph.vertices) - fw.dim
 
 
-def induced_elimination(fw: Framework):
-    """One sparse integer elimination over the induced colouring's rows (of
-    the integer faces: same rank, same left kernel), in edge order.  Row e
-    has a unit tag at column d|V| + e, past ``keylen``.  Yields (rank so
-    far, tags) per row: None when the row adds a pivot, else the tag vector
-    z = {e': z_e'} left when the rest reduces to zero, a left-kernel vector
-    with z_e > 0 and nothing after e; these |E| - rank vectors span the left
-    kernel.  The rank never exceeds d|V| - d (translations are in the
-    kernel), so a rank-only caller may stop there.  Well-positioned only."""
-    graph, d, faces = fw.graph, fw.dim, fw.norm.int_faces
+def _elimination(fw: Framework, faces):
+    """The one sparse integer elimination of a colouring matrix: the row of
+    integer face faces[e] on edge e (() gives an empty row), in edge order.
+    Row e has a unit tag at column d|V| + e, past ``keylen``.  Yields (rank
+    so far, tags) per row: None when the row adds a pivot, else the tag
+    vector z = {e': z_e'} left when the rest reduces to zero, a left-kernel
+    vector with z_e > 0 and nothing after e; these |E| - rank vectors span
+    the left kernel.  The rank never exceeds d|V| - d (translations are in
+    the kernel), so a rank-only caller may stop there (``_rank``)."""
+    graph, d = fw.graph, fw.dim
     width = d * len(graph.vertices)
     system = IncrementalSystem(width + len(graph.edges), keylen=width)
-    for e, (edge, i) in enumerate(zip(graph.edges, _induced_indices(fw))):
-        lead, row = system.reduce({**colouring_row(graph, d, edge, faces[i]), width + e: 1})
+    for e, (edge, face) in enumerate(zip(graph.edges, faces)):
+        lead, row = system.reduce({**colouring_row(graph, d, edge, face), width + e: 1})
         if lead is not None:
             system.pivots[lead] = row
         yield len(system.pivots), None if lead is not None else {c - width: x for c, x in row.items()}
 
 
-def induced_rank(fw: Framework):
-    """Rank of the induced colouring matrix, read off ``induced_elimination``
-    until it reaches d|V| - d.  Requires a well-positioned framework."""
+def _rank(fw: Framework, faces):
     rank, full = 0, rigid_rank(fw)
-    for rank, _ in induced_elimination(fw):
+    for rank, _ in _elimination(fw, faces):
         if rank == full:
             break
     return rank
+
+
+def induced_elimination(fw: Framework):
+    """``_elimination`` of the induced colouring's integer faces (same rank,
+    same left kernel).  Well-positioned only."""
+    return _elimination(fw, _induced(fw, fw.norm.int_faces))
+
+
+def induced_rank(fw: Framework):
+    """Rank of the induced colouring matrix (well-positioned only)."""
+    return _rank(fw, _induced(fw, fw.norm.int_faces))
 
 
 def is_infinitesimally_rigid(fw: Framework):
@@ -259,22 +269,26 @@ def is_infinitesimally_rigid(fw: Framework):
     return induced_rank(fw) == rigid_rank(fw)
 
 
-def is_redundantly_rigid(fw: Framework):
-    """Still infinitesimally rigid after deleting any single edge.
+def rank_and_redundancy(fw: Framework):
+    """(rank, redundantly rigid) from one pass of ``induced_elimination``.
 
-    The matrix must have rank d|V| - d, and deleting edge e's row keeps it
-    exactly when some left-kernel vector is nonzero on e.  The dependent
-    rows' tag vectors in ``induced_elimination`` span the left kernel, so
-    that holds exactly when some tag vector names e.  With |E| <= d|V| - d
-    no edge can go, and nothing is eliminated.
+    Redundantly rigid: still infinitesimally rigid after deleting any
+    single edge.  The matrix must have rank d|V| - d, and deleting edge e's
+    row keeps it exactly when some left-kernel vector is nonzero on e; the
+    dependent rows' tag vectors span the left kernel, so that holds exactly
+    when some tag vector names e.  Well-positioned only.
     """
-    m, full = len(_induced_indices(fw)), rigid_rank(fw)
-    if m <= full:
-        return m == full == 0  # a single vertex: no edge to delete
     rank, named = 0, set()
     for rank, tags in induced_elimination(fw):
         named.update(tags or ())
-    return rank == full and len(named) == m
+    return rank, rank == rigid_rank(fw) and len(named) == len(fw.graph.edges)
+
+
+def is_redundantly_rigid(fw: Framework):
+    """``rank_and_redundancy``'s second half.  With |E| <= d|V| - d no edge
+    can go (a single vertex has none to delete), and nothing is eliminated."""
+    m, full = len(_induced(fw, fw.norm.faces)), rigid_rank(fw)
+    return m == full == 0 if m <= full else rank_and_redundancy(fw)[1]
 
 
 def monochromatic_subgraphs(graph: Graph, phi, dim):
@@ -321,13 +335,11 @@ def is_rigid_all_induced_colourings(fw: Framework, budget=100_000):
     False result proves nothing, since the criterion is sufficient only.
     Budget-guarded: the candidate product can be exponential.
     """
-    candidates = induced_colourings(fw)
-    if prod(len(c) for c in candidates) > budget:
+    faces = fw.norm.int_faces
+    candidates = [[faces[i] for i in active] or [()] for active in edge_table(fw)[0]]
+    if prod(map(len, candidates)) > budget:
         raise BudgetExceededError(f"candidate colouring product exceeds budget {budget}")
-    return all(
-        rank_exact(colouring_matrix(fw.graph, phi, fw.dim)) == rigid_rank(fw)
-        for phi in product(*candidates)
-    )
+    return all(_rank(fw, phi) == rigid_rank(fw) for phi in product(*candidates))
 
 
 def apply_isometry(T, fw: Framework):

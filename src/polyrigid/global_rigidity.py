@@ -41,6 +41,7 @@ from .framework import (
     colouring_row,
     edge_table,
     induced_colouring,
+    induced_rank,
     is_infinitesimally_rigid,
     is_redundantly_rigid,
     is_well_positioned,
@@ -313,15 +314,14 @@ def decide_global_rigidity(fw: Framework, budget=None):
     phi_p = unique_colouring(edge_table(fw)[0])
     if phi_p is None:
         return GlobalVerdict(NOT_WELL_POSITIONED, certificate=cert)
-    table = pinned_rows(fw)
-    # vertex 0's columns are minus the sum of the others', so pinning keeps the rank
-    cert["rank"] = rank = len(pinned_system(fw, table, phi_p).pivots)
+    cert["rank"] = rank = induced_rank(fw)
     cert["rank_required"] = rigid_rank(fw)
     if rank < rigid_rank(fw):
         return GlobalVerdict(NOT_RIGID, certificate=cert)
     if not fw.graph.edges:
         cert["note"] = "single vertex: trivially globally rigid"
         return GlobalVerdict(GLOBALLY_RIGID, certificate=cert)
+    table = pinned_rows(fw)
 
     perms = fw.norm.face_permutations()
     cert["isometry_group_order"] = len(perms)

@@ -171,26 +171,25 @@ def _lowpoints(g: Graph):
 
 
 def is_2_connected(g: Graph):
-    """True iff the graph has >= 3 vertices, is connected, and has no
-    articulation vertex: no non-root u has a child w with low[w] >= disc[u],
-    and the root has one child."""
-    if len(g.vertices) < 3 or not is_connected(g):
+    """True iff the graph has >= 3 vertices, is connected (the DFS makes
+    |V| - 1 tree edges), and has no articulation vertex: no non-root u has
+    a child w with low[w] >= disc[u], and the root has one child."""
+    if len(g.vertices) < 3:
         return False
-    root = g.vertices[0]
-    root_children = 0
-    for u, disc_u, low_w in _lowpoints(g):
+    root, root_children, tree_edges = g.vertices[0], 0, 0
+    for tree_edges, (u, disc_u, low_w) in enumerate(_lowpoints(g), 1):
         if u == root:
             root_children += 1
         elif low_w >= disc_u:
             return False
-    return root_children <= 1
+    return root_children == 1 and tree_edges == len(g.vertices) - 1
 
 
 def is_2_edge_connected(g: Graph):
-    """True iff connected on >= 2 vertices with no bridge.
-
-    A tree edge uw (w the child) is a bridge exactly when low[w] > disc[u].
-    """
-    if len(g.vertices) < 2 or not is_connected(g):
+    """True iff connected on >= 2 vertices (the DFS makes |V| - 1 tree
+    edges) with no bridge: a tree edge uw (w the child) is a bridge exactly
+    when low[w] > disc[u]."""
+    if len(g.vertices) < 2:
         return False
-    return all(low_w <= disc_u for _, disc_u, low_w in _lowpoints(g))
+    bridgeless = [low_w <= disc_u for _, disc_u, low_w in _lowpoints(g)]
+    return len(bridgeless) == len(g.vertices) - 1 and all(bridgeless)

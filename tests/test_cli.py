@@ -437,6 +437,29 @@ def test_each_framework_computes_its_edge_table_once(tmp_path):
     assert edge_tables_computed(["global", k4, "--out", out]) == 2
 
 
+def test_analyze_eliminates_the_induced_rows_once(tmp_path, monkeypatch):
+    # rank and redundant rigidity come from one tagged elimination; the
+    # octahedron has |E| = 12 > d|V| - d = 10, so redundancy needs one
+    from pathlib import Path
+
+    from polyrigid import framework
+
+    calls = []
+    real = framework.induced_elimination
+
+    def counting(fw):
+        calls.append(fw)
+        return real(fw)
+
+    monkeypatch.setattr(framework, "induced_elimination", counting)
+    octahedron = Path(__file__).parent / "data" / "golden" / "octahedron.json"
+    out = tmp_path / "r.json"
+    assert main(["analyze", str(octahedron), "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert (results["rank"], results["redundantly_rigid"]) == (10, True)
+    assert len(calls) == 1
+
+
 def test_cli_generate_k2d_eps(tmp_path):
     out = tmp_path / "k2d.json"
     assert run_cli("generate", "k2d", "--d", "2", "--eps", "1/3", "--out", str(out)) == 0

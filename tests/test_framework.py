@@ -6,13 +6,16 @@ from math import gcd
 import pytest
 
 from polyrigid import (
+    BudgetExceededError,
     Framework,
+    GadgetSpec,
     Graph,
     NotWellPositionedError,
     ParameterError,
     build_flexible_open,
     build_hypercube,
     build_k2d,
+    build_np_gadget,
     colouring_matrix,
     complete_graph,
     connected_components,
@@ -24,7 +27,9 @@ from polyrigid import (
     is_rigid_linf_by_colour,
     is_well_positioned,
     monochromatic_subgraphs,
+    path_graph,
     preset,
+    project_framework,
     randomize_realisation,
     rank_exact,
     rigidity_matrix,
@@ -375,9 +380,40 @@ def test_advisory_all_colourings_rigidity(linf2):
     # the square K4: not well-positioned, and the advisory test cannot
     # prove it rigid (some compatible colourings are singular) - which
     # proves nothing, per the contract
-    assert is_rigid_all_induced_colourings(square) in (True, False)
+    assert is_rigid_all_induced_colourings(square) is False
     flexible = single_edge_framework(linf2, (0, 0), (1, Fraction(1, 3)))
     assert not is_rigid_all_induced_colourings(flexible)
+    # its two tied diagonals give 4 candidate colourings
+    with pytest.raises(BudgetExceededError):
+        is_rigid_all_induced_colourings(square, budget=3)
+    assert is_rigid_all_induced_colourings(square, budget=4) is False
+
+
+def reference_all_colourings_rigid(fw):
+    """Every colouring built from ``reference_edge_table``'s active faces
+    (the zero vector on a zero-length edge) has ``fraction_rank`` d|V| - d."""
+    zero = (Fraction(0),) * fw.dim
+    candidates = [active or (zero,) for _, active in reference_edge_table(fw)]
+    full = fw.dim * (len(fw.graph.vertices) - 1)
+    return all(fraction_rank(colouring_matrix(fw.graph, phi, fw.dim)) == full for phi in product(*candidates))
+
+
+def test_all_colourings_rigidity_matches_dense_reference(linf2):
+    seed = Framework(path_graph(["v0", "v1", "v2"]), preset("linf", 1), {"v0": (0,), "v1": (1,), "v2": (3,)})
+    k4, k5 = complete_graph(list("abcd")), complete_graph(list("abcde"))
+    cases = {
+        "square": (build_hypercube(2), False),
+        "path-seed gadget": (build_np_gadget(GadgetSpec(seed, 2)).framework, False),
+        "k4 with a zero-length edge": (Framework(k4, linf2, {"a": (0, 0), "b": (0, 0), "c": (3, 1), "d": (1, 4)}), False),
+        "k5 with a zero-length edge": (
+            Framework(k5, linf2, {"a": (0, 0), "b": (0, 0), "c": (3, 1), "d": (1, 4), "e": (-2, 5)}), True),
+        "k5 with two tied edges": (
+            Framework(k5, linf2, {"a": (0, 0), "b": (2, 2), "c": (3, 1), "d": (1, 4), "e": (-2, 5)}), True),
+        "projected k2d(3)": (project_framework(build_k2d(3)), True),
+    }
+    for name, (fw, expected) in cases.items():
+        assert reference_all_colourings_rigid(fw) is expected, name
+        assert is_rigid_all_induced_colourings(fw) is expected, name
 
 
 # -- the integer edge table and pinned rows against Fraction references ---

@@ -34,6 +34,8 @@ from polyrigid import (
     randomize_realisation,
 )
 
+from polyrigid import global_rigidity
+
 from _oracles import fraction_rank
 
 
@@ -181,6 +183,22 @@ def test_witness_colouring_is_faces(rigid_k4_linf2):
 def test_decide_flexible_construction(linf2):
     fw = build_flexible_open(complete_graph(list("abcd")), linf2)
     assert decide_global_rigidity(fw).outcome == NOT_RIGID
+
+
+def test_not_rigid_exits_before_the_pinned_table(monkeypatch, linf2):
+    # the rank comes off the induced rows alone: a flexible framework is
+    # NotRigid before any (edge, face) row of the search is built
+    flexible = build_flexible_open(complete_graph([f"v{i}" for i in range(8)]), linf2)
+    collinear = Framework(complete_graph(list("abcd")), linf2, {"a": (0, 0), "b": (3, 1), "c": (6, 2), "d": (12, 4)})
+
+    def refuse(fw):
+        raise AssertionError("pinned table built for a NotRigid framework")
+
+    monkeypatch.setattr(global_rigidity, "pinned_rows", refuse)
+    for fw, rank, required in ((flexible, 7, 14), (collinear, 3, 6)):
+        verdict = decide_global_rigidity(fw)
+        assert verdict.outcome == NOT_RIGID and verdict.witness is None
+        assert verdict.certificate == {"criterion": "exact colouring enumeration", "rank": rank, "rank_required": required}
 
 
 def test_single_vertex_trivially_globally_rigid(linf2):

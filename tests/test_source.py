@@ -89,6 +89,47 @@ def test_floats_stay_in_the_falsifier():
     assert set(found) == {"oracle.py"}
 
 
+def rank_calls(tree):
+    """The (enclosing function, line) of every call in a parsed module to
+    ``mat_rank`` or ``rank_exact``, by name or as an attribute."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee in ("mat_rank", "rank_exact"):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_rank_calls_are_caught():
+    tree = ast.parse(
+        "from .linalg import mat_rank\nrank_exact = mat_rank\n"
+        "def f(rows):\n    return mat_rank(rows)\n"
+        "class C:\n    def g(self):\n        return linalg.rank_exact([])\n"
+        "n = mat_rank([[1]])\n"
+    )
+    assert rank_calls(tree) == [("f", 4), ("g", 7), (None, 8)]
+
+
+def test_colouring_ranks_use_the_tagged_elimination():
+    # every colouring-matrix rank reads the sparse tagged elimination in
+    # framework.py; the dense Fraction rank is left to the norm's check
+    # that its face normals span the space (``rank_exact`` stays public)
+    package = Path(polyrigid.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if calls := rank_calls(ast.parse(path.read_text(), str(path))):
+            found[path.name] = [function for function, _ in calls]
+    assert found == {"norm.py": ["__init__"]}
+
+
 def test_every_traced_name_resolves():
     # bench/spans.py wraps each (module, attribute) of TARGETS by name: a
     # function of the module, or a method in its class's __dict__; read as
