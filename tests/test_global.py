@@ -33,7 +33,6 @@ from polyrigid import (
     preset,
     randomize_realisation,
 )
-
 from polyrigid import global_rigidity
 
 from _oracles import fraction_rank
