@@ -61,11 +61,9 @@ from .global_rigidity import (
     NOT_WELL_POSITIONED,
     GlobalVerdict,
     certify_generic_global,
-    column_space_contains,
     decide_generic_global_linf2,
     decide_global_rigidity,
     equivalent_witness_lp,
-    is_isometric_colouring,
     is_strong_colouring_exhaustive,
     is_strong_colouring_linf,
 )

@@ -22,6 +22,7 @@ from .framework import (
     induced_colourings,
     is_well_positioned,
     induced_colouring,
+    is_infinitesimally_rigid,
     monochromatic_subgraphs,
     rank_and_redundancy,
     rigid_rank,
@@ -96,7 +97,11 @@ def cmd_global(args):
         raise ParameterError(f"--budget must be at least 0, got {args.budget}")
     fw = ff.load_framework(args.file)
     t0 = time.perf_counter()
-    fast_paths = []
+    fast_paths, verdict = [], None
+    results = {"fast_paths": fast_paths, "exact": None}
+    if not args.assume_generic:
+        verdict = decide_global_rigidity(fw, budget=args.budget)
+        results["exact"] = _verdict_to_json(fw, verdict)
     wp = is_well_positioned(fw)
     if fw.norm.is_linf and wp:
         strong = certify_generic_global(fw)
@@ -109,7 +114,9 @@ def cmd_global(args):
             "silent about the converse",
         })
     if fw.dim == 2 and (fw.norm.is_linf or fw.norm.is_l1) and wp:
-        holds = decide_generic_global_linf2(fw.graph, fw)
+        # the exact verdict carries the rank; only --assume-generic makes one here
+        rigid = is_infinitesimally_rigid(fw) if verdict is None else verdict.certificate["rank"] == rigid_rank(fw)
+        holds = rigid and decide_generic_global_linf2(fw.graph)
         fast_paths.append({
             "criterion": "planar matroid-connectivity characterisation (rigid + (2,2)-sparsity-matroid connected)",
             "holds": holds,
@@ -117,20 +124,13 @@ def cmd_global(args):
             "generic_verdict": GLOBALLY_RIGID if holds else "NotGloballyRigid",
             "note": "exact for generic realisations; this input is rational, so read it with the generic caveat",
         })
-    results = {"fast_paths": fast_paths}
-    budget_hit = False
-    if args.assume_generic:
-        results["exact"] = None
-    else:
-        verdict = decide_global_rigidity(fw, budget=args.budget)
-        results["exact"] = _verdict_to_json(fw, verdict)
-        budget_hit = verdict.outcome == BUDGET_EXCEEDED
     results["elapsed_seconds"] = round(time.perf_counter() - t0, 6)
     meta = {
         "budget": args.budget,
         "assume_generic": bool(args.assume_generic),
         "strict": bool(args.strict),
     }
+    budget_hit = verdict is not None and verdict.outcome == BUDGET_EXCEEDED
     return _report("global", ff.serialize_framework(fw), results, meta), budget_hit
 
 

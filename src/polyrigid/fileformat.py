@@ -94,7 +94,6 @@ def parse_framework_dict(data):
     if type(dim) is not int or dim < 1:
         raise FrameworkFileError(f"dim: expected a positive integer, got {dim!r}")
     graph = parse_graph_dict(data)
-    norm = parse_norm(_require(data, "norm", "framework"), dim)
     raw_positions = _typed(_require(data, "positions", "framework"), dict, "positions")
     positions = {}
     for v in graph.vertices:
@@ -106,7 +105,8 @@ def parse_framework_dict(data):
                 f"positions[{v!r}]: expected {dim} coordinates, got {len(coords)}"
             )
         positions[v] = tuple(parse_rational(x, f"positions[{v!r}]") for x in coords)
-    return Framework(graph, norm, positions)
+    # the norm last: its facet check runs an LP per face, 2^dim of them in l1
+    return Framework(graph, parse_norm(_require(data, "norm", "framework"), dim), positions)
 
 
 def serialize_norm(norm: PolytopeNorm):

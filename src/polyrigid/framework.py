@@ -340,15 +340,3 @@ def is_rigid_all_induced_colourings(fw: Framework, budget=100_000):
     if prod(map(len, candidates)) > budget:
         raise BudgetExceededError(f"candidate colouring product exceeds budget {budget}")
     return all(_rank(fw, phi) == rigid_rank(fw) for phi in product(*candidates))
-
-
-def apply_isometry(T, fw: Framework):
-    """The framework with every position mapped through the linear map."""
-    return fw.with_positions({v: T.apply(p) for v, p in fw.positions.items()})
-
-
-def translate(fw: Framework, t):
-    t = as_vector(t, fw.dim)
-    return fw.with_positions(
-        {v: tuple(a + b for a, b in zip(p, t)) for v, p in fw.positions.items()}
-    )

@@ -54,7 +54,7 @@ from .framework import (
     zero_vector,
 )
 from .graph import Graph, is_2_connected
-from .linalg import IncrementalSystem, affine_point, primitive, solve_affine
+from .linalg import IncrementalSystem, affine_point, primitive
 from .oracle import is_witness
 from .sparsity import is_Mdd_connected
 
@@ -74,34 +74,6 @@ class GlobalVerdict:
 
     def __bool__(self):
         return self.outcome == GLOBALLY_RIGID
-
-
-def apply_colouring(T, phi):
-    """The image of a colouring under the isometry T.
-
-    An isometry acts on face vectors through its transpose: T^T is the
-    map that permutes the face set, and the induced colouring of the
-    moved framework T o p picks up exactly the transposed action
-    (for the hypercube- and cross-polytope-ball norms the group is
-    orthogonal, so the distinction is invisible there).
-    """
-    image = {f: T.transpose_apply(f) for f in set(phi)}
-    return tuple(image[f] for f in phi)
-
-
-def is_isometric_colouring(phi, psi, group):
-    """Whether some isometry in the group carries psi to phi edge-wise."""
-    if len(phi) != len(psi):
-        raise ParameterError("colourings live on different edge sets")
-    phi = tuple(phi)
-    return any(apply_colouring(T, psi) == phi for T in group)
-
-
-def column_space_contains(rows, vec):
-    """Whether vec lies in the column space: rows x = vec is solvable."""
-    if len(vec) != len(rows):
-        raise ParameterError("vector length must match the row count")
-    return solve_affine(rows, vec) is not None
 
 
 def _level(row, vec):

@@ -60,16 +60,6 @@ class Graph:
     def edge_index(self, v, w):
         return self.edges.index(self._canonical(v, w))
 
-    def without_edge(self, v, w):
-        edge = self._canonical(v, w)
-        return Graph(self.vertices, [e for e in self.edges if e != edge])
-
-    def without_vertex(self, u):
-        return Graph(
-            [v for v in self.vertices if v != u],
-            [e for e in self.edges if u not in e],
-        )
-
     def subgraph_on_edges(self, edges):
         """Spanning subgraph with the given edge subset (all vertices kept)."""
         return Graph(self.vertices, edges)

@@ -68,10 +68,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def mat_vec(rows, x):
-    return [dot(r, x) for r in rows]
-
-
 def affine_point(particular, kernel, t):
     """particular + sum_j t[j] * kernel[j]."""
     return [x + sum(tj * k[i] for tj, k in zip(t, kernel)) for i, x in enumerate(particular)]

@@ -16,7 +16,9 @@ edge gathers pebbles: it is the reference for the library's game, which
 rejects some edges from recorded tight sets without a search.  The
 numeric falsifier is kept too, in its per-vertex-dict form, as the
 reference for the descent over coordinate columns: both must produce the
-same floats.
+same floats.  The helpers at the end (a matrix-vector product, edge and
+vertex deletion, moved frameworks, the isometry action on colourings and
+column-space containment) are reached from the tests alone.
 """
 
 import random
@@ -542,3 +544,62 @@ def reference_numeric_witness_search(fw, params):
             if candidate is not None and is_witness(fw, candidate):
                 return candidate
     return None
+
+
+# -- helpers that only the tests call ------------------------------------
+
+
+def mat_vec(rows, x):
+    """The matrix-vector product of dense rows."""
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+def without_edge(graph, v, w):
+    """The graph with the edge vw deleted."""
+    from polyrigid import Graph
+
+    return Graph(graph.vertices, [e for e in graph.edges if set(e) != {v, w}])
+
+
+def without_vertex(graph, u):
+    """The graph with the vertex u and its edges deleted."""
+    from polyrigid import Graph
+
+    return Graph([v for v in graph.vertices if v != u], [e for e in graph.edges if u not in e])
+
+
+def apply_isometry(T, fw):
+    """The framework with every position mapped through the linear map."""
+    return fw.with_positions({v: T.apply(p) for v, p in fw.positions.items()})
+
+
+def translate(fw, t):
+    """The framework with every position moved by the vector t."""
+    return fw.with_positions({v: tuple(a + b for a, b in zip(p, t)) for v, p in fw.positions.items()})
+
+
+def apply_colouring(T, phi):
+    """The image of a colouring under the isometry T.
+
+    An isometry acts on face vectors through its transpose: T^T is the
+    map that permutes the face set, and the induced colouring of the
+    moved framework T o p picks up exactly the transposed action
+    (for the hypercube- and cross-polytope-ball norms the group is
+    orthogonal, so the distinction is invisible there).
+    """
+    return tuple(T.transpose_apply(f) for f in phi)
+
+
+def is_isometric_colouring(phi, psi, group):
+    """Whether some isometry in the group carries psi to phi edge-wise."""
+    assert len(phi) == len(psi), "colourings live on different edge sets"
+    return any(apply_colouring(T, psi) == tuple(phi) for T in group)
+
+
+def column_space_contains(rows, vec):
+    """Whether vec lies in the column space: rows x = vec is solvable,
+    by the library's exact solver."""
+    from polyrigid.linalg import solve_affine
+
+    assert len(vec) == len(rows), "vector length must match the row count"
+    return solve_affine(rows, vec) is not None

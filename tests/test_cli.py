@@ -460,6 +460,49 @@ def test_analyze_eliminates_the_induced_rows_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_global_ranks_once(tmp_path, monkeypatch):
+    # the planar route reads the exact verdict's rank: one elimination per
+    # report, and one more for the octahedron's strong-colouring
+    # redundancy check; --assume-generic has no verdict and ranks itself
+    from pathlib import Path
+
+    from polyrigid import framework
+
+    calls = []
+    real = framework._elimination
+
+    def counting(fw, faces):
+        calls.append(fw)
+        return real(fw, faces)
+
+    monkeypatch.setattr(framework, "_elimination", counting)
+    counts = {}
+    for path in sorted((Path(__file__).parent / "data" / "golden").glob("*.json")):
+        if "." not in path.stem:
+            for extra in ([], ["--assume-generic"]):
+                calls.clear()
+                assert main(["global", str(path), *extra, "--out", str(tmp_path / "r.json")]) == 0
+                counts[path.stem, bool(extra)] = len(calls)
+    expected = {key: 1 for key in counts}
+    expected["octahedron", False] = expected["octahedron", True] = 2
+    assert len(counts) == 22 and counts == expected
+
+
+def test_positions_are_checked_before_the_norm(tmp_path, monkeypatch, capsys):
+    # a dim that disagrees with the positions is reported before the norm
+    # is built: a d = 7 l1 preset's checks do not finish in a minute
+    import polyrigid.fileformat as ff
+
+    def unreachable(spec, dim):
+        raise AssertionError("the norm was built before the positions were checked")
+
+    monkeypatch.setattr(ff, "parse_norm", unreachable)
+    doc = {"dim": 7, "norm": "l1", "vertices": ["a", "b"], "edges": [["a", "b"]],
+           "positions": {"a": ["0", "0"], "b": ["1", "2"]}}
+    assert run_cli("analyze", write(tmp_path / "dim.json", doc)) == 2
+    assert capsys.readouterr().err == "error: positions['a']: expected 7 coordinates, got 2\n"
+
+
 def test_cli_generate_k2d_eps(tmp_path):
     out = tmp_path / "k2d.json"
     assert run_cli("generate", "k2d", "--d", "2", "--eps", "1/3", "--out", str(out)) == 0

@@ -38,15 +38,21 @@ from hypothesis import given, settings, strategies as st
 
 from polyrigid import PolytopeNorm
 from polyrigid.framework import (
-    apply_isometry,
     edge_table,
     is_rigid_all_induced_colourings,
     pinned_rows,
 )
-from polyrigid.global_rigidity import apply_colouring
-from polyrigid.linalg import mat_vec
 
-from _oracles import fraction_pinned_row, fraction_rank, reference_edge_table, reference_pinned_row, sparse_row
+from _oracles import (
+    apply_colouring,
+    apply_isometry,
+    fraction_pinned_row,
+    fraction_rank,
+    mat_vec,
+    reference_edge_table,
+    reference_pinned_row,
+    sparse_row,
+)
 
 
 def single_edge_framework(norm, pa, pb):

@@ -19,7 +19,6 @@ from polyrigid import (
     build_k2d,
     certify_generic_global,
     colouring_matrix,
-    column_space_contains,
     complete_graph,
     congruence_check,
     decide_generic_global_linf2,
@@ -27,7 +26,6 @@ from polyrigid import (
     edge_lengths,
     equivalent_witness_lp,
     induced_colouring,
-    is_isometric_colouring,
     is_strong_colouring_exhaustive,
     is_strong_colouring_linf,
     preset,
@@ -35,7 +33,7 @@ from polyrigid import (
 )
 from polyrigid import global_rigidity
 
-from _oracles import fraction_rank
+from _oracles import column_space_contains, fraction_rank, is_isometric_colouring
 
 
 def verify_witness(fw, verdict):

@@ -1,4 +1,5 @@
-"""Golden CLI replay: stored ``analyze``, ``global`` and ``sparsity`` reports.
+"""Golden CLI replay: stored ``analyze``, ``global`` (plain and with
+``--assume-generic``) and ``sparsity`` reports.
 
 Each input in ``tests/data/golden`` has one stored report per command,
 written by the CLI with ``elapsed_seconds`` masked; the replay must
@@ -19,6 +20,7 @@ DATA = Path(__file__).parent / "data" / "golden"
 COMMANDS = {
     "analyze": lambda name: ["analyze"],
     "global": lambda name: ["global"],
+    "global-generic": lambda name: ["global", "--assume-generic"],
     "sparsity": lambda name: ["sparsity", "--d", "2", "--k", "2"],
     "sparsity-d2k3": lambda name: ["sparsity", "--d", "2", "--k", "3"],
     "sparsity-d1k1": lambda name: ["sparsity", "--d", "1", "--k", "1"],

@@ -8,11 +8,10 @@ from polyrigid.linalg import (
     dot,
     integerize_row,
     mat_rank,
-    mat_vec,
     solve_affine,
 )
 
-from _oracles import fraction_rank, fraction_solve, sparse_row
+from _oracles import fraction_rank, fraction_solve, mat_vec, sparse_row
 
 # the values of st.fractions(min_value=-5, max_value=5, max_denominator=6),
 # simplest first (Hypothesis shrinks towards the front); that strategy's

@@ -21,13 +21,14 @@ from polyrigid import (
     path_graph,
     preset,
 )
-from polyrigid.framework import apply_isometry, translate
 from polyrigid.oracle import _restart_endpoints
 
 from _oracles import (
+    apply_isometry,
     reference_congruence_check,
     reference_numeric_witness_search,
     reference_restart_endpoints,
+    translate,
 )
 from conftest import l1_image
 
