@@ -171,7 +171,8 @@ def pinned_rows(fw: Framework):
     denominator, and the common denominator of vertex 0's position and the
     lengths): at a pinned point x, coefficients . x <= right-hand side says
     the face does not exceed the length.  One S, no gcd per row, so a leaf's
-    LP read off the rows pivots as the Fraction LP does (``_settle_leaf``)."""
+    LP read off the rows pivots as the Fraction LP does (``_settle_leaf``).
+    Face -f's row is f's negated, bar the length in the right-hand side."""
     d, graph, lengths = fw.dim, fw.graph, edge_lengths(fw)
     v0, *others = graph.vertices
     scale = lcm(*(x.denominator for x in fw.position(v0)), *(x.denominator for x in lengths))
@@ -181,11 +182,14 @@ def pinned_rows(fw: Framework):
     rows = []
     for edge, length in zip(graph.edges, lengths):
         rhs0 = int(length * scale) * fw.norm.denominator
-        per_face = [colouring_row(pinned, d, edge, f) for f in faces]
-        for row in per_face:
-            rhs = rhs0 - sum(row.pop(last + k, 0) * x for k, x in enumerate(p0)) // scale if v0 in edge else rhs0
-            if rhs:
-                row[last] = rhs
+        per_face = [None] * len(faces)
+        for f, g in fw.norm.pairs:
+            row = colouring_row(pinned, d, edge, faces[f])
+            pin = sum(row.pop(last + k, 0) * x for k, x in enumerate(p0)) // scale if v0 in edge else 0
+            per_face[f], per_face[g] = row, {c: -x for c, x in row.items()}
+            for row, rhs in ((row, rhs0 - pin), (per_face[g], rhs0 + pin)):
+                if rhs:
+                    row[last] = rhs
         rows.append(per_face)
     return rows
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import (
@@ -146,7 +145,7 @@ def equivalent_witness_lp(fw: Framework, phi):
     return _settle_leaf(fw, [row for per_face in rows for row in per_face], system)
 
 
-def _consistent_leaves(system, options, faces=None):
+def _consistent_leaves(system, options, checked=None):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
     ``options[i]`` lists the (face index, integer row) choices for edge i.
@@ -155,48 +154,65 @@ def _consistent_leaves(system, options, faces=None):
     still pushed (no edge, no colouring).  A push that leaves the system
     inconsistent cuts its subtree.
 
-    With ``faces`` (per edge, a row coef . x <= rhs per face; ``options[i]``
-    then lists pairs (j, faces[i][j])) every row is forward-checked:
-    divided by its gcd once (small entries, cheap reductions), then kept as
+    With ``checked = (faces, pairs)`` (per edge, ``pinned_rows``' row
+    a . x <= r per face; the norm's pairs (f, -f), -f's row (-a | r')) every
+    face row is forward-checked through one kept row per opposite-face
+    pair, (a | r_f | delta) with delta = r_f + r_-f = 2S length >= 0 one
+    column past the right-hand side: divided by its gcd once, then kept as
     ``system.reduce`` gives it against the pivots, watched under its lead.
+    Pivots never touch the delta column, so reduction scales delta by the
+    row's multiplier lam > 0 and gcds divide it exactly: f's view
+    (a' | r_f') and -f's (-a' | lam delta - r_f') are positive multiples of
+    each face row reduced on its own.  An option pushes its face's view.
     ``reduce`` stops at the first lead without a pivot and pivots never
-    change, so a push adding a pivot at column c re-reduces only the rows
-    watched at c, bar the pushed row (now zero, unread until the pop), and
-    a pop undoes that from a trail (watched literals: Moskewicz et al.,
-    "Chaff", DAC 2001).  Options push their kept rows.  A kept
-    constant with a negative right-hand side is violated on the prefix's
-    whole affine set: the prefix is cut, one None per option of the next
-    edge (one for a full colouring).  Complete: every face row holds
-    on every leaf's feasible set, so each leaf below a cut would settle to
-    None; the other leaves keep their order, and so the first witness; p
-    and its isometric images (moved back onto the pinned vertex) meet
-    every row, so the skipped set and the orbit cut still hold."""
+    change, so a push adding a pivot at column c re-reduces only the pairs
+    watched at c, bar the pushed pair (now 0 on f's side, lam delta >= 0 on
+    -f's; unread until the pop), and a pop undoes that from a trail
+    (watched literals: Moskewicz et al., "Chaff", DAC 2001).  A pair
+    reduced to a constant with r_f' < 0 or lam delta - r_f' < 0 is violated
+    on the prefix's whole affine set: the prefix is cut, one None per
+    option of the next edge (one for a full colouring).
+
+    Complete: every face row holds on every leaf's feasible set, so each
+    leaf below a cut would settle to None.  The views being positive
+    multiples, the pivots, the constants' signs and so the cuts and leaves,
+    in order, are those of one kept row per face, and each leaf's affine
+    set is the same, so the first witness is too; p and its isometric
+    images (moved back onto the pinned vertex) meet every row, so the
+    skipped set and the orbit cut still hold."""
     m, rhs, reduce, trail = len(options), system.width - 1, system.reduce, []
-    kept = [primitive(row) for per_face in faces or () for row in per_face]  # reduced
-    at = list(accumulate(map(len, faces or ()), initial=0))  # edge i's first
-    watch = [[] for _ in range(rhs)]  # lead column -> (index, kept row)
-    for r, row in enumerate(kept):
-        watch[min(row)].append((r, row))
+    faces, pairs = checked or ((), ())
+    kept, side = [], {}  # kept pair rows, reduced; (edge, face) -> (pair, is -f)
+    for i, per_face in enumerate(faces):
+        for f, g in pairs:
+            side[i, f], side[i, g] = (len(kept), False), (len(kept), True)
+            kept.append(primitive({**per_face[f], rhs + 1: per_face[f].get(rhs, 0) + per_face[g].get(rhs, 0)}))
+    watch = [[] for _ in range(rhs)]  # lead column -> (index, kept pair row)
+    for k, pair in enumerate(kept):
+        watch[min(pair)].append((k, pair))
 
     def push(i, face, row):
         """Push an option of edge i: (consistent, no kept row violated)."""
-        if faces is not None:
-            r = at[i] + face
-            row = kept[r]
+        if checked is not None:
+            k, flip = side[i, face]
+            pair, sign = kept[k], -1 if flip else 1
+            row = {c: sign * x for c, x in pair.items() if c < rhs}
+            if r := (pair.get(rhs + 1, 0) - pair.get(rhs, 0) if flip else pair.get(rhs, 0)):
+                row[rhs] = r
         consistent, added = system.push(row)
-        if faces is None or not added:
+        if checked is None or not added:
             trail.append(None)
             return consistent, True
         c = min(row)
         moved, watch[c], leads = watch[c], [], []
         trail.append((c, moved, leads))
-        for s, row in moved:
-            if s != r:
-                lead, kept[s] = reduce(row)
+        for s, pair in moved:
+            if s != k:
+                lead, kept[s] = reduce(pair)
                 if lead is not None:
                     watch[lead].append((s, kept[s]))
                     leads.append(lead)
-                elif kept[s].get(rhs, 0) < 0:
+                elif (r := kept[s].get(rhs, 0)) < 0 or kept[s].get(rhs + 1, 0) < r:
                     return True, False
         return True, True
 
@@ -206,8 +222,8 @@ def _consistent_leaves(system, options, faces=None):
             c, moved, leads = undo
             for lead in leads:
                 watch[lead].pop()
-            for r, row in moved:
-                kept[r] = row
+            for k, pair in moved:
+                kept[k] = pair
             watch[c] = moved
 
     assign = [None] * m
@@ -305,7 +321,7 @@ def decide_global_rigidity(fw: Framework, budget=None):
     rows = [row for per_face in faces for row in per_face]
     system = pinned_system(fw, faces)
     outcome, q, examined, leaves, skipped = GLOBALLY_RIGID, None, 0, 0, 0
-    for phi in _consistent_leaves(system, options, faces):
+    for phi in _consistent_leaves(system, options, (faces, fw.norm.pairs)):
         examined += 1
         if phi is not None:
             leaves += 1

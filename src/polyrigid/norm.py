@@ -79,14 +79,23 @@ class PolytopeNorm:
         self.denominator = lcm(*(x.denominator for f in self.faces for x in f))
         self.int_faces = tuple(tuple(int(x * self.denominator) for x in f) for f in self.faces)
         self.face_index = {f: i for i, f in enumerate(self.faces)}
+        # the opposite-face pairs (i, j), i < j: faces[j] = -faces[i]
+        opposite = [self.face_index[tuple(-x for x in f)] for f in self.faces]
+        self.pairs = tuple((i, j) for i, j in enumerate(opposite) if i < j)
         self._group = None
         self._perms = None
 
     def _check_minimal(self):
         # f is a facet normal iff some x satisfies f.x > 1 while g.x <= 1
-        # for every other face g, i.e. the LP maximum exceeds 1.
+        # for every other face g, i.e. the LP maximum exceeds 1.  With m the
+        # largest g.f, x = t f for large t is such a point when m <= 0, and
+        # x = f / m when f.f > m; the LP settles the rest, among them every
+        # redundant f, which lies in conv(others) and so has f.f <= m.
         for f in self.faces:
             others = [g for g in self.faces if g != f]
+            m = max(dot(f, g) for g in others)
+            if m <= 0 or dot(f, f) > m:
+                continue
             status, _, value = simplex.maximize(f, others, [Fraction(1)] * len(others))
             if status == simplex.OPTIMAL and value <= 1:
                 raise ParameterError(f"redundant face normal {f}: not a facet of the unit ball")

@@ -607,6 +607,29 @@ def test_d3_refutation_is_pinned():
     assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (21884, 2, 21882, 1, 1)))
 
 
+def test_reduce_calls_are_pinned(monkeypatch):
+    # the forward check re-reduces one kept row per opposite-face pair:
+    # 2,384, 4,934 and 35,900 calls with one kept row per face.  Each
+    # framework has a fresh norm, so its isometry group is counted too
+    from polyrigid import build_octahedron
+    from polyrigid.linalg import IncrementalSystem
+
+    calls = []
+    real = IncrementalSystem.reduce
+
+    def counting(system, row):
+        calls.append(1)
+        return real(system, row)
+
+    monkeypatch.setattr(IncrementalSystem, "reduce", counting)
+    counts = {}
+    for name, fw in (("octahedron", build_octahedron()), ("k2d(3)", build_k2d(3)), ("K8 linf3 4798", random_k_linf3(8, 4798))):
+        calls.clear()
+        decide_global_rigidity(fw)
+        counts[name] = len(calls)
+    assert counts == {"octahedron": 1490, "k2d(3)": 2990, "K8 linf3 4798": 20963}
+
+
 @pytest.mark.slow
 def test_d3_proof_is_pinned():
     # K7 in linf3: globally rigid, where the walk that checked only the
@@ -617,12 +640,13 @@ def test_d3_proof_is_pinned():
 
 
 def from_scratch_forward_check(system, options, faces):
-    """(leaves, cuts) of the colouring tree when every node reduces every
-    face row from scratch against its pivots, and a violated constant cuts
-    the prefix: one cut per option of the next edge, or one at a leaf."""
+    """The events of the colouring tree when every node reduces every face
+    row (one per face) from scratch against its pivots, and a violated
+    constant cuts the prefix: None per option of the next edge, or one at a
+    leaf, and each consistent full colouring as face indices."""
     rows = [row for per_face in faces for row in per_face]
     rhs, m = system.width - 1, len(options)
-    leaves, cuts, assign = [], [], [None] * m
+    assign = [None] * m
 
     def violated():
         return any(lead is None and row.get(rhs, 0) < 0 for lead, row in map(system.reduce, rows))
@@ -631,36 +655,45 @@ def from_scratch_forward_check(system, options, faces):
         for face, row in options[i]:
             assign[i] = face
             if not system.push(row)[0]:
-                cuts.append(1)
+                yield None
             elif violated():
-                cuts.extend([1] * (len(options[i + 1]) if i + 1 < m else 1))
+                yield from [None] * (len(options[i + 1]) if i + 1 < m else 1)
             elif i + 1 == m:
-                leaves.append(tuple(assign))
+                yield tuple(assign)
             else:
-                walk(i + 1)
+                yield from walk(i + 1)
             system.pop()
 
-    walk(0)
-    return leaves, len(cuts)
+    return walk(0)
 
 
 def test_watched_walk_matches_the_from_scratch_check(octahedron, rigid_k4_linf2):
-    # the forward check keeps only the rows watched at a new pivot up to
-    # date, and skips the pushed row: the same leaves in the same order
-    # and the same number of cuts as reducing every row at every node
+    # the forward check keeps one row per opposite-face pair, re-reduces
+    # only the pairs watched at a new pivot and skips the pushed pair: the
+    # same events in the same order as reducing every face row at every
+    # node.  The octagon K4s (96,048 and 92,688 events) and the flexible
+    # K6s in d = 3 are compared on their first 3,000 events, the rest whole
+    from itertools import islice
     from conftest import l1_image
     from polyrigid import global_rigidity as gr
     from polyrigid.framework import pinned_rows, pinned_system
 
     corpus = [fw for _, fw in rigid_k4_linf2[:3]]
-    corpus += [l1_image(fw) for fw in corpus] + [octahedron, line_framework(6)]
-    for fw in corpus:
+    corpus = [(fw, None) for fw in corpus + [l1_image(fw) for fw in corpus] + [octahedron, line_framework(6)]]
+    k6 = complete_graph([f"v{i}" for i in range(6)])
+    k6s = [in_search_order(randomize_realisation(k6, 3, preset(kind, 3), seed=seed, denominator_bound=100)) for kind, seed in (("linf", 4), ("l1", 3))]
+    corpus += [(fw, 3000) for fw in octagon_k4s(2) + k6s]
+    shifted = set()  # whether f and -f have different pinned right-hand sides
+    for fw, limit in corpus:
         faces = pinned_rows(fw)
+        rhs = fw.dim * (len(fw.graph.vertices) - 1)
+        shifted.add(any(per_face[f].get(rhs) != per_face[g].get(rhs) for per_face in faces for f, g in fw.norm.pairs))
         options = [list(enumerate(per_face)) for per_face in faces]
-        events = list(gr._consistent_leaves(pinned_system(fw, faces), options, faces))
-        leaves, cuts = [phi for phi in events if phi is not None], events.count(None)
-        assert (leaves, cuts) == from_scratch_forward_check(pinned_system(fw, faces), options, faces)
-        assert leaves and cuts
+        events = list(islice(gr._consistent_leaves(pinned_system(fw, faces), options, (faces, fw.norm.pairs)), limit))
+        assert events == list(islice(from_scratch_forward_check(pinned_system(fw, faces), options, faces), limit))
+        assert None in events and any(events)
+    # vertex 0 off the origin on the octahedron, at the origin on the line
+    assert shifted == {True, False}
 
 
 def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4_linf2, linf2):

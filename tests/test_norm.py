@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyrigid import ParameterError, PolytopeNorm, preset
+from polyrigid import ParameterError, PolytopeNorm, preset, simplex
 
 rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -81,6 +81,17 @@ def test_validation_rejects_redundant_face():
                 (Fraction(-1, 2), Fraction(-1, 2)),
             ],
         )
+
+
+def test_preset_faces_are_facets_without_an_lp(monkeypatch):
+    # every linf and l1 face is settled by its dot products with the others
+    def no_lp(*args):
+        raise AssertionError("the facet check ran an LP")
+
+    monkeypatch.setattr(simplex, "maximize", no_lp)
+    for d in range(1, 7):
+        for kind in ("linf", "l1"):
+            assert len(preset(kind, d).faces) == (2 * d if kind == "linf" else 2 ** d)
 
 
 def test_octagon_norm_is_valid():
