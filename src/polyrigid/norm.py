@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import lcm
+from itertools import chain, product
+from math import gcd, lcm
 from operator import mul
 
 from . import simplex
@@ -37,15 +37,25 @@ def linf_axis(face):
 
 @dataclass(frozen=True)
 class LinearIsometry:
-    """A linear map preserving the norm; its transpose permutes the faces."""
+    """A linear map preserving the norm; its transpose permutes the faces.
 
-    matrix: tuple  # d x d tuple of tuples of Fraction
+    The map is the integer matrix ``ints`` over ``den``: d x d tuples of
+    ints with den > 0, sharing no common factor with den.  ``matrix`` is
+    its view as Fractions, computed on first read.
+    """
+
+    ints: tuple
+    den: int
+
+    @cached_property
+    def matrix(self):
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
 
     def apply(self, x):
-        return tuple(dot(row, x) for row in self.matrix)
+        return tuple(Fraction(dot(row, x), self.den) for row in self.ints)
 
     def transpose_apply(self, x):
-        return tuple(dot(col, x) for col in zip(*self.matrix))
+        return tuple(Fraction(dot(col, x), self.den) for col in zip(*self.ints))
 
 
 class PolytopeNorm:
@@ -61,26 +71,25 @@ class PolytopeNorm:
     def __init__(self, dim, faces):
         if dim < 1:
             raise ParameterError(f"dimension must be positive, got {dim}")
-        face_tuples = [as_vector(f, dim) for f in faces]
-        if len(set(face_tuples)) != len(face_tuples):
-            raise ParameterError("duplicate face normals")
-        face_set = set(face_tuples)
-        for f in face_tuples:
-            if all(x == 0 for x in f):
-                raise ParameterError("zero vector cannot be a face normal")
-            if tuple(-x for x in f) not in face_set:
-                raise ParameterError(f"face set is not centrally symmetric: {f} unmatched")
-        if mat_rank(face_tuples) != dim:
-            raise ParameterError("face normals do not span the space (unit ball unbounded)")
         self.dim = dim
-        self.faces = tuple(face_tuples)
+        self.faces = tuple(as_vector(f, dim) for f in faces)
+        # every check runs on the faces as integers: faces[i] == int_faces[i] / denominator
+        self.denominator = den = lcm(*(x.denominator for f in self.faces for x in f))
+        self.int_faces = ints = tuple(tuple(x.numerator * (den // x.denominator) for x in f) for f in self.faces)
+        index = {g: i for i, g in enumerate(ints)}
+        if len(index) != len(ints):
+            raise ParameterError("duplicate face normals")
+        opposite = [index.get(tuple(-x for x in g)) for g in ints]
+        for f, g, j in zip(self.faces, ints, opposite):
+            if not any(g):
+                raise ParameterError("zero vector cannot be a face normal")
+            if j is None:
+                raise ParameterError(f"face set is not centrally symmetric: {f} unmatched")
+        if mat_rank(ints) != dim:
+            raise ParameterError("face normals do not span the space (unit ball unbounded)")
         self._check_minimal()
-        # the faces once more as integers: faces[i] == int_faces[i] / denominator
-        self.denominator = lcm(*(x.denominator for f in self.faces for x in f))
-        self.int_faces = tuple(tuple(int(x * self.denominator) for x in f) for f in self.faces)
         self.face_index = {f: i for i, f in enumerate(self.faces)}
         # the opposite-face pairs (i, j), i < j: faces[j] = -faces[i]
-        opposite = [self.face_index[tuple(-x for x in f)] for f in self.faces]
         self.pairs = tuple((i, j) for i, j in enumerate(opposite) if i < j)
         self._group = None
         self._perms = None
@@ -90,15 +99,17 @@ class PolytopeNorm:
         # for every other face g, i.e. the LP maximum exceeds 1.  With m the
         # largest g.f, x = t f for large t is such a point when m <= 0, and
         # x = f / m when f.f > m; the LP settles the rest, among them every
-        # redundant f, which lies in conv(others) and so has f.f <= m.
-        for f in self.faces:
-            others = [g for g in self.faces if g != f]
-            m = max(dot(f, g) for g in others)
+        # redundant f, which lies in conv(others) and so has f.f <= m.  The
+        # dot products are taken on the integer faces, all scaled alike.
+        ints = self.int_faces
+        for i, f in enumerate(ints):
+            m = max(dot(f, g) for j, g in enumerate(ints) if j != i)
             if m <= 0 or dot(f, f) > m:
                 continue
-            status, _, value = simplex.maximize(f, others, [Fraction(1)] * len(others))
+            face, others = self.faces[i], self.faces[:i] + self.faces[i + 1:]
+            status, _, value = simplex.maximize(face, others, [Fraction(1)] * len(others))
             if status == simplex.OPTIMAL and value <= 1:
-                raise ParameterError(f"redundant face normal {f}: not a facet of the unit ball")
+                raise ParameterError(f"redundant face normal {face}: not a facet of the unit ball")
 
     def __eq__(self, other):
         return (
@@ -154,37 +165,36 @@ class PolytopeNorm:
 
         A linear map T preserves the norm exactly when its transpose
         permutes the face set.  Candidates send d linearly independent base
-        faces to every d-tuple of faces, in product order.  With the faces
-        in base coordinates over a common denominator, a candidate's
-        transpose sends each face to an integer combination of the targets,
-        looked up among the scaled integer faces; the candidate is kept when
-        the images are distinct faces.  The result is cached with the face
-        permutations; it always contains +/- identity.
+        faces to every d-tuple of faces, in product order.  Everything runs
+        on the integer faces: with the base's inverse as integers over one
+        scale, a candidate's transpose sends each face to an integer
+        combination of the targets, looked up among the scaled faces; the
+        candidate is kept when the images are distinct faces.  The result
+        is cached with the face permutations; it always contains +/-
+        identity.
         """
         if self._group is not None:
             return self._group
         d, n, ints = self.dim, len(self.faces), self.int_faces
         base, system = [], IncrementalSystem(d, keylen=d)
-        for f in self.faces:
-            if system.push(integerize_row(f))[1]:
-                base.append(f)
+        for g in ints:
+            if system.push(integerize_row(g))[1]:
+                base.append(g)
                 if len(base) == d:
                     break
             else:
                 system.pop()
-        # face f = sum_k c_k(f) B_k with c_k(f) = (column k of B^-1) . f, so the
-        # transpose S of the candidate sending B_k to t_k maps f to sum_k c_k(f) t_k
+        # B^-1 = binv / scale for the base rows B; face g = sum_k c_k(g) B_k with
+        # scale * c_k(g) = (column k of binv) . g, so the transpose S of the
+        # candidate sending B_k to t_k maps scale * g to sum_k (scale * c_k(g)) t_k
         binv_cols = [solve_affine(base, [int(i == k) for i in range(d)])[0] for k in range(d)]
-        coords = [[dot(col, f) for col in binv_cols] for f in self.faces]
-        scale = lcm(*(c.denominator for row in coords for c in row))
-        terms = [[(k, int(c * scale)) for k, c in enumerate(row) if c] for row in coords]
+        scale = lcm(*(c.denominator for col in binv_cols for c in col))
+        binv = [[c.numerator * (scale // c.denominator) for c in row] for row in zip(*binv_cols)]
+        terms = [[(k, c) for k, c in enumerate(dot(col, g) for col in zip(*binv)) if c] for g in ints]
         times = {c: [tuple(c * x for x in g) for g in ints] for term in terms for _, c in term}
         terms = [[(k, times[c]) for k, c in term] for term in terms]  # c * every face
         lookup = {tuple(scale * x for x in g): j for j, g in enumerate(ints)}
-        # T = S^T has entry (j, i) = sum_k B^-1[j][k] t_k[i], in integers over den
-        den = lcm(*(c.denominator for col in binv_cols for c in col))
-        binv = [[int(c * den) for c in row] for row in zip(*binv_cols)]
-        den *= self.denominator
+        # T = S^T has entry (j, i) = sum_k B^-1[j][k] t_k[i]: integers over scale, then gcd-reduced
 
         group, perms = [], []
         for targets in product(range(n), repeat=d):
@@ -198,8 +208,9 @@ class PolytopeNorm:
             else:
                 if len(set(perm)) == n:
                     vecs = [ints[t] for t in targets]
-                    matrix = [[Fraction(sum(map(mul, row, col)), den) for col in zip(*vecs)] for row in binv]
-                    group.append(LinearIsometry(tuple(map(tuple, matrix))))
+                    matrix = [tuple(sum(map(mul, row, col)) for col in zip(*vecs)) for row in binv]
+                    common = gcd(scale, *chain.from_iterable(matrix))
+                    group.append(LinearIsometry(tuple(tuple(x // common for x in row) for row in matrix), scale // common))
                     perms.append(tuple(perm))
         self._group, self._perms = tuple(group), tuple(perms)
         return self._group

@@ -55,14 +55,13 @@ def congruence_check(fw: Framework, q) -> bool:
     so it suffices to try every group element with the translation pinned
     by the first vertex.  Exact comparison, in integers: with p and q
     relative to vertex 0 over their common denominators P and Q, and each
-    matrix T = A / M over its own, q - q0 = T (p - p0) reads
-    M P (q - q0) = Q A (p - p0).
+    group element's integer matrix T = A / M (``T.ints`` over ``T.den``),
+    q - q0 = T (p - p0) reads M P (q - q0) = Q A (p - p0).
     """
     P, p = _relative_integers(fw, fw.positions)
     Q, q = _relative_integers(fw, {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices})
     for T in fw.norm.isometry_group():
-        M = lcm(*(x.denominator for row in T.matrix for x in row))
-        A = [[x.numerator * (M // x.denominator) for x in row] for row in T.matrix]
+        A, M = T.ints, T.den
         if all([Q * sum(map(mul, row, pv)) for row in A] == [M * P * x for x in qv] for pv, qv in zip(p, q)):
             return True
     return False

@@ -8,7 +8,8 @@ and active faces by the Fraction norm, pinned rows as dense Fraction rows
 scaled to coprime integers, the global-rigidity search's leaf
 settlement along the plain Fraction route (unpin, per-edge norm, then the
 exact LP; only the simplex is the library's, so that witnesses can be
-compared), congruence by the Fraction loop over the group matrices, the
+compared), the isometry group by a Fraction matrix per candidate,
+congruence by the Fraction loop over the group matrices, the
 whole decision by enumerating every colouring in input order, and the
 greedy search order by its definition.  Slow and simple on purpose.
 The one algorithm kept here is the plain (d,k) pebble game, in which every
@@ -271,15 +272,52 @@ def reference_leaf_settlement(fw, lengths, phi):
     return realisation(point, p0)
 
 
+def reference_isometry_group(norm):
+    """The isometry group by the plain Fraction route: (matrices, perms).
+
+    The base is the first d linearly independent faces (by
+    ``fraction_rank``) and its inverse comes column by column from
+    ``fraction_solve``.  For every d-tuple of target faces, in product
+    order, the Fraction matrix T = B^-1 [targets] sending the base faces
+    to the targets under T^T is kept when T^T maps the face set onto
+    itself; perm[i] is the index of T^T applied to face i.
+    """
+    from itertools import product
+
+    d, faces = norm.dim, norm.faces
+    base = []
+    for f in faces:
+        if len(base) < d and fraction_rank(base + [f]) > len(base):
+            base.append(f)
+    cols = [fraction_solve(base, [int(i == k) for i in range(d)])[0] for k in range(d)]
+    binv = [[col[j] for col in cols] for j in range(d)]
+    matrices, perms = [], []
+    for targets in product(range(len(faces)), repeat=d):
+        T = tuple(
+            tuple(sum(binv[j][k] * faces[t][i] for k, t in enumerate(targets)) for i in range(d))
+            for j in range(d)
+        )
+        images = [tuple(sum(T[j][i] * f[j] for j in range(d)) for i in range(d)) for f in faces]
+        perm = tuple(norm.face_index.get(x) for x in images)
+        if None not in perm and len(set(perm)) == len(faces):
+            matrices.append(T)
+            perms.append(perm)
+    return matrices, perms
+
+
 def reference_congruence_check(fw, q):
-    """Congruence by the plain Fraction loop: every isometry matrix, with
-    the translation pinned by the first vertex, applied vertex by vertex."""
+    """Congruence by the plain Fraction loop: every isometry's Fraction
+    matrix, with the translation pinned by the first vertex, applied vertex
+    by vertex by its own product."""
     v0 = fw.graph.vertices[0]
     p = fw.positions
     q = {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices}
     for T in fw.norm.isometry_group():
-        t = tuple(a - b for a, b in zip(q[v0], T.apply(p[v0])))
-        if all(q[v] == tuple(a + b for a, b in zip(T.apply(p[v]), t)) for v in fw.graph.vertices):
+        def move(x, M=T.matrix):
+            return tuple(sum(a * b for a, b in zip(row, x)) for row in M)
+
+        t = tuple(a - b for a, b in zip(q[v0], move(p[v0])))
+        if all(q[v] == tuple(a + b for a, b in zip(move(p[v]), t)) for v in fw.graph.vertices):
             return True
     return False
 

@@ -118,6 +118,18 @@ def test_each_invalid_custom_norm_is_a_file_error(tmp_path, capsys, faces):
     assert out == "" and err.startswith("error: norm.faces: ") and err.count("\n") == 1
 
 
+def test_asymmetric_rational_norm_fails_global(tmp_path, capsys):
+    # the symmetry check runs on integer faces; the error names the face
+    doc = serialize_framework(build_octahedron())
+    doc["norm"] = {"faces": [["1/2", "0"], ["-1/2", "0"], ["0", "1/3"], ["0", "-2/3"]]}
+    path = write(tmp_path / "skew.json", doc)
+    capsys.readouterr()
+    assert main(["global", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: norm.faces: face set is not centrally symmetric: (Fraction(0, 1), Fraction(1, 3)) unmatched\n"
+
+
 def test_norm_programming_errors_are_not_file_errors(tmp_path, monkeypatch):
     # only the package's own errors are a bad file; anything else propagates
     import polyrigid.fileformat as ff

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyrigid import ParameterError, PolytopeNorm, preset, simplex
+
+from _oracles import reference_isometry_group
 
 rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -67,6 +70,28 @@ def test_validation_rejects_bad_face_sets():
         PolytopeNorm(2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])  # zero face
     with pytest.raises(ParameterError):
         PolytopeNorm(2, [(1, 0), (1, 0), (-1, 0), (-1, 0)])  # duplicates
+
+
+def rejection(faces):
+    with pytest.raises(ParameterError) as caught:
+        PolytopeNorm(2, faces)
+    return str(caught.value)
+
+
+def test_validation_messages_with_rational_faces():
+    # the checks run on the faces over their common denominator; the
+    # messages, and the face an unmatched or redundant one names, do not move
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    box = [(half, 0), (-half, 0), (0, third), (0, -third)]
+    assert rejection(box + [(Fraction(2, 4), 0)]) == "duplicate face normals"
+    assert rejection([(0, 0)] + box) == "zero vector cannot be a face normal"
+    assert rejection(box[:3]) == (
+        "face set is not centrally symmetric: (Fraction(0, 1), Fraction(1, 3)) unmatched"
+    )
+    assert rejection(box[:2]) == "face normals do not span the space (unit ball unbounded)"
+    assert rejection(box + [(Fraction(1, 4), Fraction(1, 6)), (Fraction(-1, 4), Fraction(-1, 6))]) == (
+        "redundant face normal (Fraction(1, 4), Fraction(1, 6)): not a facet of the unit ball"
+    )
 
 
 def test_validation_rejects_redundant_face():
@@ -159,9 +184,28 @@ def octagon_norm():
     return PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (q, q), (-q, -q), (q, -q), (-q, q)])
 
 
+def wide_hexagon():
+    """A planar norm whose 12 isometries include matrices over 2."""
+    return PolytopeNorm(2, [(2, 0), (-2, 0), (1, 1), (-1, -1), (-1, 1), (1, -1)])
+
+
 def group_norms():
     hexagon = PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
-    return [preset(k, d) for k in ("linf", "l1") for d in (1, 2, 3)] + [octagon_norm(), hexagon]
+    return [preset(k, d) for k in ("linf", "l1") for d in (1, 2, 3)] + [octagon_norm(), hexagon, wide_hexagon()]
+
+
+def test_group_matches_the_fraction_reference():
+    # the integer enumeration keeps the same elements, with the same face
+    # permutations, in the same order as a Fraction matrix per candidate
+    for norm in group_norms():
+        matrices, perms = reference_isometry_group(norm)
+        group = norm.isometry_group()
+        assert [T.matrix for T in group] == matrices
+        assert list(norm.face_permutations()) == perms
+        for T in group:
+            assert T.den > 0 and gcd(T.den, *(x for row in T.ints for x in row)) == 1
+    dens = sorted(T.den for T in wide_hexagon().isometry_group())
+    assert len(dens) == 12 and dens[0] == 1 and dens[-1] == 2
 
 
 def test_face_permutations_form_a_group():

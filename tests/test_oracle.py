@@ -13,6 +13,7 @@ from polyrigid import (
     SearchParams,
     build_k2d,
     build_np_gadget,
+    build_octahedron,
     complete_graph,
     congruence_check,
     decide_global_rigidity,
@@ -152,6 +153,8 @@ CONGRUENCE_NORMS = [preset(k, d) for k in ("linf", "l1") for d in (1, 2, 3)] + [
     PolytopeNorm(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 4), Fraction(3, 4)),
                      (Fraction(-3, 4), Fraction(-3, 4)), (Fraction(3, 4), Fraction(-3, 4)),
                      (Fraction(-3, 4), Fraction(3, 4))]),
+    # a hexagon with isometries over 2: the integer matrices are not all over 1
+    PolytopeNorm(2, [(2, 0), (-2, 0), (1, 1), (-1, -1), (-1, 1), (1, -1)]),
 ]
 coordinate = st.fractions(min_value=-6, max_value=6, max_denominator=9)
 
@@ -178,3 +181,18 @@ def test_integer_congruence_matches_fraction_loop(data):
     other = {v: data.draw(point) for v in names}
     for q in (nudged, other):
         assert congruence_check(fw, q) == reference_congruence_check(fw, q)
+
+
+def test_engine_leaves_the_fraction_matrices_unbuilt():
+    # the search reads the face permutations and the congruence check each
+    # group element's integer matrix: no Fraction view gets built
+    octahedron = build_octahedron()
+    decide_global_rigidity(octahedron)
+    k4 = Framework(complete_graph(list("abcd")), preset("linf", 2),
+                   {"a": (0, 0), "b": (3, 1), "c": (Fraction(1, 2), 4), "d": (-2, Fraction(7, 3))})
+    T = k4.norm.isometry_group()[5]
+    moved = translate(apply_isometry(T, k4), (Fraction(-1, 3), 2))
+    assert congruence_check(k4, moved.positions)
+    for norm in (octahedron.norm, k4.norm):
+        assert norm._group is not None
+        assert all("matrix" not in vars(T) for T in norm.isometry_group())
