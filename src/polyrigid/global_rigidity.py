@@ -69,7 +69,6 @@ class GlobalVerdict:
     outcome: str
     witness: dict | None = None
     certificate: dict = field(default_factory=dict)
-    generic_caveat: bool = False
 
     def __bool__(self):
         return self.outcome == GLOBALLY_RIGID
@@ -416,19 +415,12 @@ def certify_generic_global(fw: Framework):
     return strong
 
 
-def decide_generic_global_linf2(graph: Graph, rigidity_hint: Framework | None = None):
+def decide_generic_global_linf2(graph: Graph):
     """Generic global rigidity in the 2-dimensional hypercube-ball norm.
 
     Graph level: the graph has a generic globally rigid realisation iff
-    it is connected in the (2,2)-sparsity matroid.  With a well-positioned
-    planar framework as a hint, its infinitesimal rigidity joins the
-    criterion (the characterisation for generic frameworks).  The planar
-    l1 norm is a linear image of this one, so an l1 hint reads the same.
+    it is connected in the (2,2)-sparsity matroid.  A generic planar
+    framework fw (linf, or l1, its linear image) is globally rigid iff
+    ``is_infinitesimally_rigid(fw) and decide_generic_global_linf2(fw.graph)``.
     """
-    if rigidity_hint is None:
-        return is_Mdd_connected(graph, 2)
-    if rigidity_hint.graph != graph:
-        raise ParameterError("rigidity hint is on a different graph")
-    if rigidity_hint.dim != 2 or not (rigidity_hint.norm.is_linf or rigidity_hint.norm.is_l1):
-        raise ParameterError("rigidity hint must be a 2-dimensional linf or l1 framework")
-    return is_infinitesimally_rigid(rigidity_hint) and is_Mdd_connected(graph, 2)
+    return is_Mdd_connected(graph, 2)

@@ -40,12 +40,20 @@ class LinearIsometry:
     """A linear map preserving the norm; its transpose permutes the faces.
 
     The map is the integer matrix ``ints`` over ``den``: d x d tuples of
-    ints with den > 0, sharing no common factor with den.  ``matrix`` is
-    its view as Fractions, computed on first read.
+    ints, reduced on construction to den > 0 with no factor common to den
+    and every entry, so equal maps compare equal (den == 0 raises).
+    ``matrix`` is its view as Fractions, computed on first read.
     """
 
     ints: tuple
     den: int
+
+    def __post_init__(self):
+        if self.den == 0:
+            raise ParameterError("isometry denominator must be nonzero")
+        common = gcd(self.den, *chain.from_iterable(self.ints)) * (1 if self.den > 0 else -1)
+        object.__setattr__(self, "ints", tuple(tuple(x // common for x in row) for row in self.ints))
+        object.__setattr__(self, "den", self.den // common)
 
     @cached_property
     def matrix(self):
@@ -194,7 +202,7 @@ class PolytopeNorm:
         times = {c: [tuple(c * x for x in g) for g in ints] for term in terms for _, c in term}
         terms = [[(k, times[c]) for k, c in term] for term in terms]  # c * every face
         lookup = {tuple(scale * x for x in g): j for j, g in enumerate(ints)}
-        # T = S^T has entry (j, i) = sum_k B^-1[j][k] t_k[i]: integers over scale, then gcd-reduced
+        # T = S^T has entry (j, i) = sum_k B^-1[j][k] t_k[i]: integers over scale
 
         group, perms = [], []
         for targets in product(range(n), repeat=d):
@@ -209,8 +217,7 @@ class PolytopeNorm:
                 if len(set(perm)) == n:
                     vecs = [ints[t] for t in targets]
                     matrix = [tuple(sum(map(mul, row, col)) for col in zip(*vecs)) for row in binv]
-                    common = gcd(scale, *chain.from_iterable(matrix))
-                    group.append(LinearIsometry(tuple(tuple(x // common for x in row) for row in matrix), scale // common))
+                    group.append(LinearIsometry(matrix, scale))
                     perms.append(tuple(perm))
         self._group, self._perms = tuple(group), tuple(perms)
         return self._group

@@ -271,6 +271,44 @@ def test_cli_global_budget_strict_exit_code(tmp_path):
         assert code == 0  # flexible instances decide before spending budget
 
 
+def test_strict_exits_3_only_on_an_exceeded_budget(tmp_path):
+    # the octahedron's search needs far more than 5 colourings
+    fw_path = tmp_path / "oct.json"
+    assert run_cli("generate", "octahedron", "--out", str(fw_path)) == 0
+    for i, (extra, code, outcome) in enumerate((
+        (["--strict"], 3, "BudgetExceeded"),
+        ([], 0, "BudgetExceeded"),
+        (["--assume-generic", "--strict"], 0, None),
+    )):
+        report_path = tmp_path / f"r{i}.json"
+        assert run_cli("global", str(fw_path), "--budget", "5", *extra, "--out", str(report_path)) == code
+        exact = json.loads(report_path.read_text())["results"]["exact"]
+        assert (exact and exact["outcome"]) == outcome
+
+
+@pytest.mark.parametrize("argv", [["generate", "nosuch"], ["nosuch", "file.json"]])
+def test_unknown_command_or_generator_is_an_argparse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: polyrigid") and "invalid choice: 'nosuch'" in err
+
+
+def test_every_command_dispatches_through_its_parser():
+    # main has no per-command branch: each subparser names its handler,
+    # and --out is each one's last option
+    import argparse
+
+    from polyrigid import cli
+
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"analyze", "global", "sparsity", "generate", "witness"}
+    for name, parser in sub.choices.items():
+        assert parser.get_default("run") is getattr(cli, f"cmd_{name}")
+        assert parser._actions[-1].option_strings == ["--out"]
+
+
 def test_cli_global_assume_generic(tmp_path):
     fw_path = tmp_path / "oct.json"
     run_cli("generate", "octahedron", "--out", str(fw_path))
@@ -457,13 +495,13 @@ def test_analyze_eliminates_the_induced_rows_once(tmp_path, monkeypatch):
     from polyrigid import framework
 
     calls = []
-    real = framework.induced_elimination
+    real = framework._elimination
 
-    def counting(fw):
+    def counting(fw, faces):
         calls.append(fw)
-        return real(fw)
+        return real(fw, faces)
 
-    monkeypatch.setattr(framework, "induced_elimination", counting)
+    monkeypatch.setattr(framework, "_elimination", counting)
     octahedron = Path(__file__).parent / "data" / "golden" / "octahedron.json"
     out = tmp_path / "r.json"
     assert main(["analyze", str(octahedron), "--out", str(out)]) == 0

@@ -315,7 +315,7 @@ def elimination_corpus(octahedron, rigid_k4_linf2, rigid_k5_linf2):
 def test_tagged_elimination_matches_per_edge_ranks(octahedron, rigid_k4_linf2, rigid_k5_linf2):
     # the elimination's rank, and the edges its tag vectors name, against a
     # Fraction rank of the matrix and of the matrix without each edge
-    from polyrigid.framework import induced_elimination
+    from polyrigid.framework import _elimination, _induced
 
     seen = set()
     for fw in elimination_corpus(octahedron, rigid_k4_linf2, rigid_k5_linf2):
@@ -325,7 +325,7 @@ def test_tagged_elimination_matches_per_edge_ranks(octahedron, rigid_k4_linf2, r
         in_circuits = set() if rank == len(rows) else {
             e for e in range(len(rows)) if fraction_rank(rows[:e] + rows[e + 1:]) == rank}
         ranks, named = [0], set()
-        for e, (r, tags) in enumerate(induced_elimination(fw)):
+        for e, (r, tags) in enumerate(_elimination(fw, _induced(fw, fw.norm.int_faces))):
             assert r == ranks[-1] + (tags is None)
             ranks.append(r)
             if tags is not None:  # a left-kernel vector ending at row e

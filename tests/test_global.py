@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from polyrigid import (
     edge_lengths,
     equivalent_witness_lp,
     induced_colouring,
+    is_infinitesimally_rigid,
     is_strong_colouring_exhaustive,
     is_strong_colouring_linf,
     preset,
@@ -155,7 +157,8 @@ def test_decide_k5_globally_rigid(rigid_k5_linf2):
     _, fw = rigid_k5_linf2[0]
     verdict = decide_global_rigidity(fw)
     assert verdict.outcome == GLOBALLY_RIGID
-    assert not verdict.generic_caveat
+    # an exact verdict has no generic caveat to carry
+    assert [f.name for f in fields(verdict)] == ["outcome", "witness", "certificate"]
 
 
 def test_decide_budget_exceeded(rigid_k5_linf2):
@@ -348,7 +351,7 @@ def test_decide_generic_global_linf2(octahedron, rigid_k5_linf2):
     assert not decide_generic_global_linf2(complete_graph(list("abcd")))
     assert decide_generic_global_linf2(octahedron.graph)
     _, k5 = rigid_k5_linf2[0]
-    assert decide_generic_global_linf2(k5.graph, rigidity_hint=k5)
+    assert is_infinitesimally_rigid(k5) and decide_generic_global_linf2(k5.graph)
 
 
 def test_decide_generic_global_linf2_reads_l1_hints(rigid_k4_linf2, rigid_k5_linf2):
@@ -359,12 +362,7 @@ def test_decide_generic_global_linf2_reads_l1_hints(rigid_k4_linf2, rigid_k5_lin
     for rigid, expect in ((rigid_k4_linf2, False), (rigid_k5_linf2, True)):
         for _, fw in rigid:
             image = l1_image(fw)
-            assert decide_generic_global_linf2(image.graph, rigidity_hint=image) == expect
-
-
-def test_decide_generic_global_linf2_rejects_bad_hint(octahedron):
-    with pytest.raises(Exception):
-        decide_generic_global_linf2(complete_graph(list("abcd")), rigidity_hint=octahedron)
+            assert (is_infinitesimally_rigid(image) and decide_generic_global_linf2(image.graph)) == expect
 
 
 def test_exact_engine_agrees_with_planar_characterisation(linf2):
@@ -378,13 +376,11 @@ def test_exact_engine_agrees_with_planar_characterisation(linf2):
         while fw is None:
             seed += 1
             cand = randomize_realisation(g, 2, linf2, seed=seed, denominator_bound=200)
-            from polyrigid import is_infinitesimally_rigid
-
             if is_infinitesimally_rigid(cand):
                 fw = cand
         verdict = decide_global_rigidity(fw)
         assert (verdict.outcome == GLOBALLY_RIGID) == expect
-        assert decide_generic_global_linf2(g, rigidity_hint=fw) == expect
+        assert (is_infinitesimally_rigid(fw) and decide_generic_global_linf2(g)) == expect
 
 
 def test_k5_minus_edge_circuit_globally_rigid_not_redundant(linf2):

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyrigid import ParameterError, PolytopeNorm, preset, simplex
+from polyrigid import LinearIsometry, ParameterError, PolytopeNorm, preset, simplex
 
 from _oracles import reference_isometry_group
 
@@ -206,6 +206,19 @@ def test_group_matches_the_fraction_reference():
             assert T.den > 0 and gcd(T.den, *(x for row in T.ints for x in row)) == 1
     dens = sorted(T.den for T in wide_hexagon().isometry_group())
     assert len(dens) == 12 and dens[0] == 1 and dens[-1] == 2
+
+
+def test_isometry_reduces_its_integer_matrix():
+    # equality and hashing read (ints, den): equal maps must share one form
+    identity = LinearIsometry(((1, 0), (0, 1)), 1)
+    scaled = LinearIsometry(((2, 0), (0, 2)), 2)
+    assert scaled == identity and hash(scaled) == hash(identity)
+    assert (scaled.ints, scaled.den) == (((1, 0), (0, 1)), 1)
+    flipped = LinearIsometry(((0, -2), (4, 0)), -4)
+    assert (flipped.ints, flipped.den) == (((0, 1), (-2, 0)), 2)
+    assert flipped.matrix == ((0, Fraction(1, 2)), (-1, 0))
+    with pytest.raises(ParameterError, match="denominator"):
+        LinearIsometry(((1, 0), (0, 1)), 0)
 
 
 def test_face_permutations_form_a_group():
