@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import isfinite, lcm
 from operator import mul, sub
@@ -82,18 +83,27 @@ def is_witness(fw: Framework, q) -> bool:
     return edge_lengths(fw.with_positions(q)) == edge_lengths(fw) and not congruence_check(fw, q)
 
 
-def _face_values(pairs, faces_f, cols):
-    """Per edge (i, j), in order: the largest f.(q_i - q_j) over the float
-    faces and the index of the first face attaining it, for q given as
-    coordinate columns.  f.delta adds one coordinate at a time from 0, by
-    plain float addition (sum() compensates from Python 3.12 on)."""
+def _face_terms(norm):
+    """Per face, its nonzero float coefficients as (k, f_k); (0, 0.0) if none."""
+    return [[(k, x) for k, x in enumerate(map(float, f)) if x] or [(0, 0.0)] for f in norm.faces]
+
+
+def _face_values(pairs, terms, opposite, cols):
+    """Per edge (i, j), in order: the largest f.(q_i - q_j) over the faces
+    and the index of the first face attaining it, q as coordinate columns.
+    Face f of each opposite pair (f, g) adds its nonzero ``terms`` from 0.0
+    by plain float addition (sum() compensates from Python 3.12 on); g's
+    row is 0.0 - f's.  For finite q that is every face's full sum bit for
+    bit: a sum starts as 0.0 + t, so is never -0.0, a skipped +-0.0 changes
+    nothing, and round-to-nearest is symmetric (0.0 - x keeps 0.0 at +0.0)."""
     deltas = [[c[i] - c[j] for i, j in pairs] for c in cols]
-    per_face = []
-    for f in faces_f:
-        row = [0.0 + f[0] * x for x in deltas[0]]
-        for fk, dk in zip(f[1:], deltas[1:]):
-            row = [a + fk * x for a, x in zip(row, dk)]
-        per_face.append(row)
+    per_face = [None] * len(terms)
+    for f, g in opposite:
+        (k, fk), *rest = terms[f]
+        row = [0.0 + fk * x for x in deltas[k]]
+        for k, fk in rest:
+            row = [a + fk * x for a, x in zip(row, deltas[k])]
+        per_face[f], per_face[g] = row, [0.0 - x for x in row]
     values = list(zip(*per_face))
     best = list(map(max, values))
     return best, list(map(tuple.index, values, best))
@@ -116,8 +126,7 @@ def _exactify_via_colouring(fw, q_float):
     """
     graph = fw.graph
     pairs = [(graph.index(v), graph.index(w)) for v, w in graph.edges]
-    faces_f = [tuple(map(float, f)) for f in fw.norm.faces]
-    _, phi = _face_values(pairs, faces_f, list(zip(*map(q_float.get, graph.vertices))))
+    _, phi = _face_values(pairs, _face_terms(fw.norm), fw.norm.pairs, list(zip(*map(q_float.get, graph.vertices))))
     system = pinned_system(fw, pinned_rows(fw), phi)
     if system is None:
         return None
@@ -157,26 +166,29 @@ def _restart_endpoints(fw: Framework, params: SearchParams):
     """Yield (mismatch, q) at the end of each restart's descent: the same
     floats for a given seed on one Python version.  Vertex 0 is index 0 and
     stays put; q is held as d coordinate columns, and each gradient entry
-    adds its edges' terms in edge order."""
+    adds its edges' nonzero face terms in edge order: entries start at 0.0
+    and are never -0.0, so for finite q a skipped +-0.0 would change no bit."""
     graph = fw.graph
     if not graph.edges:
         return
     try:
         lengths_f = [float(x) for x in edge_lengths(fw)]
-        faces_f = [tuple(float(x) for x in f) for f in fw.norm.faces]
+        terms = _face_terms(fw.norm)
         p0 = [float(x) for x in fw.position(graph.vertices[0])]
+        scale2 = reduce(lambda t, x: t + x * x, lengths_f, 0.0) or 1.0  # sum() may compensate
+        if not isfinite(scale2):  # a finite scale2 keeps the start box, 2.5 * span, finite too
+            raise OverflowError
     except OverflowError:  # so the largest value is beyond the float range
         far = max(chain(*fw.positions.values(), edge_lengths(fw), *fw.norm.faces), key=abs)
         raise ParameterError(f"value {far} is beyond the float range of the numeric search") from None
     pairs = [(graph.index(v), graph.index(w)) for v, w in graph.edges]
     n = len(graph.vertices)
     span = max(max(lengths_f), 1e-9)  # the graph has an edge
-    scale2 = sum(x * x for x in lengths_f) or 1.0
     rng = random.Random(params.seed)
 
     def mismatch(cols):
         """Relative squared length mismatch, the residuals and the faces."""
-        best, phi = _face_values(pairs, faces_f, cols)
+        best, phi = _face_values(pairs, terms, fw.norm.pairs, cols)
         res = list(map(sub, best, lengths_f))
         total = 0.0
         for r in res:
@@ -190,16 +202,16 @@ def _restart_endpoints(fw: Framework, params: SearchParams):
             total, res, phi = mismatch(cols)
             if total < params.tolerance:
                 break
-            steps = [2.0 * r for r in res]
             step = 0.5 / (1.0 + it) ** 0.5
-            for k, col in enumerate(cols):
-                grad = [0.0] * n
-                for (i, j), s, face in zip(pairs, steps, phi):
-                    term = s * faces_f[face][k]
+            grads = [[0.0] * n for _ in cols]
+            for (i, j), s, face in zip(pairs, [2.0 * r for r in res], phi):
+                for k, fk in terms[face]:
+                    term, grad = s * fk, grads[k]
                     grad[i] += term
                     grad[j] -= term
+            for k, grad in enumerate(grads):
                 grad[0] = 0.0
-                cols[k] = [x - step * g for x, g in zip(col, grad)]
+                cols[k] = [x - step * g for x, g in zip(cols[k], grad)]
         else:
             total = mismatch(cols)[0]
         yield total, dict(zip(graph.vertices, map(list, zip(*cols))))
@@ -212,11 +224,11 @@ def numeric_witness_search(fw: Framework, params: SearchParams = SearchParams())
     float candidate below tolerance goes through exact reconstruction and
     is returned only when its edge lengths match exactly and the
     congruence test fails.  None means the budget ran out, nothing more.
-    A coordinate, length or face beyond the float range is a ParameterError.
+    A value, or the sum of squared lengths, beyond the float range is a ParameterError.
     """
     for mismatch, q in _restart_endpoints(fw, params):
-        if mismatch >= params.tolerance:
-            continue
+        if not (mismatch < params.tolerance and all(map(isfinite, chain(*q.values())))):
+            continue  # a NaN mismatch fails the test too
         for candidate in (_snap_positions(fw, q), _exactify_via_colouring(fw, q)):
             if candidate is not None and is_witness(fw, candidate):
                 return candidate

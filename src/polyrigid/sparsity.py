@@ -258,11 +258,14 @@ def is_tight(g: Graph, params: SparsityParams):
 def edges_in_circuits(g: Graph, params: SparsityParams):
     """Per edge, in edge order, whether it lies in some circuit of E: from
     one pebble game, exactly the rejected edges and the edges inside their
-    circuits (basis exchange)."""
+    circuits (basis exchange).  Once every edge so far is inside, a rejected
+    edge's circuit adds only itself, so the game gathers on it and builds none."""
     if not params.matroidal:
         raise ParameterError("circuits are only well defined for k <= 2d-1")
-    game = _PebbleGame(g, params.d, params.k)
-    inside = {e for vw in g.edges for e in game.circuit(*vw) or ()}
+    game, inside = _PebbleGame(g, params.d, params.k), set()
+    for i, vw in enumerate(g.edges):  # inside holds only edges before vw
+        circuit = game.circuit(*vw) if len(inside) < i else None if game._gather(*vw) else [vw]
+        inside.update(circuit or ())
     return [e in inside for e in g.edges]
 
 

@@ -14,7 +14,9 @@ whole decision by enumerating every colouring in input order, and the
 greedy search order by its definition.  Slow and simple on purpose.
 The one algorithm kept here is the plain (d,k) pebble game, in which every
 edge gathers pebbles: it is the reference for the library's game, which
-rejects some edges from recorded tight sets without a search.  The
+rejects some edges from recorded tight sets without a search; and
+``edges_in_circuits`` as it was, building the circuit of every rejected
+edge.  The
 numeric falsifier is kept too, in its per-vertex-dict form, as the
 reference for the descent over coordinate columns: both must produce the
 same floats.  The helpers at the end (a matrix-vector product, edge and
@@ -464,6 +466,16 @@ def plain_edges_in_circuits(graph, d, k):
     return [e in inside for e in graph.edges]
 
 
+def reference_edges_in_circuits(graph, params):
+    """``edges_in_circuits`` building the library game's circuit of every
+    rejected edge, also once every earlier edge is known to be inside one."""
+    from polyrigid.sparsity import _PebbleGame
+
+    game = _PebbleGame(graph, params.d, params.k)
+    inside = {e for vw in graph.edges for e in game.circuit(*vw) or ()}
+    return [e in inside for e in graph.edges]
+
+
 def plain_fundamental_circuit(graph, d, k, edge):
     game = PlainPebbleGame(graph.vertices, d, k)
     basis = [e for e in graph.edges if e != edge and game.try_accept(*e)]
@@ -500,7 +512,7 @@ def reference_restart_endpoints(fw, params):
     others = [v for v in graph.vertices if v != v0]
 
     span = max(max(lengths_f), 1e-9)  # the graph has an edge
-    scale2 = sum(x * x for x in lengths_f) or 1.0
+    scale2 = reduce(add, (x * x for x in lengths_f), 0.0) or 1.0  # the sum up to Python 3.11
     rng = random.Random(params.seed)
 
     def mismatch_and_gradient(q):
@@ -540,21 +552,27 @@ def reference_restart_endpoints(fw, params):
         yield mismatch, q
 
 
+def reference_colouring(fw, q_float):
+    """The face index read off q_float edge by edge with
+    ``_reference_norm_and_face``."""
+    faces_f = [tuple(float(x) for x in f) for f in fw.norm.faces]
+    phi = []
+    for v, w in fw.graph.edges:
+        delta = [a - b for a, b in zip(q_float[v], q_float[w])]
+        _, face_f = _reference_norm_and_face(faces_f, delta)
+        phi.append(faces_f.index(face_f))
+    return phi
+
+
 def reference_exactify_via_colouring(fw, q_float):
-    """The exact point of the colouring read off q_float edge by edge with
-    ``_reference_norm_and_face``, its kernel part fitted to q_float."""
+    """The exact point of ``reference_colouring(fw, q_float)``, its kernel
+    part fitted to q_float."""
     from polyrigid.framework import pinned_rows, pinned_system, unpin
     from polyrigid.linalg import affine_point
     from polyrigid.oracle import _lstsq
 
     graph = fw.graph
-    faces_f = [tuple(float(x) for x in f) for f in fw.norm.faces]
-    phi = []
-    for v, w in graph.edges:
-        delta = [a - b for a, b in zip(q_float[v], q_float[w])]
-        _, face_f = _reference_norm_and_face(faces_f, delta)
-        phi.append(faces_f.index(face_f))
-    system = pinned_system(fw, pinned_rows(fw), phi)
+    system = pinned_system(fw, pinned_rows(fw), reference_colouring(fw, q_float))
     if system is None:
         return None
     particular, kernel = system.solve()

@@ -367,12 +367,16 @@ def test_cli_witness_negative_count_is_a_usage_error(tmp_path, capsys, flag, fie
 
 def test_cli_witness_beyond_float_range_is_a_usage_error(tmp_path, capsys):
     # the exact commands take any rational; the float search names the
-    # value it cannot use: a coordinate, or a length whose ends both fit
+    # value it cannot use: a coordinate, a length whose ends both fit, or
+    # the largest value where every length fits but the start box (2.5
+    # times the longest) or the sum of squared lengths does not
     far = {"dim": 1, "norm": "linf", "vertices": ["a", "b"], "edges": [["a", "b"]], "positions": {"a": ["0"], "b": ["1e400"]}}
     wide = dict(far, vertices=["a", "b", "c"], edges=[["a", "b"], ["b", "c"]],
                 positions={"a": ["0"], "b": ["1e308"], "c": ["-1e308"]})
+    k3 = dict(wide, edges=[["a", "b"], ["b", "c"], ["a", "c"]], positions={"a": ["0"], "b": ["1e308"], "c": ["5e307"]})
+    squares = dict(k3, positions={"a": ["0"], "b": ["1e200"], "c": ["5e199"]})
     out = str(tmp_path / "r.json")
-    for doc, value in ((far, "1" + "0" * 400), (wide, "2" + "0" * 308)):
+    for doc, value in ((far, "1" + "0" * 400), (wide, "2" + "0" * 308), (k3, "1" + "0" * 308), (squares, "1" + "0" * 200)):
         path = write(tmp_path / "far.json", doc)
         assert run_cli("analyze", path, "--out", out) == run_cli("global", path, "--out", out) == 0
         capsys.readouterr()

@@ -21,12 +21,17 @@ from polyrigid import (
     numeric_witness_search,
     path_graph,
     preset,
+    randomize_realisation,
 )
-from polyrigid.oracle import _restart_endpoints
+from polyrigid import oracle
+from polyrigid.framework import pinned_system
+from polyrigid.oracle import _exactify_via_colouring, _restart_endpoints
 
 from _oracles import (
     apply_isometry,
+    reference_colouring,
     reference_congruence_check,
+    reference_exactify_via_colouring,
     reference_numeric_witness_search,
     reference_restart_endpoints,
     translate,
@@ -115,9 +120,8 @@ def hexed(endpoints):
     ]
 
 
-def test_column_descent_matches_the_reference_bit_for_bit(linf1, octahedron, rigid_k4_linf2):
-    # restart endpoints, converged (the path, some octahedron restarts) or
-    # not, in linf1, linf2 and its l1 image, and linf3
+def descent_cases(linf1, octahedron, rigid_k4_linf2):
+    """(framework, params) pairs for the descent's differential tests."""
     triangle = Framework(
         complete_graph(["v0", "v1", "v2"]),
         linf1,
@@ -128,13 +132,75 @@ def test_column_descent_matches_the_reference_bit_for_bit(linf1, octahedron, rig
     cases = [(path, SearchParams(restarts=20, steps=80, seed=3))]
     cases += [(fw, SearchParams(restarts=6, steps=60, seed=5)) for fw in planar + [l1_image(fw) for fw in planar]]
     cases += [(build_k2d(3), SearchParams(restarts=3, steps=40, tolerance=1e-7, seed=99))]
+    # faces with zero and non-unit rational entries (the 3/4-octagon and
+    # the wide hexagon), and linf3 and l1 at d = 3 beyond build_k2d(3)
+    k4, k5 = complete_graph(list("abcd")), complete_graph(list("abcde"))
+    cases += [(randomize_realisation(k4, 2, norm, seed=3, denominator_bound=20),
+               SearchParams(restarts=4, steps=60, seed=5)) for norm in CONGRUENCE_NORMS[-2:]]
+    cases += [(randomize_realisation(k5, 3, preset(kind, 3), seed=4, denominator_bound=20),
+               SearchParams(restarts=3, steps=40, seed=5)) for kind in ("linf", "l1")]
+    # zero-length edges: b and c coincide, and the pendant e sits on vertex
+    # 0 at the origin, so in linf its first step (0.5) lands it there in the
+    # face's coordinate and later deltas of 0.0 meet faces of either sign
+    pendant = Graph(list("abcde"), [*k4.edges, ("a", "e")])
+    short = SearchParams(restarts=4, steps=30, seed=2)
+    line = {"a": (0,), "b": (Fraction(5, 17),), "c": (Fraction(5, 17),), "d": (Fraction(9, 11),), "e": (0,)}
+    plane = {"a": (0, 0), "b": (3, 1), "c": (3, 1), "d": (-2, Fraction(7, 3)), "e": (0, 0)}
+    cases += [(Framework(pendant, linf1, line), short)]
+    cases += [(Framework(pendant, preset(kind, 2), plane), short) for kind in ("linf", "l1")]
+    return cases
+
+
+def test_column_descent_matches_the_reference_bit_for_bit(linf1, octahedron, rigid_k4_linf2):
+    # restart endpoints, converged (the path, some octahedron restarts) or
+    # not, in linf1, linf2 and its l1 image, linf3, l1 at d = 3 and two
+    # norms with zero and non-unit rational face entries
     converged = 0
-    for fw, params in cases:
+    for fw, params in descent_cases(linf1, octahedron, rigid_k4_linf2):
         ours = hexed(_restart_endpoints(fw, params))
         assert ours == hexed(reference_restart_endpoints(fw, params))
         assert len(ours) == params.restarts
         converged += sum(float.fromhex(m) < params.tolerance for m, _ in ours)
     assert converged > 20
+
+
+def test_exact_rebuild_reads_the_reference_colouring(linf1, octahedron, rigid_k4_linf2, monkeypatch):
+    # the colouring _exactify_via_colouring solves, read through the
+    # descent's face routine, is the per-edge reference's, and so is its point
+    colourings = []
+
+    def recorded(fw, rows, phi):
+        colourings.append(list(phi))
+        return pinned_system(fw, rows, phi)
+
+    monkeypatch.setattr(oracle, "pinned_system", recorded)
+    for fw, params in descent_cases(linf1, octahedron, rigid_k4_linf2):
+        for _, q in _restart_endpoints(fw, params):
+            assert _exactify_via_colouring(fw, q) == reference_exactify_via_colouring(fw, q)
+            assert colourings.pop() == reference_colouring(fw, q)
+    assert colourings == []
+
+
+def test_search_hands_no_non_finite_endpoint_to_the_exact_rebuild(linf1, monkeypatch):
+    # a NaN mismatch fails `mismatch >= tolerance` as well as `<`, and NaN
+    # or inf coordinates have no Fraction; the first endpoint's point is the
+    # path's reflection witness, found were its NaN mismatch let through
+    fw = Framework(path_graph(["v0", "v1", "v2"]), linf1, {"v0": (0,), "v1": (1,), "v2": (3,)})
+    nan, inf = float("nan"), float("inf")
+    endpoints = [(nan, {"v0": [0.0], "v1": [1.0], "v2": [-1.0]}),
+                 (0.0, {"v0": [0.0], "v1": [nan], "v2": [-1.0]}),
+                 (0.0, {"v0": [0.0], "v1": [1.0], "v2": [inf]})]
+    monkeypatch.setattr(oracle, "_restart_endpoints", lambda fw, params: iter(endpoints))
+    assert numeric_witness_search(fw) is None
+
+
+def test_lengths_whose_squares_leave_the_float_range_are_a_parameter_error(linf1):
+    # every length fits a float, but the sum of their squares, the relative
+    # mismatch's scale, does not (and past ~1e308 / 5 neither does the start box)
+    for far in (10**200, 10**308):
+        fw = Framework(complete_graph(["v0", "v1", "v2"]), linf1, {"v0": (0,), "v1": (far,), "v2": (far // 2,)})
+        with pytest.raises(ParameterError, match=f"^value {far} is beyond the float range of the numeric search$"):
+            numeric_witness_search(fw, SearchParams(restarts=2, steps=3))
 
 
 def test_witnesses_match_the_reference_search(linf1, rigid_k4_linf2):

@@ -90,6 +90,41 @@ def test_floats_stay_in_the_falsifier():
     assert set(found) == {"oracle.py"}
 
 
+def summing_calls(tree, functions):
+    """The (function, line) of every call to ``sum`` or ``fsum``, by name or
+    as an attribute, inside the module-level functions of a parsed module
+    named in ``functions``, nested functions included."""
+    return sorted(
+        (function.name, node.lineno)
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) in ("sum", "fsum")
+    )
+
+
+def test_summing_calls_are_caught():
+    tree = ast.parse(
+        "from math import fsum\n"
+        "def f(xs):\n    def g():\n        return sum(xs)\n    return math.fsum(xs) + fsum(xs)\n"
+        "def h(xs):\n    return sum(xs)\n"
+        "class C:\n    def f(self):\n        return sum([])\n"
+    )
+    assert summing_calls(tree, {"f"}) == [("f", 4), ("f", 5), ("f", 5)]
+    assert summing_calls(tree, {"f", "h"})[-1] == ("h", 7)
+
+
+def test_the_descent_adds_in_order():
+    # sum() compensates from Python 3.12 on and fsum() rounds once, so
+    # either would give the falsifier's restarts other floats there
+    path = Path(polyrigid.__file__).parent / "oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    descent = {"_face_values", "_restart_endpoints"}
+    assert descent <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert summing_calls(tree, descent) == []
+
+
 def rank_calls(tree):
     """The (enclosing function, line) of every call in a parsed module to
     ``mat_rank`` or ``rank_exact``, by name or as an attribute."""

@@ -29,6 +29,7 @@ from _oracles import (
     plain_edges_in_circuits,
     plain_fundamental_circuit,
     plain_max_sparse_subset,
+    reference_edges_in_circuits,
     sparse_by_counting,
     without_edge,
 )
@@ -355,6 +356,32 @@ def test_pebble_game_matches_the_plain_game():
             assert edges_in_circuits(g, params) == plain_edges_in_circuits(g, d, k), (g.edges, d, k)
             for e in rng.sample(g.edges, min(3, len(g.edges))):
                 assert fundamental_circuit(g, params, e) == plain_fundamental_circuit(g, d, k, e)
+
+
+def test_edges_in_circuits_matches_a_circuit_per_rejected_edge():
+    # building no circuit while every edge so far is inside changes no answer
+    complete = [complete_graph([f"v{i}" for i in range(n)]) for n in (*range(1, 13), 30)]
+    for g in complete + random_pebble_graphs():
+        for d, k in ((2, 2), (2, 3), (3, 3)):
+            params = SparsityParams(d, k)
+            assert edges_in_circuits(g, params) == reference_edges_in_circuits(g, params), (g.edges, d, k)
+
+
+def test_edges_in_circuits_k30_reaches_few_circuits(monkeypatch):
+    # K30 under (2,2): its 58 accepted edges are inside after 26 circuits,
+    # and the 351 rejected edges after those gather without one (K8, which
+    # is_Mdd_connected runs, reads 4 circuits of 14)
+    reaches = []
+    reach = sparsity._PebbleGame._reach
+    monkeypatch.setattr(sparsity._PebbleGame, "_reach", lambda game, *a: reaches.append(a) or reach(game, *a))
+    for n, built, rejected in ((30, 26, 377), (8, 4, 14)):
+        kn, params = complete_graph([f"v{i}" for i in range(n)]), SparsityParams(2, 2)
+        reaches.clear()
+        assert all(edges_in_circuits(kn, params))
+        assert len(reaches) == built
+        reaches.clear()
+        assert all(reference_edges_in_circuits(kn, params))
+        assert len(reaches) == rejected
 
 
 def test_recorded_tight_sets_span_d_times_size_minus_k(monkeypatch):
