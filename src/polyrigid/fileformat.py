@@ -9,6 +9,7 @@ generate -> parse -> serialise round-trips byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -16,6 +17,11 @@ from .errors import FrameworkFileError, PolyrigidError
 from .framework import Framework
 from .graph import Graph
 from .norm import PolytopeNorm, preset
+
+
+# "1e999999" builds, slowly, a million-digit integer that no report can
+# write: refuse it before Fraction, reading five significant exponent digits
+_EXPONENT, _MAX_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)\s*\Z"), 1000
 
 
 def parse_rational(text, where=""):
@@ -26,6 +32,8 @@ def parse_rational(text, where=""):
             f"{where}: rational values must be strings, got {type(text).__name__} "
             "(JSON floats are not exact)"
         )
+    if (e := _EXPONENT.search(text)) and int(e[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
+        raise FrameworkFileError(f"{where}: invalid rational {text!r}: exponent beyond ±{_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

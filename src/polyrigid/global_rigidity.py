@@ -144,7 +144,7 @@ def equivalent_witness_lp(fw: Framework, phi):
     return _settle_leaf(fw, [row for per_face in rows for row in per_face], system)
 
 
-def _consistent_leaves(system, options, checked=None):
+def _consistent_leaves(system, options, checked=None, perms=()):
     """Depth-first walk of the colouring tree, with an explicit stack.
 
     ``options[i]`` lists the (face index, integer row) choices for edge i.
@@ -178,7 +178,21 @@ def _consistent_leaves(system, options, checked=None):
     in order, are those of one kept row per face, and each leaf's affine
     set is the same, so the first witness is too; p and its isometric
     images (moved back onto the pinned vertex) meet every row, so the
-    skipped set and the orbit cut still hold."""
+    skipped set and the symmetry cut still hold.
+
+    With ``perms``, face permutations forming a group G that maps leaves
+    with a witness to leaves with a witness, symmetry is broken down G's
+    stabiliser chain (lex-leader: Crawford, Ginsberg, Luks & Roy, KR
+    1996).  H_0 = G, and H_i+1 keeps the h in H_i that fix the face edge i
+    took; edge i takes face f only if h(f) >= f for every h in H_i.  A cut
+    counts the filtered options of the next edge.  Complete: for a
+    witness's colouring psi, pick g_0 in G taking psi_0 to the least face
+    of its orbit, then g_1 in the stabiliser of g_0(psi_0) taking
+    g_0(psi_1) to the least face of its orbit under that stabiliser, and
+    so on; each g_k fixes the faces before it, so g_k ... g_0 . psi, a
+    witness's colouring too, passes every filter, and it is the least
+    image of psi in lexicographic order.  So the walk keeps exactly one
+    colouring per G-orbit, and a G-invariant skipped set still holds."""
     m, rhs, reduce, trail = len(options), system.width - 1, system.reduce, []
     faces, pairs = checked or ((), ())
     kept, side = [], {}  # kept pair rows, reduced; (edge, face) -> (pair, is -f)
@@ -225,26 +239,36 @@ def _consistent_leaves(system, options, checked=None):
                 kept[k] = pair
             watch[c] = moved
 
-    assign = [None] * m
-    stack = [iter(options[0])] if m else []
+    def below(i, face):
+        """H_i+1, the h in H_i fixing edge i's face, and edge i+1's options."""
+        if len(group := groups[i]) < 2:
+            return group, options[i + 1]
+        group = [h for h in group if h[face] == face]
+        return group, [o for o in options[i + 1] if all(h[o[0]] >= o[0] for h in group)]
+
+    assign, groups = [None] * m, [perms]  # groups[i] is H_i
+    stack = [iter([o for o in options[0] if all(h[o[0]] >= o[0] for h in perms)])] if m else []
     while stack:
         i = len(stack) - 1
         for face, row in stack[-1]:
             consistent, holds = push(i, face, row)
             if not (consistent and holds):
                 retract()  # one cut for a failed push or a full colouring
-                for _ in options[i + 1] if consistent and i + 1 < m else [face]:
+                for _ in below(i, face)[1] if consistent and i + 1 < m else [face]:
                     yield None
                 continue
             assign[i] = face
             if i + 1 == m:
                 yield tuple(assign)
             else:
-                stack.append(iter(options[i + 1]))
+                group, next_options = below(i, face)
+                groups.append(group)
+                stack.append(iter(next_options))
                 break
             retract()
         else:
             stack.pop()
+            groups.pop()
             if stack:
                 retract()
 
@@ -290,12 +314,13 @@ def decide_global_rigidity(fw: Framework, budget=None):
     certificate keeps lp_runs = leaves - isometric_skipped.
 
     The search takes the edges in ``_search_order`` (only
-    ``witness_colouring`` is mapped back to the input order) and gives the
-    first one the least face of each orbit of the isometry group G.  This
-    is complete: if q is a witness with colouring psi and T is in G, then
-    T o q, moved back onto the pinned vertex, is a witness with colouring
-    T.psi, and some T takes psi's first face to its orbit's least face;
-    the skipped set, the G-orbit of the induced colouring, is G-invariant.
+    ``witness_colouring`` is mapped back to the input order) and breaks
+    symmetry down the stabiliser chain of the isometry group G, so it
+    meets one colouring per G-orbit.  This is complete: if q is a witness
+    with colouring psi and T is in G, then T o q, moved back onto the
+    pinned vertex, is a witness with colouring T.psi; the skipped set, the
+    G-orbit of the induced colouring, is G-invariant, and the walk meets
+    it once.
     """
     cert = {"criterion": "exact colouring enumeration"}
     phi_p = unique_colouring(edge_table(fw)[0])
@@ -314,13 +339,12 @@ def decide_global_rigidity(fw: Framework, budget=None):
     cert["isometry_group_order"] = len(perms)
     order = _search_order(fw.graph)
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
-    first = [i for i in range(len(fw.norm.faces)) if all(perm[i] >= i for perm in perms)]
     faces = [table[i] for i in order]  # per search edge, one row per face
-    options = [[(j, per_face[j]) for j in (first if i == 0 else range(len(per_face)))] for i, per_face in enumerate(faces)]
+    options = [list(enumerate(per_face)) for per_face in faces]
     rows = [row for per_face in faces for row in per_face]
     system = pinned_system(fw, faces)
     outcome, q, examined, leaves, skipped = GLOBALLY_RIGID, None, 0, 0, 0
-    for phi in _consistent_leaves(system, options, (faces, fw.norm.pairs)):
+    for phi in _consistent_leaves(system, options, checked=(faces, fw.norm.pairs), perms=perms):
         examined += 1
         if phi is not None:
             leaves += 1

@@ -10,7 +10,8 @@ settlement along the plain Fraction route (unpin, per-edge norm, then the
 exact LP; only the simplex is the library's, so that witnesses can be
 compared), the isometry group by a Fraction matrix per candidate,
 congruence by the Fraction loop over the group matrices, the
-whole decision by enumerating every colouring in input order, and the
+whole decision by enumerating every colouring in input order, the
+lex-leader of each colouring orbit by trying every group element, and the
 greedy search order by its definition.  Slow and simple on purpose.
 The one algorithm kept here is the plain (d,k) pebble game, in which every
 edge gathers pebbles: it is the reference for the library's game, which
@@ -19,12 +20,16 @@ rejects some edges from recorded tight sets without a search; and
 edge.  The
 numeric falsifier is kept too, in its per-vertex-dict form, as the
 reference for the descent over coordinate columns: both must produce the
-same floats.  The helpers at the end (a matrix-vector product, edge and
-vertex deletion, moved frameworks, the isometry action on colourings and
-column-space containment) are reached from the tests alone.
+same floats, and so is the colouring walk with symmetry broken on the
+first edge only, the reference for the stabiliser chain.  The helpers at
+the end (one wrapper that records or alters the decision's walk, a
+matrix-vector product, edge and vertex deletion, moved frameworks, the
+isometry action on colourings and column-space containment) are reached
+from the tests alone.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -380,6 +385,27 @@ def reference_decide(fw):
     return ("GloballyRigid" if witness is None else "NotGloballyRigid"), witness, leaves
 
 
+def first_edge_walk(walk):
+    """The colouring walk ``walk`` (the library's ``_consistent_leaves``)
+    with symmetry broken on the first edge only: it takes the least face
+    of each orbit of the group, and every later edge takes every face, as
+    the engine did before the stabiliser chain.  The differential
+    reference for the chain: the same verdicts, and witnesses that
+    verify."""
+
+    def first_edge_only(system, options, checked=None, perms=()):
+        first = [o for o in options[0] if all(g[o[0]] >= o[0] for g in perms)]
+        return walk(system, [first, *options[1:]], checked)
+
+    return first_edge_only
+
+
+def lex_leaders(perms, colourings):
+    """The least image of each colouring (face-index tuples) under the
+    face permutations: one per orbit, by trying every group element."""
+    return sorted({min(tuple(g[f] for f in phi) for g in perms) for phi in colourings})
+
+
 def reference_search_order(graph):
     """The greedy edge order by its definition: from the first vertex,
     repeatedly the edge with the most endpoints already touched, the
@@ -603,6 +629,30 @@ def reference_numeric_witness_search(fw, params):
 
 
 # -- helpers that only the tests call ------------------------------------
+
+
+@contextmanager
+def patched_walk(wrap=None, **overrides):
+    """Within the block, ``decide_global_rigidity`` walks the colouring
+    tree with ``wrap(walk)`` (e.g. ``first_edge_walk``), or the library's
+    walk itself, called with the keyword arguments in ``overrides``
+    replaced (``checked=None`` turns the forward check off).  Yields the
+    list that receives every event of every walk, in order."""
+    from polyrigid import global_rigidity as gr
+
+    library = gr._consistent_leaves
+    walk, events = wrap(library) if wrap else library, []
+
+    def recording(*args, **kwargs):
+        for event in walk(*args, **{**kwargs, **overrides}):
+            events.append(event)
+            yield event
+
+    gr._consistent_leaves = recording
+    try:
+        yield events
+    finally:
+        gr._consistent_leaves = library
 
 
 def mat_vec(rows, x):

@@ -33,6 +33,27 @@ def test_parse_rational_forms():
         parse_rational(0.9)
     with pytest.raises(FrameworkFileError):
         parse_rational("one half")
+    assert parse_rational("25e-2") == parse_rational("1e-1000") * 10**1000 / 4 == Fraction(1, 4)
+    assert parse_rational(" 1E+1000 ") == 10**1000
+
+
+@pytest.mark.parametrize("value", ["1e999999", "1e-999999"])
+def test_huge_exponents_exit_2_at_load(tmp_path, capsys, value):
+    # the value is refused before its power is built, naming its field;
+    # it once ran the whole decision and then failed writing the report
+    with pytest.raises(FrameworkFileError, match=r"^positions\['b'\]: .*exponent beyond"):
+        parse_rational(value, "positions['b']")
+    with pytest.raises(FrameworkFileError, match="exponent beyond"):
+        parse_rational("1e1" + "0" * 9999)  # a long exponent is not read in full
+    doc = {"dim": 2, "norm": "linf", "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+           "positions": {"a": ["0", "0"], "b": [value, "1/3"], "c": ["1", "2"]}}
+    path, out = write(tmp_path / "huge.json", doc), tmp_path / "report.json"
+    for command in ("global", "analyze"):
+        capsys.readouterr()
+        assert run_cli(command, path, "--out", str(out)) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith(f"error: positions['b']: invalid rational {value!r}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_round_trip_byte_identity(tmp_path):

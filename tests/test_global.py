@@ -487,23 +487,15 @@ def test_budget_cut_settles_the_leaf_first(octahedron):
     assert c["lp_runs"] == c["leaves"] - c["isometric_skipped"]
 
 
-def test_every_budget_cuts_after_its_events(rigid_k4_linf2, rigid_k5_linf2):
+def test_every_budget_cuts_after_its_events(rigid_k5_linf2):
     # each leaf and each cut is one event of the walk: a budget b stops
     # the search on event b + 1, with the tallies of the first b + 1
-    # events, unless that event is the last or a leaf with a witness
-    from polyrigid import global_rigidity as gr
+    # events, unless that event is the last or a leaf with a witness.
+    # One K5 is proved in 307 events, the other refuted in 125
+    from _oracles import patched_walk
 
-    walk = gr._consistent_leaves
-    for fw in (rigid_k4_linf2[0][1], rigid_k5_linf2[0][1]):
-        events = []
-
-        def recording(*args):
-            for phi in walk(*args):
-                events.append(phi)
-                yield phi
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(gr, "_consistent_leaves", recording)
+    for fw in (rigid_k5_linf2[0][1], rigid_k5_linf2[4][1]):
+        with patched_walk() as events:
             full = decide_global_rigidity(fw)
         last = len(events) - (full.outcome == NOT_GLOBALLY_RIGID)  # the least budget that does not cut
         assert last > 100
@@ -538,27 +530,15 @@ def test_deep_graph_gives_budget_exceeded_not_recursion_error():
     assert full.certificate["colourings_examined"] == 152
 
 
-def recorded_search(fw, lookahead):
+def recorded_search(fw, lookahead, wrap=None):
     """decide_global_rigidity with the forward check on the face rows (the
-    look-ahead) on or off:
-    (verdict, the leaves the walk yields in order as face-index tuples,
-    per walk the face indices its first edge may take)."""
-    from polyrigid import global_rigidity as gr
+    look-ahead) on or off, on the walk ``wrap`` gives (``patched_walk``):
+    (verdict, the leaves the walk yields in order as face-index tuples)."""
+    from _oracles import patched_walk
 
-    walk = gr._consistent_leaves
-    leaves, firsts = [], []
-
-    def recording(system, options, face_rows=None):
-        firsts.append([face for face, _ in options[0]])
-        for phi in walk(system, options, face_rows if lookahead else None):
-            if phi is not None:
-                leaves.append(phi)
-            yield phi
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gr, "_consistent_leaves", recording)
+    with patched_walk(wrap, **({} if lookahead else {"checked": None})) as events:
         verdict = decide_global_rigidity(fw)
-    return verdict, leaves, firsts
+    return verdict, [phi for phi in events if phi is not None]
 
 
 def decide_without_lookahead(fw):
@@ -568,25 +548,33 @@ def decide_without_lookahead(fw):
 
 
 def test_search_counts_are_pinned(rigid_k4_linf2, rigid_k5_linf2):
-    # per instance, the counts with the look-ahead and without it
+    # per instance, the counts with the look-ahead and without it, and
+    # without it on the walk that breaks symmetry on the first edge only.
+    # Of the K5's 128 consistent leaves, that walk keeps the quarter whose
+    # first face is the least of its orbit, and the chain one per orbit
+    # of the 8 isometries
     from conftest import l1_image
+    from _oracles import first_edge_walk
 
     _, k5 = rigid_k5_linf2[0]
     _, k4 = rigid_k4_linf2[0]
     k4_l1 = l1_image(k4)
     pins = [
-        (k5, GLOBALLY_RIGID, (607, 2, 605, 2, 0), (11095, 32, 11063, 2, 30)),
-        (k4, NOT_GLOBALLY_RIGID, (119, 1, 118, 0, 1), (293, 89, 204, 0, 89)),
-        (k4_l1, NOT_GLOBALLY_RIGID, (133, 2, 131, 1, 1), (253, 85, 168, 1, 84)),
+        (k5, GLOBALLY_RIGID, (307, 1, 306, 1, 0), (5551, 16, 5535, 1, 15), (11095, 32, 11063, 2, 30)),
+        (k4, NOT_GLOBALLY_RIGID, (72, 1, 71, 0, 1), (189, 57, 132, 0, 57), (293, 89, 204, 0, 89)),
+        (k4_l1, NOT_GLOBALLY_RIGID, (87, 2, 85, 1, 1), (201, 69, 132, 1, 68), (253, 85, 168, 1, 84)),
     ]
-    for fw, outcome, lookahead, plain in pins:
-        for verdict, counts in ((decide_global_rigidity(fw), lookahead), (decide_without_lookahead(fw), plain)):
+    for fw, outcome, lookahead, plain, first_edge in pins:
+        runs = (
+            (decide_global_rigidity(fw), lookahead),
+            (decide_without_lookahead(fw), plain),
+            (recorded_search(fw, lookahead=False, wrap=first_edge_walk)[0], first_edge),
+        )
+        for verdict, counts in runs:
             assert verdict.outcome == outcome
             if outcome == NOT_GLOBALLY_RIGID:
                 verify_witness(fw, verdict)
             assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, counts))
-    # one first-edge face of the four: a quarter of the 128 consistent leaves
-    assert decide_without_lookahead(k5).certificate["leaves"] * len(k5.norm.faces) == 128
 
 
 def random_k_linf3(n, seed):
@@ -595,17 +583,19 @@ def random_k_linf3(n, seed):
 
 
 def test_d3_refutation_is_pinned():
-    # K8 in linf3: a witness after 21,884 colourings, where the walk that
-    # checked only the next edge's faces stopped at a 2,000,000 budget
+    # K8 in linf3: a witness after 18,857 colourings (21,884 with symmetry
+    # broken on the first edge only), where the walk that checked only the
+    # next edge's faces stopped at a 2,000,000 budget
     fw = random_k_linf3(8, 4798)
     verdict = decide_global_rigidity(fw)
     verify_witness(fw, verdict)
-    assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (21884, 2, 21882, 1, 1)))
+    assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (18857, 2, 18855, 1, 1)))
 
 
 def test_reduce_calls_are_pinned(monkeypatch):
     # the forward check re-reduces one kept row per opposite-face pair:
-    # 2,384, 4,934 and 35,900 calls with one kept row per face.  Each
+    # 2,384, 4,934 and 35,900 calls with one kept row per face, and 1,490,
+    # 2,990 and 20,963 with symmetry broken on the first edge only.  Each
     # framework has a fresh norm, so its isometry group is counted too
     from polyrigid import build_octahedron
     from polyrigid.linalg import IncrementalSystem
@@ -623,16 +613,20 @@ def test_reduce_calls_are_pinned(monkeypatch):
         calls.clear()
         decide_global_rigidity(fw)
         counts[name] = len(calls)
-    assert counts == {"octahedron": 1490, "k2d(3)": 2990, "K8 linf3 4798": 20963}
+    assert counts == {"octahedron": 761, "k2d(3)": 2089, "K8 linf3 4798": 18139}
 
 
 @pytest.mark.slow
 def test_d3_proof_is_pinned():
-    # K7 in linf3: globally rigid, where the walk that checked only the
-    # next edge's faces stopped at a 40,000,000 budget with no leaf
-    verdict = decide_global_rigidity(random_k_linf3(7, 7092))
-    assert verdict.outcome == GLOBALLY_RIGID
-    assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, (696216, 8, 696208, 8, 0)))
+    # K7 and K8 in linf3: globally rigid, where the walk that checked only
+    # the next edge's faces stopped at a 40,000,000 budget with no leaf on
+    # K7.  With symmetry broken on the first edge only, they took 696,216
+    # and 1,398,356 colourings, and met the 8 isometric images of p's own
+    # colouring; the stabiliser chain meets one
+    for n, seed, counts in ((7, 7092, (87107, 1, 87106, 1, 0)), (8, 850, (174942, 1, 174941, 1, 0))):
+        verdict = decide_global_rigidity(random_k_linf3(n, seed))
+        assert verdict.outcome == GLOBALLY_RIGID
+        assert search_counts(verdict) == dict(zip(SEARCH_COUNTS, counts))
 
 
 def from_scratch_forward_check(system, options, faces):
@@ -740,23 +734,15 @@ def decide_with_reference_leaves(fw, budget, monkeypatch):
     """decide_global_rigidity with every leaf settled by the plain Fraction
     route of ``reference_leaf_settlement`` instead of the integer one."""
     from polyrigid import global_rigidity as gr
-    from _oracles import reference_leaf_settlement
+    from _oracles import patched_walk, reference_leaf_settlement
 
-    search_fw, current = in_search_order(fw), {}
-    enumerate_leaves = gr._consistent_leaves
-    faces = fw.norm.faces
-
-    def recording(system, options, face_rows=None):
-        for phi in enumerate_leaves(system, options, face_rows):
-            if phi is not None:
-                current["phi"] = tuple(faces[i] for i in phi)  # leaves come as face indices
-            yield phi
-
-    with monkeypatch.context() as m:
-        m.setattr(gr, "_consistent_leaves", recording)
+    search_fw, faces = in_search_order(fw), fw.norm.faces
+    with patched_walk() as events, monkeypatch.context() as m:
+        # a leaf is settled right after the walk yields it, as face indices
         m.setattr(
             gr, "_settle_leaf",
-            lambda fw, rows, system: reference_leaf_settlement(search_fw, edge_lengths(search_fw), current["phi"]),
+            lambda fw, rows, system: reference_leaf_settlement(
+                search_fw, edge_lengths(search_fw), [faces[i] for i in events[-1]]),
         )
         return decide_global_rigidity(fw, budget=budget)
 
@@ -770,7 +756,7 @@ def test_integer_leaves_agree_with_fraction_reference(
     corpus = [(fw, None) for _, fw in rigid_k4_linf2[:6]]
     corpus += [(l1_image(fw), None) for _, fw in rigid_k4_linf2[:6]]
     corpus += [(fw, None) for _, fw in rigid_k5_linf2[:3]]
-    corpus.append((octahedron, 1000))  # the whole proof is 1,408 colourings
+    corpus.append((octahedron, 500))  # the whole proof is 706 colourings
     for n in (5, 6, 7):
         g = complete_graph([f"v{i}" for i in range(n)])
         positions = {v: (Fraction(i * i + i, 3),) for i, v in enumerate(g.vertices)}
@@ -810,10 +796,11 @@ def line_framework(n):
 def test_engine_agrees_with_plain_reference_enumeration(rigid_k4_linf2, rigid_k5_linf2, linf2):
     # the reference tries every colouring in input order, with no orbit
     # cut and no skip: for linf and l1 the group is transitive on the
-    # faces, so it meets |F| times the leaves of the engine without its
-    # look-ahead; with it, outcomes agree and witnesses verify
+    # faces, so it meets |F| times the leaves of the walk that breaks
+    # symmetry on the first edge only, without the look-ahead; with it,
+    # and with the stabiliser chain, outcomes agree and witnesses verify
     from conftest import l1_image
-    from _oracles import reference_decide
+    from _oracles import first_edge_walk, reference_decide
 
     k4s = [fw for _, fw in rigid_k4_linf2[:4]]
     corpus = k4s + [l1_image(fw) for fw in k4s]
@@ -823,11 +810,12 @@ def test_engine_agrees_with_plain_reference_enumeration(rigid_k4_linf2, rigid_k5
     outcomes = set()
     for fw in corpus:
         verdict, plain = decide_global_rigidity(fw), decide_without_lookahead(fw)
+        first_edge, _ = recorded_search(fw, lookahead=False, wrap=first_edge_walk)
         outcome, _, leaves = reference_decide(fw)
-        assert verdict.outcome == plain.outcome == outcome
+        assert verdict.outcome == plain.outcome == first_edge.outcome == outcome
         outcomes.add(outcome)
         if outcome == GLOBALLY_RIGID:
-            assert plain.certificate["leaves"] * len(fw.norm.faces) == leaves
+            assert first_edge.certificate["leaves"] * len(fw.norm.faces) == leaves
         elif outcome == NOT_GLOBALLY_RIGID:
             verify_witness(fw, verdict)
             verify_witness(fw, plain)
@@ -850,13 +838,80 @@ def octagon_k4s(count):
     return [fw for _, fw in rigid_random_realisations(complete_graph(list("abcd")), octagon_norm(), count, denominator_bound=100)]
 
 
+def walk_without_rows(perms, nfaces, nedges):
+    """The leaves of the colouring walk on nedges edges whose every push is
+    consistent (empty rows), so only the symmetry cut by ``perms`` acts."""
+    from polyrigid.linalg import IncrementalSystem
+
+    options = [[(f, {}) for f in range(nfaces)]] * nedges
+    return list(global_rigidity._consistent_leaves(IncrementalSystem(1), options, perms=perms))
+
+
 def test_orbit_cut_with_two_face_orbits():
     # the octagon's two face orbits leave the first search edge two faces;
     # every K4 here is refuted, by a witness the search re-verifies
+    perms = octagon_norm().face_permutations()
+    assert walk_without_rows(perms, 8, 1) == [(0,), (4,)]
     for fw in octagon_k4s(3):
-        verdict, _, [first] = recorded_search(fw, lookahead=True)
-        assert len(first) == 2
-        verify_witness(fw, verdict)
+        verify_witness(fw, decide_global_rigidity(fw))
+
+
+def test_stabiliser_chain_keeps_the_least_colouring_of_each_orbit(linf2, linf3):
+    # with nothing to cut but symmetry, the walk yields exactly the least
+    # image of each colouring orbit, in order: one per orbit, none lost.
+    # The group and its stabilisers cut every depth while they are
+    # nontrivial; once a face pins the group down, nothing more is cut
+    from itertools import product
+    from _oracles import lex_leaders
+
+    for norm, nedges in ((linf2, 4), (preset("l1", 2), 3), (octagon_norm(), 3), (linf3, 3), (preset("l1", 3), 3)):
+        perms, nfaces = norm.face_permutations(), len(norm.faces)
+        leaves = walk_without_rows(perms, nfaces, nedges)
+        assert leaves == lex_leaders(perms, product(range(nfaces), repeat=nedges))
+        assert walk_without_rows((), nfaces, nedges) == list(product(range(nfaces), repeat=nedges))
+
+
+@pytest.mark.slow
+def test_stabiliser_chain_agrees_with_the_first_edge_walk(octahedron, rigid_k4_linf2, rigid_k5_linf2):
+    # the differential reference breaks symmetry on the first edge only.
+    # Outcomes agree and every witness verifies; where the tree is
+    # exhausted, the chain's leaves are the least of each orbit among the
+    # reference's, in order.  The flexible K6s in d = 3 (l1 and linf) are
+    # compared as walks, leaf by leaf, over the reference's first 20,000
+    # events: the chain's first 20,000 cover at least as much of the tree
+    from itertools import islice
+    from conftest import l1_image
+    from polyrigid.framework import pinned_rows, pinned_system
+    from _oracles import first_edge_walk, lex_leaders
+
+    planar = [fw for _, fw in rigid_k4_linf2[:4]] + [fw for _, fw in rigid_k5_linf2[:2] + [rigid_k5_linf2[4]]]
+    corpus = planar + [l1_image(fw) for fw in planar] + [octahedron] + octagon_k4s(2)
+    corpus += [random_k_linf3(8, 4798), random_k_linf3(7, 7092)]
+    outcomes = set()
+    for fw in corpus:
+        verdict, leaves = recorded_search(fw, lookahead=True)
+        reference, reference_leaves = recorded_search(fw, lookahead=True, wrap=first_edge_walk)
+        assert verdict.outcome == reference.outcome
+        outcomes.add((fw.dim, verdict.outcome))
+        if verdict.outcome == GLOBALLY_RIGID:
+            perms = fw.norm.face_permutations()
+            assert leaves == [phi for phi in reference_leaves if lex_leaders(perms, [phi]) == [phi]]
+        else:
+            verify_witness(fw, verdict)
+            verify_witness(fw, reference)
+    assert outcomes == {(d, outcome) for d in (2, 3) for outcome in (GLOBALLY_RIGID, NOT_GLOBALLY_RIGID)}
+
+    k6 = complete_graph([f"v{i}" for i in range(6)])
+    for kind, seed in (("l1", 3), ("linf", 4)):
+        fw = randomize_realisation(k6, 3, preset(kind, 3), seed=seed, denominator_bound=100)
+        faces, perms, limit = pinned_rows(fw), fw.norm.face_permutations(), 20000
+        options, checked = [list(enumerate(per_face)) for per_face in faces], (faces, fw.norm.pairs)
+        walk = first_edge_walk(global_rigidity._consistent_leaves)
+        reference = [phi for phi in islice(walk(pinned_system(fw, faces), options, checked, perms), limit) if phi]
+        chain = islice(global_rigidity._consistent_leaves(pinned_system(fw, faces), options, checked, perms), limit)
+        leaves = [phi for phi in chain if phi and phi <= reference[-1]]
+        canonical = [phi for phi in reference if lex_leaders(perms, [phi]) == [phi]]
+        assert leaves == canonical and len(canonical) < len(reference)
 
 
 @settings(max_examples=40, deadline=None)
@@ -913,6 +968,28 @@ def test_outcome_is_invariant_under_isometry_reordering_and_scaling(rigid_k4_lin
             verify_witness(image, verdict)
 
 
+def test_d3_outcomes_are_invariant_under_isometry_and_relabelling():
+    # in d = 3: a seeded signed permutation of the axes, an integer
+    # translation and a shuffled vertex list (which moves the pinned vertex
+    # and the search order) keep K8 linf3 seed 4798 refuted, by a witness
+    # that verifies, and K7 linf3 seed 7092 globally rigid
+    import random
+
+    for n, seed, outcome in ((8, 4798, NOT_GLOBALLY_RIGID), (7, 7092, GLOBALLY_RIGID)):
+        fw = random_k_linf3(n, seed)
+        for motion in range(4):
+            rng = random.Random(motion)
+            perm, signs = rng.sample(range(3), 3), [rng.choice((1, -1)) for _ in range(3)]
+            shift = [rng.randint(-9, 9) for _ in range(3)]
+            positions = {v: tuple(signs[k] * p[perm[k]] + shift[k] for k in range(3)) for v, p in fw.positions.items()}
+            vertices = rng.sample(fw.graph.vertices, len(fw.graph.vertices))
+            image = Framework(Graph(vertices, fw.graph.edges), fw.norm, positions)
+            verdict = decide_global_rigidity(image)
+            assert verdict.outcome == outcome
+            if outcome == NOT_GLOBALLY_RIGID:
+                verify_witness(image, verdict)
+
+
 @pytest.mark.slow
 def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf2, rigid_k5_linf2):
     # the forward check cuts a prefix on which some face row, of any edge,
@@ -926,8 +1003,8 @@ def test_lookahead_drops_only_leaves_without_a_witness(octahedron, rigid_k4_linf
     corpus += [line_framework(n) for n in (5, 6, 7)] + octagon_k4s(2)
     outcomes, dropped = set(), 0
     for fw in corpus:
-        verdict, leaves, [_] = recorded_search(fw, lookahead=True)
-        plain, plain_leaves, _ = recorded_search(fw, lookahead=False)
+        verdict, leaves = recorded_search(fw, lookahead=True)
+        plain, plain_leaves = recorded_search(fw, lookahead=False)
         assert verdict.outcome == plain.outcome
         assert verdict.witness == plain.witness
         assert verdict.certificate.get("witness_colouring") == plain.certificate.get("witness_colouring")

@@ -77,14 +77,23 @@ def _inputs():
 
 
 def regenerate():
+    """Rewrite each corpus file and report whose bytes changed, and print
+    its path."""
+    from tempfile import TemporaryDirectory
     from polyrigid.fileformat import dumps, serialize_framework
 
     DATA.mkdir(parents=True, exist_ok=True)
-    for name, fw in _inputs().items():
-        (DATA / f"{name}.json").write_text(dumps(serialize_framework(fw)))
-        for command in COMMANDS:
-            out = DATA / f"{name}.{command}.json"
-            out.write_text(_report(name, command, out))
+
+    def store(path, text):
+        if not path.exists() or path.read_text() != text:
+            print(path.relative_to(DATA.parents[2]))
+            path.write_text(text)
+
+    with TemporaryDirectory() as tmp:
+        for name, fw in _inputs().items():
+            store(DATA / f"{name}.json", dumps(serialize_framework(fw)))
+            for command in COMMANDS:
+                store(DATA / f"{name}.{command}.json", _report(name, command, Path(tmp) / "out.json"))
 
 
 if __name__ == "__main__":
