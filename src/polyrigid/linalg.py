@@ -144,10 +144,9 @@ class IncrementalSystem:
         X, D = [0] * self.width, 1  # entries from n on stay zero
         if free is not None:
             X[free] = 1  # stays equal to D
-        with_rhs = free is None and self.width > n
         for lead in sorted(self.pivots, reverse=True):
             row = self.pivots[lead]
-            s = (row.get(n, 0) * D if with_rhs else 0) - sum(y * X[c] for c, y in row.items())
+            s = (row.get(n, 0) * D if free is None else 0) - sum(y * X[c] for c, y in row.items())
             den = row[lead] * D
             g = gcd(s, den) if den > 0 else -gcd(s, den)
             num, den = s // g, den // g
