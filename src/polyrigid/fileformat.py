@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -41,7 +42,11 @@ def parse_rational(text, where=""):
 
 
 def format_rational(value):
-    return str(Fraction(value))
+    # str() refuses ints past 4,300 digits, and witnesses of valid inputs
+    # reach that; Decimal writes an int of any length, exactly
+    value = Fraction(value)
+    numerator = str(Decimal(value.numerator))
+    return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
 
 
 def _require(data, key, where):

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from polyrigid import build_octahedron
 from polyrigid.cli import main
 from polyrigid.fileformat import (
     dumps,
+    format_rational,
     load_framework,
     parse_framework_dict,
     parse_rational,
@@ -15,6 +18,7 @@ from polyrigid.fileformat import (
 )
 from polyrigid.errors import FrameworkFileError
 from polyrigid.norm import preset
+from polyrigid.oracle import is_witness
 
 from fractions import Fraction
 
@@ -54,6 +58,43 @@ def test_huge_exponents_exit_2_at_load(tmp_path, capsys, value):
         _, err = capsys.readouterr()
         assert err.startswith(f"error: positions['b']: invalid rational {value!r}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _long_rational(text):
+    """A reported rational read without the 4,300-digit limit on str-to-int."""
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def test_witnesses_past_4300_digits_are_written(tmp_path):
+    # inputs under 1,000 digits each; the witness positions' denominators
+    # grow with the positions' common denominator, past 4,300 digits
+    doc = json.loads((Path(__file__).parent / "data" / "golden" / "linf_k4_s49.json").read_text())
+    coords = [(v, i) for v in doc["vertices"] for i in range(2)]
+    for k, (v, i) in enumerate(coords, 1):
+        doc["positions"][v][i] = str(Fraction(doc["positions"][v][i]) + Fraction(1, 10**995 + k))
+    path, out = write(tmp_path / "fw.json", doc), tmp_path / "r.json"
+    assert run_cli("global", path, "--out", str(out)) == 0
+    exact = json.loads(out.read_text())["results"]["exact"]
+    assert exact["outcome"] == "NotGloballyRigid"
+    q = {v: [_long_rational(x) for x in xs] for v, xs in exact["witness_positions"].items()}
+    assert max(len(str(Decimal(x.denominator))) for xs in q.values() for x in xs) > 4300
+    assert is_witness(load_framework(path), q)
+
+
+def test_long_position_literals_get_reports(tmp_path):
+    doc = {"dim": 2, "norm": "linf", "vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+           "positions": {"a": ["0", "0"], "b": ["1" * 3500 + "e1000", "1/3"], "c": ["1", "2"]}}
+    path, out = write(tmp_path / "fw.json", doc), tmp_path / "r.json"
+    for command in ("analyze", "global"):
+        assert run_cli(command, path, "--out", str(out)) == 0
+        written = json.loads(out.read_text())["input"]["positions"]["b"][0]
+        assert _long_rational(written) == int("1" * 3500) * 10**1000
+
+
+def test_format_rational_matches_str():
+    for value in (0, -3, Fraction(-9, 10), Fraction(10**40 + 1, 7**30)):
+        assert format_rational(value) == str(Fraction(value))
 
 
 def test_round_trip_byte_identity(tmp_path):
