@@ -3,9 +3,10 @@
 K4 is (2,2)-tight, so its edge set is independent in the (2,2)-sparsity
 matroid and no realisation is globally rigid: the exact engine refutes
 every rigid random realisation with an explicit equivalent non-congruent
-witness.  K5 is connected in that matroid, and the engine confirms its
-random rigid realisations are globally rigid - agreeing with the
-graph-level characterisation.
+witness.  K5 is connected in that matroid, so it has globally rigid
+generic realisations, and the engine confirms that its first random
+rigid realisation is one.  Not every rigid realisation of K5 is: the
+graph-level characterisation leaves each framework to the exact verdict.
 
 Run:  python demos/plane_global_rigidity.py
 """

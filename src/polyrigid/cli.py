@@ -121,8 +121,11 @@ def cmd_global(args):
             "criterion": "planar matroid-connectivity characterisation (rigid + (2,2)-sparsity-matroid connected)",
             "holds": holds,
             "generic_caveat": True,
-            "generic_verdict": GLOBALLY_RIGID if holds else "NotGloballyRigid",
-            "note": "exact for generic realisations; this input is rational, so read it with the generic caveat",
+            # only the necessary direction holds for a framework: rigid
+            # realisations of a connected graph may be NotGloballyRigid
+            "generic_verdict": None if holds else "NotGloballyRigid",
+            "note": "the graph has globally rigid generic realisations; this one is decided by the exact verdict"
+            if holds else "exact for generic realisations; this input is rational, so read it with the generic caveat",
         })
     results["elapsed_seconds"] = round(time.perf_counter() - t0, 6)
     meta = {

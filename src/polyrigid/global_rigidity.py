@@ -443,8 +443,11 @@ def decide_generic_global_linf2(graph: Graph):
     """Generic global rigidity in the 2-dimensional hypercube-ball norm.
 
     Graph level: the graph has a generic globally rigid realisation iff
-    it is connected in the (2,2)-sparsity matroid.  A generic planar
-    framework fw (linf, or l1, its linear image) is globally rigid iff
-    ``is_infinitesimally_rigid(fw) and decide_generic_global_linf2(fw.graph)``.
+    it is connected in the (2,2)-sparsity matroid.  For a planar framework
+    (linf, or l1, its linear image) only the necessary direction is used:
+    one whose graph is not connected is not globally rigid.  A rigid one
+    on a connected graph may still be NotGloballyRigid (the exact engine
+    refutes such K5 realisations, and the refutations survive small
+    perturbations), so the exact verdict decides it.
     """
     return is_Mdd_connected(graph, 2)

@@ -1,10 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from polyrigid import (
     Framework,
     build_octahedron,
     complete_graph,
+    induced_colouring,
     is_infinitesimally_rigid,
+    is_well_positioned,
     preset,
     randomize_realisation,
 )
@@ -47,6 +52,29 @@ def rigid_random_realisations(graph, norm, count, start_seed=1, denominator_boun
         if is_infinitesimally_rigid(fw):
             out.append((seed, fw))
         seed += 1
+    return out
+
+
+def colouring_preserving_perturbations(octahedron, count, seed=71):
+    """``count`` copies of the octahedron, each with one coordinate moved by
+    less than 10^-3, that stay well positioned with its induced colouring;
+    deterministic (acceptance criterion 11's inputs)."""
+    base_phi = induced_colouring(octahedron)
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        vertex = octahedron.graph.vertices[rng.randrange(6)]
+        coord = rng.randrange(2)
+        delta = Fraction(rng.randint(-9, 9), 10_000 + rng.randint(0, 99))
+        if delta == 0:
+            continue
+        pos = dict(octahedron.positions)
+        p = list(pos[vertex])
+        p[coord] += delta
+        pos[vertex] = tuple(p)
+        nudged = octahedron.with_positions(pos)
+        if is_well_positioned(nudged) and induced_colouring(nudged) == base_phi:
+            out.append(nudged)
     return out
 
 

@@ -51,6 +51,7 @@ from polyrigid import (
 )
 
 from _oracles import all_graphs, brute_force_max_sparse
+from conftest import colouring_preserving_perturbations
 
 
 def report(number, label):
@@ -338,25 +339,9 @@ def test_criterion_10_oracle_never_contradicts_engine(
 @pytest.mark.slow
 def test_criterion_11_octahedron_stability(octahedron):
     t0 = time.perf_counter()
-    base_phi = induced_colouring(octahedron)
     assert decide_global_rigidity(octahedron).outcome == GLOBALLY_RIGID
-    rng = random.Random(71)
-    done = 0
-    while done < 10:
-        vertex = octahedron.graph.vertices[rng.randrange(6)]
-        coord = rng.randrange(2)
-        delta = Fraction(rng.randint(-9, 9), 10_000 + rng.randint(0, 99))
-        if delta == 0:
-            continue
-        pos = dict(octahedron.positions)
-        p = list(pos[vertex])
-        p[coord] += delta
-        pos[vertex] = tuple(p)
-        nudged = octahedron.with_positions(pos)
-        if not is_well_positioned(nudged) or induced_colouring(nudged) != base_phi:
-            continue
+    for nudged in colouring_preserving_perturbations(octahedron, 10):
         assert decide_global_rigidity(nudged).outcome == GLOBALLY_RIGID
-        done += 1
     elapsed = time.perf_counter() - t0
     report(11, f"octahedron verdict stable under 10 colouring-preserving "
                f"rational perturbations ({elapsed:.1f}s)")

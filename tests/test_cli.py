@@ -1,12 +1,20 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from polyrigid import build_octahedron
+from polyrigid import (
+    Graph,
+    build_octahedron,
+    complete_graph,
+    is_infinitesimally_rigid,
+    is_well_positioned,
+    randomize_realisation,
+)
 from polyrigid.cli import main
 from polyrigid.fileformat import (
     dumps,
@@ -21,6 +29,8 @@ from polyrigid.norm import preset
 from polyrigid.oracle import is_witness
 
 from fractions import Fraction
+
+from conftest import colouring_preserving_perturbations
 
 
 def write(path, data):
@@ -690,14 +700,66 @@ def test_edgeless_linf_frameworks_get_reports(tmp_path):
         assert [c["edges"] for c in classes] == [[], []]
         assert run_cli("global", path, "--out", str(out)) == 0
         assert json.loads(out.read_text())["results"]["exact"]["outcome"] == outcome
-    # one vertex: the planar characterisation agrees with the exact verdict
+    # one vertex: the planar route holds and leaves the verdict to the
+    # exact engine
     for kind in ("linf", "l1"):
         path, out = write(tmp_path / "fw.json", dict(one, norm=kind)), tmp_path / "r.json"
         assert run_cli("global", path, "--out", str(out)) == 0
         results = json.loads(out.read_text())["results"]
         planar = [p for p in results["fast_paths"] if p["criterion"].startswith("planar")]
-        assert [p["generic_verdict"] for p in planar] == ["GloballyRigid"]
+        assert [(p["holds"], p["generic_verdict"]) for p in planar] == [(True, None)]
         assert results["exact"]["outcome"] == "GloballyRigid"
+
+
+def fast_paths_against_exact(fws, tmp_path):
+    """Per framework, its ``global`` report's exact outcome and its fast
+    paths as (criterion, holds, generic verdict)."""
+    out = tmp_path / "r.json"
+    rows = []
+    for fw in fws:
+        assert run_cli("global", write(tmp_path / "fw.json", serialize_framework(fw)), "--out", str(out)) == 0
+        results = json.loads(out.read_text())["results"]
+        paths = [(p["criterion"].split()[0], p["holds"], p["generic_verdict"]) for p in results["fast_paths"]]
+        rows.append((results["exact"]["outcome"], paths))
+    return rows
+
+
+def contradicted(rows):
+    """The fast paths that name an outcome the exact verdict contradicts."""
+    decided = {"GloballyRigid", "NotGloballyRigid", "NotRigid"}
+    assert all(exact in decided for exact, _ in rows)
+    return [
+        (exact, path) for exact, paths in rows for path in paths
+        if path[2] is not None and (path[2] == "GloballyRigid") != (exact == "GloballyRigid")
+    ]
+
+
+def test_planar_fast_paths_never_contradict_the_exact_verdict(tmp_path):
+    # rigid realisations of a matroid-connected graph may be refuted by the
+    # exact engine; the planar route then names no verdict
+    k5 = complete_graph(list("abcde"))
+    k5e = Graph(k5.vertices, [e for e in k5.edges if e != ("a", "b")])
+    fws = [
+        fw
+        for graph, bound in ((k5, 1000), (k5e, 200))
+        for kind in ("linf", "l1")
+        for seed in range(1, 400)
+        if is_well_positioned(fw := randomize_realisation(graph, 2, preset(kind, 2), seed=seed, denominator_bound=bound))
+        and is_infinitesimally_rigid(fw)
+    ]
+    rows = fast_paths_against_exact(fws, tmp_path)
+    assert contradicted(rows) == []
+    planar = Counter((exact, path) for exact, paths in rows for path in paths if path[0] == "planar")
+    # both outcomes occur where the graph is connected (K5 linf2 seed 130 is refuted)
+    assert planar[("NotGloballyRigid", ("planar", True, None))] > 0
+    assert planar[("GloballyRigid", ("planar", True, None))] > 0
+
+
+def test_strong_certificate_never_contradicts_the_exact_verdict(octahedron, tmp_path):
+    fws = [octahedron, *colouring_preserving_perturbations(octahedron, 10)]
+    rows = fast_paths_against_exact(fws, tmp_path)
+    assert contradicted(rows) == []
+    assert [paths[0] for _, paths in rows] == [("strong", True, "GloballyRigid")] * len(fws)
 
 
 def test_budget_zero_cuts_at_the_first_colouring(tmp_path):
