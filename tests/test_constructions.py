@@ -190,6 +190,23 @@ def test_np_gadget_lifted_witness():
     assert not congruence_check(fw, lifted)
 
 
+def test_np_gadget_lifts_mirror_images_and_refuses_others():
+    seed = Framework(path_graph(["v0", "v1", "v2"]), preset("linf", 1), {"v0": (0,), "v1": (1,), "v2": (3,)})
+    gadget = build_np_gadget(GadgetSpec(seed, 2))
+    ns = gadget.seed
+    reflected = {v: ns.position(v) for v in ns.graph.vertices}
+    reflected["v2"] = (2 * ns.position("v1")[0] - ns.position("v2")[0],)
+    # the mirror image puts v1 below v0, so the lift reflects it back
+    mirrored = {v: (-x,) for v, (x,) in reflected.items()}
+    assert mirrored["v1"] < mirrored["v0"]
+    lifted = gadget.lift_witness(reflected)
+    assert gadget.lift_witness(mirrored) == lifted
+    assert is_witness(gadget.framework, lifted)
+    stretched = dict(reflected, v1=(reflected["v1"][0] + 1,))
+    with pytest.raises(ParameterError, match="not equivalent"):
+        gadget.lift_witness(stretched)
+
+
 def test_k3_seed_gadget_is_not_globally_rigid():
     # the generic triangle is globally rigid on the line, yet its gadget in
     # d = 2 is not: v1 and v2 reflect about v0 = 1, s-- and s-+ each move

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -313,6 +314,58 @@ def test_brute_force_oracle_against_naive_enumeration():
                     break
             assert brute_force_max_sparse(g, d, k) == naive
             assert pebble_rank(g, SparsityParams(d, k)) == naive
+
+
+NONMATROIDAL = ((3, 6), (4, 8), (4, 9), (4, 10))
+
+
+def random_dense_graphs(count, seed, max_edges):
+    """Seeded random graphs on 4 to 7 vertices with at least half of the
+    possible edges (at most ``max_edges``), in shuffled order."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        vertices = [f"v{i}" for i in range(rng.randint(4, 7))]
+        pairs = [(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1:]]
+        graphs.append(Graph(vertices, rng.sample(pairs, rng.randint(len(pairs) // 2, min(len(pairs), max_edges)))))
+    return graphs
+
+
+def test_nonmatroidal_range_matches_the_oracles():
+    # k >= 2d: no pebble game, the counting check and the include/exclude
+    # search.  The search is exponential in the edges beyond the rank (K7
+    # takes seconds under (3,6)), so there the graphs keep at most 18 edges.
+    assert pebble_rank(complete_graph(list("abcdef")), SparsityParams(3, 6)) == 12
+    non_sparse = dict.fromkeys(NONMATROIDAL, 0)
+    for d, k in NONMATROIDAL:
+        params = SparsityParams(d, k)
+        complete = [complete_graph(list("abcdefg")[:n]) for n in ((5, 6) if d == 3 else (5, 6, 7))]
+        for g in complete + random_dense_graphs(185, d * 100 + k, 18 if d == 3 else 21):
+            n, m = len(g.vertices), len(g.edges)
+            sparse = sparse_by_counting(n, edge_masks_of(g), d, k)
+            non_sparse[d, k] += not sparse
+            assert pebble_rank(g, params) == brute_force_max_sparse(g, d, k), (g.edges, d, k)
+            assert is_sparse(g, params) == sparse
+            assert is_tight(g, params) == (sparse and m == d * n - k)
+    assert all(non_sparse.values()), non_sparse  # every search runs
+
+
+def test_nonmatroidal_limits_are_parameter_errors(tmp_path, capsys):
+    from polyrigid.cli import main
+
+    path17 = [f"v{i}" for i in range(17)]
+    star17 = Graph(path17, [(path17[0], v) for v in path17[1:]])
+    k8 = complete_graph(list("abcdefgh"))  # 28 edges, not (3,6)-sparse
+    for g in (star17, k8):
+        with pytest.raises(ParameterError, match="limited to"):
+            pebble_rank(g, SparsityParams(3, 6))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}))
+        capsys.readouterr()
+        assert main(["sparsity", str(path), "--d", "3", "--k", "6"]) == 2
+        assert "limited to" in capsys.readouterr().err
+    with pytest.raises(ParameterError, match="limited to 16 vertices"):
+        is_sparse(star17, SparsityParams(3, 6))
 
 
 ALL_MATROIDAL = tuple((d, k) for d in (1, 2, 3) for k in range(2 * d))
