@@ -37,9 +37,9 @@ def maximize(costs, ineq_rows, ineq_rhs):
         sign = -1 if b < 0 else 1
         a = [sign * Fraction(x) for x in a]
         row = a + [-x for x in a] + [Fraction(0)] * (width - 2 * n) + [sign * Fraction(b)]
-        row[2 * n + i] = Fraction(sign)
+        row[2 * n + i] = Fraction(sign)  # the slack
         basis.append(next(artificials) if b < 0 else 2 * n + i)
-        row[basis[-1]] = Fraction(1)
+        row[basis[-1]] = Fraction(1)  # a unit column for the basic variable
         tab.append(row)
 
     def pivot(r, col):
@@ -86,8 +86,8 @@ def maximize(costs, ineq_rows, ineq_rhs):
                 if j is not None:
                     pivot(i, j)
         kept = [i for i in range(m) if basis[i] < base]
-        tab = [tab[i] for i in kept]
-        basis = [basis[i] for i in kept]
+        tab[:] = [tab[i] for i in kept]
+        basis[:] = [basis[i] for i in kept]
 
     # minimize -c.(u - w)
     if not run([-c for c in costs] + list(costs) + [0] * (width - 2 * n), base):
