@@ -18,7 +18,6 @@ from polyrigid import (
 from polyrigid.cli import main
 from polyrigid.fileformat import (
     dumps,
-    format_rational,
     load_framework,
     parse_framework_dict,
     parse_rational,
@@ -100,11 +99,6 @@ def test_long_position_literals_get_reports(tmp_path):
         assert run_cli(command, path, "--out", str(out)) == 0
         written = json.loads(out.read_text())["input"]["positions"]["b"][0]
         assert _long_rational(written) == int("1" * 3500) * 10**1000
-
-
-def test_format_rational_matches_str():
-    for value in (0, -3, Fraction(-9, 10), Fraction(10**40 + 1, 7**30)):
-        assert format_rational(value) == str(Fraction(value))
 
 
 def test_round_trip_byte_identity(tmp_path):
