@@ -80,15 +80,9 @@ def _verdict_to_json(fw, verdict):
     cert = dict(verdict.certificate)
     if "witness_colouring" in cert:
         cert["witness_colouring"] = _faces_to_json(cert["witness_colouring"])
-    doc = {
-        "outcome": verdict.outcome,
-        "generic_caveat": False,
-        "certificate": cert,
-    }
+    doc = {"outcome": verdict.outcome, "generic_caveat": False, "certificate": cert}
     if verdict.witness is not None:
-        doc["witness_positions"] = ff.serialize_positions(
-            verdict.witness, fw.graph.vertices
-        )
+        doc["witness_positions"] = ff.serialize_positions(verdict.witness, fw.graph.vertices)
     return doc
 
 
@@ -128,11 +122,7 @@ def cmd_global(args):
             if holds else "exact for generic realisations; this input is rational, so read it with the generic caveat",
         })
     results["elapsed_seconds"] = round(time.perf_counter() - t0, 6)
-    meta = {
-        "budget": args.budget,
-        "assume_generic": bool(args.assume_generic),
-        "strict": bool(args.strict),
-    }
+    meta = {"budget": args.budget, "assume_generic": bool(args.assume_generic), "strict": bool(args.strict)}
     return _report("global", ff.serialize_framework(fw), results, meta)
 
 
@@ -197,9 +187,7 @@ def cmd_generate(args):
 
 
 def cmd_witness(args):
-    params = SearchParams(
-        restarts=args.restarts, steps=args.steps, seed=args.seed
-    )
+    params = SearchParams(restarts=args.restarts, steps=args.steps, seed=args.seed)
     fw = ff.load_framework(args.file)
     t0 = time.perf_counter()
     witness = numeric_witness_search(fw, params)
@@ -209,12 +197,8 @@ def cmd_witness(args):
         "elapsed_seconds": round(time.perf_counter() - t0, 6),
     }
     if witness is not None:
-        results["witness_positions"] = ff.serialize_positions(
-            witness, fw.graph.vertices
-        )
-        results["note"] = (
-            "witness verified exactly: equal edge lengths, not congruent"
-        )
+        results["witness_positions"] = ff.serialize_positions(witness, fw.graph.vertices)
+        results["note"] = "witness verified exactly: equal edge lengths, not congruent"
     else:
         results["note"] = "no witness found within budget; this proves nothing"
     meta = {"seed": args.seed, "steps": args.steps}

@@ -23,6 +23,28 @@ from .norm import PolytopeNorm, preset
 # "1e999999" builds, slowly, a million-digit integer that no report can
 # write: refuse it before Fraction, reading five significant exponent digits
 _EXPONENT, _MAX_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)\s*\Z"), 1000
+# Fraction's literals, bar non-ASCII digits.  Fraction refuses one past
+# str's 4,300-digit limit, which reports reach; Decimal reads it exactly
+_DIGITS = "[0-9]+(?:_[0-9]+)*"
+_DECIMAL = rf"(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?"
+_LITERAL = re.compile(rf"\s*[-+]?(?:{_DIGITS}/{_DIGITS}|{_DECIMAL})\s*\Z")
+_QUOTED = 60  # characters of a bad literal quoted in its error
+
+
+def _quote(text):
+    return repr(text) if len(text) <= _QUOTED else f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
+def _rational(text):
+    try:
+        return Fraction(text)
+    except ValueError:
+        if not _LITERAL.match(text):
+            raise
+    num, _, den = text.partition("/")
+    if not (den := int(Decimal(den or 1))):
+        raise ZeroDivisionError  # Fraction's own message would write num out
+    return Fraction(Decimal(num)) / den
 
 
 def parse_rational(text, where=""):
@@ -34,19 +56,23 @@ def parse_rational(text, where=""):
             "(JSON floats are not exact)"
         )
     if (e := _EXPONENT.search(text)) and int(e[1].replace("_", "").lstrip("0")[:5] or 0) > _MAX_EXPONENT:
-        raise FrameworkFileError(f"{where}: invalid rational {text!r}: exponent beyond ±{_MAX_EXPONENT}")
+        raise FrameworkFileError(f"{where}: invalid rational {_quote(text)}: exponent beyond ±{_MAX_EXPONENT}")
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FrameworkFileError(f"{where}: invalid rational {text!r}: {exc}") from exc
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else "not a rational literal"
+        raise FrameworkFileError(f"{where}: invalid rational {_quote(text)}: {why}") from exc
 
 
 def format_rational(value):
     # str() refuses ints past 4,300 digits, and witnesses of valid inputs
-    # reach that; Decimal writes an int of any length, exactly
+    # reach that; Decimal writes an int of any length, exactly, as str does
     value = Fraction(value)
-    numerator = str(Decimal(value.numerator))
-    return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:
+        numerator = str(Decimal(value.numerator))
+        return numerator if value.denominator == 1 else f"{numerator}/{Decimal(value.denominator)}"
 
 
 def _require(data, key, where):
@@ -79,9 +105,7 @@ def parse_norm(spec, dim):
             return PolytopeNorm(dim, faces)
         except PolyrigidError as exc:
             raise FrameworkFileError(f"norm.faces: {exc}") from exc
-    raise FrameworkFileError(
-        f"norm: expected 'linf', 'l1' or {{'faces': [...]}}, got {spec!r}"
-    )
+    raise FrameworkFileError(f"norm: expected 'linf', 'l1' or {{'faces': [...]}}, got {spec!r}")
 
 
 def parse_graph_dict(data):
@@ -114,9 +138,7 @@ def parse_framework_dict(data):
             raise FrameworkFileError(f"positions: missing vertex {v!r}")
         coords = _typed(raw_positions[v], list, f"positions[{v!r}]")
         if len(coords) != dim:
-            raise FrameworkFileError(
-                f"positions[{v!r}]: expected {dim} coordinates, got {len(coords)}"
-            )
+            raise FrameworkFileError(f"positions[{v!r}]: expected {dim} coordinates, got {len(coords)}")
         positions[v] = tuple(parse_rational(x, f"positions[{v!r}]") for x in coords)
     # the norm last: its facet check runs an LP per face, 2^dim of them in l1
     return Framework(graph, parse_norm(_require(data, "norm", "framework"), dim), positions)
@@ -136,10 +158,7 @@ def serialize_framework(fw: Framework):
         "norm": serialize_norm(fw.norm),
         "vertices": list(fw.graph.vertices),
         "edges": [[v, w] for v, w in fw.graph.edges],
-        "positions": {
-            v: [format_rational(x) for x in fw.position(v)]
-            for v in fw.graph.vertices
-        },
+        "positions": serialize_positions(fw.positions, fw.graph.vertices),
     }
 
 

@@ -31,14 +31,9 @@ class Framework:
     __slots__ = ("graph", "norm", "positions", "_table")
 
     def __init__(self, graph: Graph, norm: PolytopeNorm, positions):
-        pos = {}
-        for v in graph.vertices:
-            if v not in positions:
-                raise ParameterError(f"missing position for vertex {v!r}")
-            pos[v] = as_vector(positions[v], norm.dim)
         self.graph = graph
         self.norm = norm
-        self.positions = pos
+        self.positions = exact_positions(graph, norm.dim, positions)
         self._table = None
 
     @property
@@ -61,6 +56,26 @@ class Framework:
         return f"Framework({self.graph!r}, dim={self.dim})"
 
 
+def exact_positions(graph: Graph, dim, positions):
+    """Every vertex's position as a Fraction vector: ParameterError for a
+    missing vertex, DimensionMismatchError for a length other than dim."""
+    if missing := [v for v in graph.vertices if v not in positions]:
+        raise ParameterError(f"missing position for vertex {missing[0]!r}")
+    return {v: as_vector(positions[v], dim) for v in graph.vertices}
+
+
+def edge_maxima(fw: Framework, ints):
+    """Per edge vw, in edge order, (top, values): values[i] is the norm's
+    integer face i dotted with ints[v] - ints[w], top their maximum, zero
+    exactly for a zero vector (the faces span the space).  For positions
+    ints / P, the edge's norm is top / (D P)."""
+    faces = fw.norm.int_faces
+    for v, w in fw.graph.edges:
+        vec = [a - b for a, b in zip(ints[v], ints[w])]
+        values = [sum(map(mul, f, vec)) for f in faces]
+        yield max(values), values
+
+
 def zero_vector(dim):
     return tuple([Fraction(0)] * dim)
 
@@ -68,20 +83,16 @@ def zero_vector(dim):
 def edge_table(fw: Framework):
     """One integer pass over the edges: (active, lengths), where active[e]
     holds the indices of the faces attaining the norm of edge e's vector
-    (none for a zero vector).  Positions are taken over their common
-    denominator P and faces over the norm's D, so each f.(p(v) - p(w)) is
-    an integer over D*P, and the maximum and its ties are exact.  Computed
-    on the first call and kept on the framework."""
+    (none for a zero vector), from ``edge_maxima``: the maximum and its
+    ties are exact.  Computed on the first call and kept on the framework."""
     if fw._table is not None:
         return fw._table
     scale = lcm(*(x.denominator for p in fw.positions.values() for x in p))
     pos = {v: [x.numerator * (scale // x.denominator) for x in p] for v, p in fw.positions.items()}
     active, tops = [], []
-    for v, w in fw.graph.edges:
-        vec = [a - b for a, b in zip(pos[v], pos[w])]
-        vals = [sum(map(mul, f, vec)) for f in fw.norm.int_faces]
-        tops.append(max(vals))
-        active.append(tuple(i for i, x in enumerate(vals) if x == tops[-1]) if any(vec) else ())
+    for top, values in edge_maxima(fw, pos):
+        tops.append(top)
+        active.append(tuple(i for i, x in enumerate(values) if x == top) if top else ())
     den = scale * fw.norm.denominator
     fw._table = tuple(active), tuple(Fraction(x, den) for x in tops)
     return fw._table
@@ -173,19 +184,23 @@ def pinned_rows(fw: Framework):
     the face does not exceed the length.  One S, no gcd per row, so a leaf's
     LP read off the rows pivots as the Fraction LP does (``_settle_leaf``).
     Face -f's row is f's negated, bar the length in the right-hand side."""
-    d, graph, lengths = fw.dim, fw.graph, edge_lengths(fw)
+    d, graph, norm, lengths = fw.dim, fw.graph, fw.norm, edge_lengths(fw)
     v0, *others = graph.vertices
     scale = lcm(*(x.denominator for x in fw.position(v0)), *(x.denominator for x in lengths))
-    p0 = [int(x * scale) for x in fw.position(v0)]
-    faces = [[scale * x for x in f] for f in fw.norm.int_faces]
+    p0 = [x.numerator * (scale // x.denominator) for x in fw.position(v0)]  # S p0 / D
+    pins = [sum(map(mul, f, p0)) for f in norm.int_faces]  # S f.p0
+    faces = [[scale * x for x in f] for f in norm.int_faces]
     pinned, last = Graph(others + [v0]), d * len(others)
     rows = []
     for edge, length in zip(graph.edges, lengths):
-        rhs0 = int(length * scale) * fw.norm.denominator
+        rhs0 = length.numerator * (scale // length.denominator) * norm.denominator
+        sign = 1 if edge[0] == v0 else -1 if edge[1] == v0 else 0
         per_face = [None] * len(faces)
-        for f, g in fw.norm.pairs:
+        for f, g in norm.pairs:
             row = colouring_row(pinned, d, edge, faces[f])
-            pin = sum(row.pop(last + k, 0) * x for k, x in enumerate(p0)) // scale if v0 in edge else 0
+            if sign:  # vertex 0's block moves to the right-hand side
+                row = {c: x for c, x in row.items() if c < last}
+            pin = sign * pins[f]
             per_face[f], per_face[g] = row, {c: -x for c, x in row.items()}
             for row, rhs in ((row, rhs0 - pin), (per_face[g], rhs0 + pin)):
                 if rhs:
@@ -319,10 +334,7 @@ def is_rigid_linf_by_colour(fw: Framework):
     if not fw.norm.is_linf:
         raise ParameterError("colour-class rigidity test needs the linf preset norm")
     phi = induced_colouring(fw)
-    return all(
-        len(connected_components(sub)) == 1
-        for sub in monochromatic_subgraphs(fw.graph, phi, fw.dim)
-    )
+    return all(len(connected_components(sub)) == 1 for sub in monochromatic_subgraphs(fw.graph, phi, fw.dim))
 
 
 def is_rigid_all_induced_colourings(fw: Framework, budget=100_000):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     BudgetExceededError,
@@ -76,41 +77,55 @@ class GlobalVerdict:
 
 def _level(row, vec):
     """row . vec for a sparse row and a dense vector as wide as the system."""
-    return sum(y * vec[c] for c, y in row.items())
+    return sum(map(mul, row.values(), map(vec.__getitem__, row)))
 
 
-def _settle_leaf(fw: Framework, rows, system):
+def _settle_leaf(fw: Framework, faces, system):
     """An equivalent realisation on a consistent leaf's affine set, or None.
 
-    ``system`` holds the leaf's pinned rows; ``rows`` are all (edge, face)
-    rows, with ``pinned_rows``' one scale S: a point of the set is
-    equivalent iff it meets them all.  The set is (X + sum_j w_j K_j) / D,
-    for the particular solution X / D and kernel basis K_j / D_j; a row
-    reads key . w <= -level, key_j = row . K_j, level = row . (X, -D).
-    w = 0 is tested first; a violated row with a zero key rules the set
-    out, as do two opposite rows (keys over their gcds) whose bounds leave
-    nothing between them; then the exact LP runs, equal keys merged to the
-    least bound: the Fraction LP over t_j = w_j D_j / D, each row scaled by
-    S*D and column j by D_j / D.  Two-phase Bland pivots by the sign of
+    ``system`` holds the leaf's pinned rows; ``faces`` holds each edge's
+    rows, one per face, with ``pinned_rows``' one scale S: a point of the
+    set is equivalent iff it meets them all.  The set is
+    (X + sum_j w_j K_j) / D, for the particular solution X / D and kernel
+    basis K_j / D_j; a row reads key . w <= -level, key_j = row . K_j,
+    level = row . (X, -D), taken once per opposite-face pair: -f's row is
+    f's negated but for its right-hand side, so it has key -key and level
+    -level - (r_f + r_-f) D.  w = 0 is tested first; a violated row with a
+    zero key rules the set out, as do two opposite rows (keys over their
+    gcds) whose bounds leave nothing between them; then the exact LP runs
+    on the rows in edge, then face order, equal keys merged to the least
+    bound: the Fraction LP over t_j = w_j D_j / D, each row scaled by S*D
+    and column j by D_j / D.  Two-phase Bland pivots by the sign of
     reduced costs and the argmin of ratios in a column, and phase one's
     objective only scales uniformly: the pivots, and so the point, agree."""
     X, D = system.back_substitute()
-    point = X + [-D]
-    levels = [_level(row, point) for row in rows]
-    if max(levels, default=0) <= 0:
+    point, rhs, pairs = X + [-D], system.width - 1, fw.norm.pairs
+    levels = [[0] * len(per_face) for per_face in faces]  # per edge, per face
+    for per_face, level in zip(faces, levels):
+        for f, g in pairs:
+            level[f] = x = _level(per_face[f], point)
+            level[g] = -x - (per_face[f].get(rhs, 0) + per_face[g].get(rhs, 0)) * D
+    if max(map(max, levels), default=0) <= 0:
         return unpin(fw, [Fraction(x, D) for x in X])
     kernel = [system.back_substitute(c)[0] + [0] for c in system.free_columns()]
-    bounds, least = {}, {}  # key -> least bound, and the same by direction
-    for row, level in zip(rows, levels):
-        if any(key := tuple(_level(row, K) for K in kernel)):
-            bounds[key] = min(-level, bounds.get(key, -level))
-            g = gcd(*key)
-            unit, bound = tuple(k // g for k in key), Fraction(-level, g)
-            least[unit] = min(bound, least.get(unit, bound))
-        elif level > 0:
-            return None
+    bounds = {}  # key -> least bound
+    for per_face, level in zip(faces, levels):
+        keys = [None] * len(per_face)
+        for f, g in pairs:
+            keys[f] = key = tuple([_level(per_face[f], K) for K in kernel])
+            keys[g] = tuple([-k for k in key])
+        for key, level in zip(keys, level):
+            if any(key):
+                bounds[key] = min(-level, bounds.get(key, -level))
+            elif level > 0:
+                return None
+    least = {}  # key over its gcd -> least bound over the gcd
+    for key, b in bounds.items():
+        g = gcd(*key)
+        unit, bound = tuple([k // g for k in key]), Fraction(b, g)
+        least[unit] = min(bound, least.get(unit, bound))
     # unit . w <= b and -unit . w <= b' leave nothing when b + b' < 0
-    if any(b + least.get(tuple(-k for k in unit), -b) < 0 for unit, b in least.items()):
+    if any(b + least.get(tuple([-k for k in unit]), -b) < 0 for unit, b in least.items()):
         return None
     t = simplex.feasible_point([list(k) for k in bounds], list(bounds.values()))
     if t is None:
@@ -141,7 +156,7 @@ def equivalent_witness_lp(fw: Framework, phi):
     system = pinned_system(fw, rows, phi)
     if system is None:
         raise InconsistentSystemError("affine system of the colouring has no solution")
-    return _settle_leaf(fw, [row for per_face in rows for row in per_face], system)
+    return _settle_leaf(fw, rows, system)
 
 
 def _consistent_leaves(system, options, checked=None, perms=()):
@@ -281,12 +296,15 @@ def _search_order(graph: Graph):
     (fail-first ordering: Haralick & Elliott, AI 1980).  The consistent
     full colourings do not depend on the order."""
     edges = graph.edges
-    incident = {v: [i for i, edge in enumerate(edges) if v in edge] for v in graph.vertices}
+    incident = {v: [] for v in graph.vertices}
+    for i, edge in enumerate(edges):
+        for v in edge:
+            incident[v].append(i)
     score = [0] * len(edges)  # minus the touched endpoints; None once taken
     heap = [(0, i) for i in range(len(edges))]  # sorted, so already a heap
     touched, order, fresh = set(), [], [graph.vertices[0]]
     while heap:
-        for v in set(fresh) - touched:
+        for v in [v for v in fresh if v not in touched]:
             touched.add(v)
             for i in incident[v]:
                 if score[i] is not None:
@@ -341,7 +359,6 @@ def decide_global_rigidity(fw: Framework, budget=None):
     iso_set = {tuple(perm[phi_p[i]] for i in order) for perm in perms}
     faces = [table[i] for i in order]  # per search edge, one row per face
     options = [list(enumerate(per_face)) for per_face in faces]
-    rows = [row for per_face in faces for row in per_face]
     system = pinned_system(fw, faces)
     outcome, q, examined, leaves, skipped = GLOBALLY_RIGID, None, 0, 0, 0
     for phi in _consistent_leaves(system, options, checked=(faces, fw.norm.pairs), perms=perms):
@@ -350,7 +367,7 @@ def decide_global_rigidity(fw: Framework, budget=None):
             leaves += 1
             if phi in iso_set:
                 skipped += 1
-            elif (q := _settle_leaf(fw, rows, system)) is not None:
+            elif (q := _settle_leaf(fw, faces, system)) is not None:
                 outcome = NOT_GLOBALLY_RIGID
                 break
         if budget is not None and examined > budget:

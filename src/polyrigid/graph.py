@@ -65,11 +65,7 @@ class Graph:
         return Graph(self.vertices, edges)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
+        return isinstance(other, Graph) and self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -80,12 +76,7 @@ class Graph:
 
 def complete_graph(vertices):
     vertices = tuple(vertices)
-    edges = [
-        (vertices[i], vertices[j])
-        for i in range(len(vertices))
-        for j in range(i + 1, len(vertices))
-    ]
-    return Graph(vertices, edges)
+    return Graph(vertices, [(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1:]])
 
 
 def path_graph(vertices):

@@ -120,11 +120,7 @@ class PolytopeNorm:
                 raise ParameterError(f"redundant face normal {face}: not a facet of the unit ball")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PolytopeNorm)
-            and self.dim == other.dim
-            and set(self.faces) == set(other.faces)
-        )
+        return isinstance(other, PolytopeNorm) and self.dim == other.dim and set(self.faces) == set(other.faces)
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.faces)))
@@ -157,16 +153,12 @@ class PolytopeNorm:
     @cached_property
     def is_linf(self):
         """Whether the face set is exactly the signed standard basis."""
-        return len(self.faces) == 2 * self.dim and all(
-            linf_axis(f) is not None for f in self.faces
-        )
+        return len(self.faces) == 2 * self.dim and all(linf_axis(f) is not None for f in self.faces)
 
     @cached_property
     def is_l1(self):
         """Whether the face set is exactly the sign vectors {1, -1}^d."""
-        return len(self.faces) == 2 ** self.dim and all(
-            abs(x) == 1 for f in self.faces for x in f
-        )
+        return len(self.faces) == 2 ** self.dim and all(abs(x) == 1 for f in self.faces for x in f)
 
     def isometry_group(self):
         """All linear isometries of the norm, as a finite group.

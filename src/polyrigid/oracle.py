@@ -22,7 +22,7 @@ from math import isfinite, lcm
 from operator import mul, sub
 
 from .errors import ParameterError
-from .framework import Framework, edge_lengths, pinned_rows, pinned_system, unpin
+from .framework import Framework, edge_lengths, edge_maxima, exact_positions, pinned_rows, pinned_system, unpin
 from .linalg import affine_point
 
 
@@ -49,7 +49,7 @@ class SearchParams:
             raise ParameterError(f"tolerance must be a finite positive number, got {self.tolerance}")
 
 
-def congruence_check(fw: Framework, q) -> bool:
+def congruence_check(fw: Framework, q, over=None) -> bool:
     """Whether q is an isometric copy of the framework's realisation.
 
     Isometries of a polytope norm are linear isometries plus translations,
@@ -57,10 +57,11 @@ def congruence_check(fw: Framework, q) -> bool:
     by the first vertex.  Exact comparison, in integers: with p and q
     relative to vertex 0 over their common denominators P and Q, and each
     group element's integer matrix T = A / M (``T.ints`` over ``T.den``),
-    q - q0 = T (p - p0) reads M P (q - q0) = Q A (p - p0).
+    q - q0 = T (p - p0) reads M P (q - q0) = Q A (p - p0).  ``over`` may
+    give q's ``_relative_integers`` when they are known.
     """
     P, p = _relative_integers(fw, fw.positions)
-    Q, q = _relative_integers(fw, {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices})
+    Q, q = over or _relative_integers(fw, {v: tuple(Fraction(x) for x in q[v]) for v in fw.graph.vertices})
     for T in fw.norm.isometry_group():
         A, M = T.ints, T.den
         if all([Q * sum(map(mul, row, pv)) for row in A] == [M * P * x for x in qv] for pv, qv in zip(p, q)):
@@ -79,8 +80,16 @@ def _relative_integers(fw, positions):
 
 def is_witness(fw: Framework, q) -> bool:
     """Whether q realises exactly the framework's edge lengths without being
-    congruent to its realisation: an exact disproof of global rigidity."""
-    return edge_lengths(fw.with_positions(q)) == edge_lengths(fw) and not congruence_check(fw, q)
+    congruent to its realisation: an exact disproof of global rigidity.
+    Over q's common denominator Q, relative to vertex 0 (edge vectors do
+    not change), ``edge_maxima`` gives each edge's norm as t / (D Q), equal
+    to a length a / b exactly when t b = a D Q."""
+    q = exact_positions(fw.graph, fw.dim, q)
+    over = Q, rows = _relative_integers(fw, q)
+    tops = edge_maxima(fw, dict(zip(fw.graph.vertices, [[0] * fw.dim, *rows])))
+    scale = Q * fw.norm.denominator
+    exact = all(t * x.denominator == x.numerator * scale for (t, _), x in zip(tops, edge_lengths(fw)))
+    return exact and not congruence_check(fw, q, over)
 
 
 def _face_terms(norm):

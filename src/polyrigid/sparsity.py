@@ -33,9 +33,7 @@ class SparsityParams:
         if self.d < 1:
             raise ParameterError(f"d must be positive, got {self.d}")
         if not 0 <= self.k <= self.d * (self.d + 1) // 2:
-            raise ParameterError(
-                f"k must satisfy 0 <= k <= d(d+1)/2, got (d,k)=({self.d},{self.k})"
-            )
+            raise ParameterError(f"k must satisfy 0 <= k <= d(d+1)/2, got (d,k)=({self.d},{self.k})")
 
     @property
     def matroidal(self):
@@ -179,9 +177,7 @@ def _is_sparse_by_counting(g: Graph, params: SparsityParams):
     """Direct check of the counting condition over all vertex subsets."""
     n = len(g.vertices)
     if n > _COUNTING_VERTEX_LIMIT:
-        raise ParameterError(
-            f"counting sparsity check limited to {_COUNTING_VERTEX_LIMIT} vertices"
-        )
+        raise ParameterError(f"counting sparsity check limited to {_COUNTING_VERTEX_LIMIT} vertices")
     idx = g.index
     edge_masks = [(1 << idx(v)) | (1 << idx(w)) for v, w in g.edges]
     d, k = params.d, params.k
@@ -199,30 +195,37 @@ def _max_sparse_subset_size(g: Graph, params: SparsityParams):
     """Largest sparse edge subset in the non-matroidal range, by search.
 
     Depth-first include/exclude over edges; supersets of non-sparse sets
-    are never explored (sparsity is downward closed).
+    are never explored (sparsity is downward closed).  Adding vw keeps a
+    sparse set sparse iff every subset X of at least d vertices holding v
+    and w spans fewer than d|X| - k of it: the walk keeps that slack.
     """
     if _is_sparse_by_counting(g, params):
         return len(g.edges)
     if len(g.edges) > _FALLBACK_EDGE_LIMIT:
-        raise ParameterError(
-            f"exhaustive sparse-subset search limited to {_FALLBACK_EDGE_LIMIT} edges"
-        )
-    edges = g.edges
-    best = 0
+        raise ParameterError(f"exhaustive sparse-subset search limited to {_FALLBACK_EDGE_LIMIT} edges")
+    n, idx, d, k = len(g.vertices), g.index, params.d, params.k
+    slack = [d * mask.bit_count() - k for mask in range(1 << n)]
+    ends = [(1 << idx(v)) | (1 << idx(w)) for v, w in g.edges]
+    holding = [[mask for mask in range(1 << n) if mask & e == e and mask.bit_count() >= d] for e in ends]
+    m, best = len(g.edges), 0
 
     def extend(i, chosen):
         nonlocal best
-        if len(chosen) + (len(edges) - i) <= best:
+        if chosen + (m - i) <= best:
             return
-        if i == len(edges):
-            best = max(best, len(chosen))
+        if i == m:
+            best = chosen
             return
-        sub = g.subgraph_on_edges(chosen + [edges[i]])
-        if _is_sparse_by_counting(sub, params):
-            extend(i + 1, chosen + [edges[i]])
+        subsets = holding[i]
+        if min(map(slack.__getitem__, subsets)) > 0:  # n >= d: the whole set is one
+            for mask in subsets:
+                slack[mask] -= 1
+            extend(i + 1, chosen + 1)
+            for mask in subsets:
+                slack[mask] += 1
         extend(i + 1, chosen)
 
-    extend(0, [])
+    extend(0, 0)
     return best
 
 

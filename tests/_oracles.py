@@ -9,7 +9,8 @@ scaled to coprime integers, the global-rigidity search's leaf
 settlement along the plain Fraction route (unpin, per-edge norm, then the
 exact LP; only the simplex is the library's, so that witnesses can be
 compared), the isometry group by a Fraction matrix per candidate,
-congruence by the Fraction loop over the group matrices, the
+congruence by the Fraction loop over the group matrices, witnesses by
+both, the
 whole decision by enumerating every colouring in input order, the
 lex-leader of each colouring orbit by trying every group element, and the
 greedy search order by its definition.  Slow and simple on purpose.
@@ -327,6 +328,15 @@ def reference_congruence_check(fw, q):
         if all(q[v] == tuple(a + b for a, b in zip(move(p[v]), t)) for v in fw.graph.vertices):
             return True
     return False
+
+
+def reference_is_witness(fw, q):
+    """Whether q is a witness from the definitions: the Fraction norms of
+    ``reference_edge_table`` at q equal those at p, and
+    ``reference_congruence_check`` finds no isometry taking p to q."""
+    lengths = [length for length, _ in reference_edge_table(fw)]
+    at_q = [length for length, _ in reference_edge_table(fw.with_positions(q))]
+    return at_q == lengths and not reference_congruence_check(fw, q)
 
 
 def reference_decide(fw):

@@ -713,7 +713,7 @@ def test_every_plain_leaf_settles_as_the_fraction_reference(octahedron, rigid_k4
         system = pinned_system(fw, faces)
         options = [list(enumerate(per_face)) for per_face in faces]
         for phi in islice(filter(None, gr._consistent_leaves(system, options)), 250):
-            q = gr._settle_leaf(fw, rows, system)
+            q = gr._settle_leaf(fw, faces, system)
             assert q == reference_leaf_settlement(fw, lengths, [fw.norm.faces[j] for j in phi])
             X, D = system.back_substitute()
             if all(gr._level(row, X + [-D]) <= 0 for row in rows):

@@ -24,6 +24,7 @@ from polyrigid import (
     randomize_realisation,
 )
 from polyrigid import oracle
+from polyrigid.errors import DimensionMismatchError
 from polyrigid.framework import pinned_system
 from polyrigid.oracle import _exactify_via_colouring, _restart_endpoints
 
@@ -32,6 +33,7 @@ from _oracles import (
     reference_colouring,
     reference_congruence_check,
     reference_exactify_via_colouring,
+    reference_is_witness,
     reference_numeric_witness_search,
     reference_restart_endpoints,
     translate,
@@ -262,3 +264,40 @@ def test_engine_leaves_the_fraction_matrices_unbuilt():
     for norm in (octahedron.norm, k4.norm):
         assert norm._group is not None
         assert all("matrix" not in vars(T) for T in norm.isometry_group())
+
+
+def test_witness_check_matches_the_fraction_reference():
+    # the golden K4 witnesses and p, their images under every group
+    # element plus a translation (witnesses, and congruent copies), and
+    # one-coordinate nudges of the witness by 1/7 (lengths off); the
+    # witness also with string coordinates, and ints on a line
+    import json
+    from pathlib import Path
+
+    from polyrigid.fileformat import load_framework
+    from polyrigid.oracle import is_witness
+
+    golden = Path(__file__).parent / "data" / "golden"
+    seen = {True: 0, False: 0}
+    for name in ("linf_k4_s49", "linf_k4_s125", "l1_k4_s49", "l1_k4_s125"):
+        fw = load_framework(golden / f"{name}.json")
+        report = json.loads((golden / f"{name}.global.json").read_text())
+        q = {v: tuple(map(Fraction, xs)) for v, xs in report["results"]["exact"]["witness_positions"].items()}
+        cases = [q, {v: tuple(map(str, x)) for v, x in q.items()}, fw.positions]
+        cases.append({v: (i, 2 * i - 1) for i, v in enumerate(q)})  # ints
+        for T in fw.norm.isometry_group():
+            for r in (q, fw.positions):
+                cases.append({v: tuple(a + b for a, b in zip(T.apply(x), (Fraction(5, 3), -2))) for v, x in r.items()})
+        for v in q:
+            for k in range(fw.dim):
+                cases.append({**q, v: tuple(x + Fraction(1, 7) * (i == k) for i, x in enumerate(q[v]))})
+        for case in cases:
+            expected = reference_is_witness(fw, case)
+            assert is_witness(fw, case) == expected
+            seen[expected] += 1
+        assert is_witness(fw, cases[0]) and is_witness(fw, cases[1]) and not is_witness(fw, cases[2])
+        with pytest.raises(ParameterError, match="missing position"):
+            is_witness(fw, {v: x for v, x in q.items() if v != "c"})
+        with pytest.raises(DimensionMismatchError):
+            is_witness(fw, {**q, "b": q["b"] + (0,)})
+    assert seen == {True: 4 * (2 + 8), False: 4 * (2 + 8 + 8)}

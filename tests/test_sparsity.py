@@ -333,14 +333,15 @@ def random_dense_graphs(count, seed, max_edges):
 
 def test_nonmatroidal_range_matches_the_oracles():
     # k >= 2d: no pebble game, the counting check and the include/exclude
-    # search.  The search is exponential in the edges beyond the rank (K7
-    # takes seconds under (3,6)), so there the graphs keep at most 18 edges.
+    # search, which keeps per-subset slack along the walk, so K7 under
+    # (3,6) and 21-edge graphs stay cheap for it; the oracle takes longer
     assert pebble_rank(complete_graph(list("abcdef")), SparsityParams(3, 6)) == 12
+    assert pebble_rank(complete_graph(list("abcdefg")), SparsityParams(3, 6)) == 15
     non_sparse = dict.fromkeys(NONMATROIDAL, 0)
     for d, k in NONMATROIDAL:
         params = SparsityParams(d, k)
-        complete = [complete_graph(list("abcdefg")[:n]) for n in ((5, 6) if d == 3 else (5, 6, 7))]
-        for g in complete + random_dense_graphs(185, d * 100 + k, 18 if d == 3 else 21):
+        complete = [complete_graph(list("abcdefg")[:n]) for n in (5, 6, 7)]
+        for g in complete + random_dense_graphs(185, d * 100 + k, 21):
             n, m = len(g.vertices), len(g.edges)
             sparse = sparse_by_counting(n, edge_masks_of(g), d, k)
             non_sparse[d, k] += not sparse
